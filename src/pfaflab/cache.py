@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .diagrams import parse_diagram_key
@@ -46,9 +47,16 @@ def write_table(path: Path, n: int, pi, seed: int, table: dict) -> None:
         "f": {D.key(): w for D, w in sorted(table.items(), key=lambda kv: kv[0].key())},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    tmp.replace(path)
+    # a private temporary file per writer, so concurrent writers of one
+    # table never rename each other's file away
+    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload, indent=1, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_table(path: Path, n: int) -> dict:

@@ -1,7 +1,8 @@
 """Command-line workbench: verify, scan, eval, table, network, cache.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
-error.  Output is deterministic for a fixed configuration and seed.
+error, 3 a computation exceeded a capacity bound.  Output is
+deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -298,6 +299,9 @@ def main(argv=None) -> int:
                         enabled=not getattr(args, "no_cache", False))
     try:
         return COMMANDS[args.command](args)
+    except ux.CapacityError as exc:
+        sys.stderr.write(f"error: capacity: {exc}\n")
+        return 3
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

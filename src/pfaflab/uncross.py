@@ -16,6 +16,17 @@ mirror-symmetric.  Resolving a crossing joins the two strand stubs leading
 to the chords' start sides (vertical) or start-with-end (horizontal).  The
 weight of an uncrossing is 2^loops * (-1)^(unpaired vertical + paired
 horizontal), with mirror-symmetric loop pairs counted once.
+
+The weight tables f and g are computed by a fold over the resolution
+classes rather than by tracing all 2^k uncrossings: classes are resolved
+one at a time in order of |x| of their crossing, and partial uncrossings
+that leave the same connectivity among the boundary points and the
+still-unresolved crossings merge into one state with a summed weight.
+The fold needs at most 252 states for any matching at n = 5, where
+enumeration would trace up to 2^25 uncrossings; it raises CapacityError
+past its state bound.  `enumerate_uncrossings` still traces every
+uncrossing one by one; it serves the |X(pi)| census and is the oracle the
+fold is tested against.
 """
 
 from __future__ import annotations
@@ -25,7 +36,12 @@ from fractions import Fraction
 
 from .diagrams import SymTLDiagram, TLDiagram, sym_diagram
 
-DEFAULT_CLASS_BOUND = 24
+DEFAULT_CLASS_BOUND = 24      # resolution classes, for the 2^k enumeration
+DEFAULT_STATE_BOUND = 2500    # fold states; n = 5 needs at most 252
+
+
+class CapacityError(ValueError):
+    """A computation needs more room than its bound allows."""
 
 
 def circle_point(s: Fraction) -> tuple:
@@ -284,6 +300,31 @@ def _find(parent, i):
     return i
 
 
+def _left_edges(cmap: ChordMap, strands) -> frozenset:
+    """Check the boundary points of each traced strand; return the left edges.
+
+    Every strand must join exactly two boundary points, a strand crossing
+    sides must join a point to its mirror, and the right side must mirror
+    the left side.
+    """
+    n4 = 4 * cmap.n
+    left = set()
+    right = set()
+    for ps in strands:
+        if len(ps) != 2:
+            raise AssertionError(f"strand component touches {len(ps)} boundary points")
+        p, q = sorted(ps)
+        if q <= 2 * cmap.n:
+            left.add((p, q))
+        elif p > 2 * cmap.n:
+            right.add(tuple(sorted((n4 + 1 - p, n4 + 1 - q))))
+        elif q != n4 + 1 - p:
+            raise AssertionError(f"asymmetric cross-side strand ({p},{q})")
+    if left != right:
+        raise AssertionError("uncrossing is not mirror-symmetric")
+    return frozenset(left)
+
+
 def _trace(cmap: ChordMap, choices) -> tuple:
     """Resolve all classes (choice True = vertical) and trace the strands.
 
@@ -312,27 +353,10 @@ def _trace(cmap: ChordMap, choices) -> tuple:
                 union(ub, va)
                 union(ua, vb)
 
-    n4 = 4 * cmap.n
     by_root = {}
     for p, piece in cmap.boundary_piece.items():
         by_root.setdefault(_find(parent, piece), []).append(p)
-    pairs = []
-    for root, ps in by_root.items():
-        if len(ps) != 2:
-            raise AssertionError(f"strand component touches {len(ps)} boundary points")
-        pairs.append(tuple(sorted(ps)))
-
-    left = set()
-    right = set()
-    for p, q in pairs:
-        if q <= 2 * cmap.n:
-            left.add((p, q))
-        elif p > 2 * cmap.n:
-            right.add(tuple(sorted((n4 + 1 - p, n4 + 1 - q))))
-        elif q != n4 + 1 - p:
-            raise AssertionError(f"asymmetric cross-side strand ({p},{q})")
-    if left != right:
-        raise AssertionError("uncrossing is not mirror-symmetric")
+    left = _left_edges(cmap, by_root.values())
 
     boundary_roots = set(by_root)
     comp_pieces = {}
@@ -349,18 +373,7 @@ def _trace(cmap: ChordMap, choices) -> tuple:
         seen.add(r)
         seen.add(m)
         loop_orbits += 1
-    return frozenset(left), loop_orbits, uv, ph
-
-
-def _iter_traces(cmap: ChordMap, class_bound: int = DEFAULT_CLASS_BOUND):
-    k = cmap.num_classes
-    if k > class_bound:
-        raise ValueError(f"{k} resolution classes exceed the bound {class_bound}")
-    for mask in range(1 << k):
-        choices = [(mask >> i) & 1 == 1 for i in range(k)]
-        left, loops, uv, ph = _trace(cmap, choices)
-        weight = (2 ** loops) * (-1 if (uv + ph) % 2 else 1)
-        yield choices, left, loops, uv, ph, weight
+    return left, loop_orbits, uv, ph
 
 
 @dataclass(frozen=True)
@@ -374,27 +387,107 @@ class Uncrossing:
 
 
 def enumerate_uncrossings(cmap: ChordMap, class_bound: int = DEFAULT_CLASS_BOUND) -> list:
+    """Every one of the 2^k uncrossings, traced one by one (the test oracle)."""
+    k = cmap.num_classes
+    if k > class_bound:
+        raise CapacityError(f"{k} resolution classes exceed the bound {class_bound}")
     out = []
-    for choices, left, loops, uv, ph, weight in _iter_traces(cmap, class_bound):
-        out.append(Uncrossing(tuple(choices), sym_diagram(cmap.n, left), loops, uv, ph, weight))
+    for mask in range(1 << k):
+        choices = tuple((mask >> i) & 1 == 1 for i in range(k))
+        left, loops, uv, ph = _trace(cmap, choices)
+        weight = (2 ** loops) * (-1 if (uv + ph) % 2 else 1)
+        out.append(Uncrossing(choices, sym_diagram(cmap.n, left), loops, uv, ph, weight))
     return out
 
 
-def _accumulate(cmap: ChordMap, class_bound: int) -> dict:
-    acc = {}
-    for _, left, _, _, _, weight in _iter_traces(cmap, class_bound):
-        acc[left] = acc.get(left, 0) + weight
-    return {sym_diagram(cmap.n, left): w for left, w in acc.items()}
+# -- the fold over resolution classes --------------------------------------------
 
 
-def f_coefficient(pi, n: int, seed: int = 0, class_bound: int = DEFAULT_CLASS_BOUND) -> dict:
-    """Total uncrossing weight per resulting diagram for the doubled matching."""
-    return _accumulate(embed_nu_pi(pi, n, seed), class_bound)
+def _accumulate(cmap: ChordMap, state_bound: int | None = None) -> dict:
+    """Total uncrossing weight per diagram, one resolution class at a time.
+
+    A state is the canonical partition of the live tokens into strand
+    components: boundary points (stored as -p) and the pieces that still
+    touch an unresolved crossing.  Classes are taken by |x| of their
+    crossing, so both crossings of a paired orbit resolve at one step.
+    A component whose tokens all die at a step is a closed loop; since the
+    step is one mirror orbit, its mirror loop closes at the same step and
+    the pair counts once.  Zero-weight states are kept, so diagrams whose
+    weights cancel stay in the table.
+    """
+    bound = DEFAULT_STATE_BOUND if state_bound is None else state_bound
+    order = sorted(range(cmap.num_classes),
+                   key=lambda ci: (abs(cmap.crossings[cmap.classes[ci][0]].point[0]), ci))
+    last = [-1] * cmap.n_pieces     # step of the last crossing each piece touches
+    for step, ci in enumerate(order):
+        for k in cmap.classes[ci]:
+            for piece in cmap.cross_pieces[k]:
+                last[piece] = step
+    blocks = [[piece] if last[piece] >= 0 else [] for piece in range(cmap.n_pieces)]
+    for p, piece in cmap.boundary_piece.items():
+        blocks[piece].append(-p)
+    states = {tuple(sorted(tuple(sorted(b)) for b in blocks if b)): 1}
+    mirror = cmap.mirror_piece
+    for step, ci in enumerate(order):
+        touched = set()
+        vertical, horizontal = [], []
+        for k in cmap.classes[ci]:
+            ub, ua, vb, va = cmap.cross_pieces[k]
+            touched.update((ub, ua, vb, va))
+            vertical += [(ub, vb), (ua, va)]
+            horizontal += [(ub, va), (ua, vb)]
+        # -1 for an unpaired vertical or a paired horizontal resolution
+        unpaired = cmap.class_kind[ci] == "unpaired"
+        choices = ((vertical, -1 if unpaired else 1), (horizontal, 1 if unpaired else -1))
+        nxt = {}
+        for state, weight in states.items():
+            where = {}
+            for bi, block in enumerate(state):
+                for t in block:
+                    if t in touched:
+                        where[t] = bi
+            hit = set(where.values())
+            keep = [block for bi, block in enumerate(state) if bi not in hit]
+            for joins, sign in choices:
+                parent = list(range(len(state)))
+                for u, v in joins:
+                    ru, rv = _find(parent, where[u]), _find(parent, where[v])
+                    if ru != rv:
+                        parent[ru] = rv
+                groups = {}
+                for bi in hit:
+                    groups.setdefault(_find(parent, bi), []).extend(
+                        t for t in state[bi] if t < 0 or last[t] != step)
+                loops = 0
+                seen = set()
+                for r, tokens in groups.items():
+                    if tokens or r in seen:
+                        continue
+                    seen.add(r)
+                    seen.add(_find(parent, where[mirror[state[r][0]]]))
+                    loops += 1
+                new = tuple(sorted(keep + [tuple(sorted(t)) for t in groups.values() if t]))
+                nxt[new] = nxt.get(new, 0) + ((sign * weight) << loops)
+        if len(nxt) > bound:
+            raise CapacityError(f"{len(nxt)} uncrossing fold states exceed the bound {bound}")
+        states = nxt
+    # a final state pairs every boundary point, so distinct states are
+    # distinct diagrams
+    return {sym_diagram(cmap.n, _left_edges(cmap, [[-t for t in block] for block in state])): w
+            for state, w in states.items()}
 
 
-def g_coefficient(d: TLDiagram, n: int, seed: int = 0, class_bound: int = DEFAULT_CLASS_BOUND) -> dict:
+def f_coefficient(pi, n: int, seed: int = 0, state_bound: int | None = None) -> dict:
+    """Total uncrossing weight per resulting diagram for the doubled matching.
+
+    Raises CapacityError if the fold needs more than ``state_bound``
+    (default DEFAULT_STATE_BOUND) states."""
+    return _accumulate(embed_nu_pi(pi, n, seed), state_bound)
+
+
+def g_coefficient(d: TLDiagram, n: int, seed: int = 0, state_bound: int | None = None) -> dict:
     """Total uncrossing weight per diagram for the doubled TL diagram."""
-    return _accumulate(embed_nu_d(d, n, seed), class_bound)
+    return _accumulate(embed_nu_d(d, n, seed), state_bound)
 
 
 def z_count(d: TLDiagram, n: int) -> int:

@@ -67,6 +67,16 @@ def test_verify_exit_codes(capsys):
     assert code == 2
 
 
+def test_capacity_exit_code(capsys, monkeypatch):
+    from pfaflab import uncross
+
+    monkeypatch.setattr(uncross, "DEFAULT_STATE_BOUND", 2)
+    code = main(["table", "ex-2.5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: capacity:") and captured.err.count("\n") == 1
+
+
 def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "ex-2.5", "--format", "json")
     assert code == 0

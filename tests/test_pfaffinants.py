@@ -179,6 +179,40 @@ def test_f_cache_round_trip(tmp_path):
     cache.clear_memory()
 
 
+def test_concurrent_table_writes(tmp_path):
+    import sys
+    import threading
+
+    pi = frozenset({(1, 4), (2, 3)})
+    table = cache.f_table(pi, 2, 0, use_cache=False)
+    path = cache.table_path(tmp_path, 2, pi, 0)
+    errors = []
+    start = threading.Barrier(8)
+
+    def writer():
+        try:
+            start.wait(timeout=10)
+            for _ in range(25):
+                cache.write_table(path, 2, pi, 0, table)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache.read_table(path, 2) == table
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
 def test_no_cache_matches_cache():
     pi = frozenset({(1, 3), (2, 4)})
     assert cache.f_table(pi, 2, 0, use_cache=False) == cache.f_table(pi, 2, 0)

@@ -1,8 +1,9 @@
 import pytest
 
 from pfaflab.diagrams import enumerate_matchings, enumerate_tl, matching, sym_diagram, tl_diagram
-from pfaflab.uncross import (ChordMap, embed_nu_d, embed_nu_pi, enumerate_uncrossings,
-                             f_coefficient, g_coefficient, g_tilde_coefficient, z_count)
+from pfaflab.uncross import (DEFAULT_CLASS_BOUND, CapacityError, ChordMap, embed_nu_d, embed_nu_pi,
+                             enumerate_uncrossings, f_coefficient, g_coefficient,
+                             g_tilde_coefficient, z_count)
 
 D2 = lambda *edges: sym_diagram(2, edges)
 
@@ -95,8 +96,39 @@ def test_paired_orbit_inequality_clause():
 
 def test_class_bound():
     pi = matching([(1, 4), (2, 3)])
-    with pytest.raises(ValueError):
-        f_coefficient(pi, 2, class_bound=2)
+    with pytest.raises(ValueError) as info:
+        f_coefficient(pi, 2, state_bound=2)
+    assert info.type is CapacityError
+    with pytest.raises(CapacityError):
+        enumerate_uncrossings(embed_nu_pi(pi, 2), class_bound=3)
+
+
+def _oracle(cmap):
+    """Weights summed per diagram over the enumerated uncrossings."""
+    acc = {}
+    for u in enumerate_uncrossings(cmap):
+        acc[u.diagram] = acc.get(u.diagram, 0) + u.weight
+    return acc
+
+
+def test_fold_matches_enumeration():
+    for n in (1, 2, 3):
+        for seed in (0, 1):
+            for pi in enumerate_matchings(n):
+                assert f_coefficient(pi, n, seed) == _oracle(embed_nu_pi(pi, n, seed)), (pi, seed)
+            for d in enumerate_tl(n):
+                assert g_coefficient(d, n, seed) == _oracle(embed_nu_d(d, n, seed)), (d, seed)
+    for edges in ([(1, 8), (2, 7), (3, 6), (4, 5)], [(1, 2), (3, 8), (4, 7), (5, 6)],
+                  [(1, 4), (2, 3), (5, 8), (6, 7)], [(1, 5), (2, 6), (3, 7), (4, 8)]):
+        pi = matching(edges)
+        assert f_coefficient(pi, 4) == _oracle(embed_nu_pi(pi, 4)), edges
+
+
+def test_fold_reaches_n5():
+    pi = matching([(1, 10), (2, 9), (3, 8), (4, 7), (5, 6)])
+    assert embed_nu_pi(pi, 5).num_classes == 25 > DEFAULT_CLASS_BOUND
+    tables = [f_coefficient(pi, 5, seed) for seed in (0, 1)]
+    assert tables[0] and tables[0] == tables[1]
 
 
 def test_z_count_and_tilde_sign():
