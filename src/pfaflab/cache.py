@@ -7,7 +7,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .diagrams import parse_diagram_key
+from .diagrams import enumerate_matchings, parse_diagram_key
 from .uncross import f_coefficient
 
 ENV_CACHE_DIR = "PFAFLAB_CACHE_DIR"
@@ -88,6 +88,19 @@ def f_table(pi, n: int, seed: int = 0, cache_dir=None, use_cache: bool = True,
     if use_cache:
         _memory[key] = table
     return table
+
+
+def f_tables(n: int, seed: int = 0, cache_dir=None, use_cache: bool = True) -> dict:
+    """The table of every matching of [2n], memoised as one dict per (dir, n, seed)."""
+    use_cache = use_cache and _config["enabled"]
+    directory = Path(cache_dir) if cache_dir else default_cache_dir()
+    key = (str(directory), n, seed)
+    if use_cache and key in _memory:
+        return _memory[key]
+    tables = {pi: f_table(pi, n, seed, directory, use_cache) for pi in enumerate_matchings(n)}
+    if use_cache:
+        _memory[key] = tables
+    return tables
 
 
 def clear_memory() -> None:

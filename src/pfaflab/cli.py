@@ -97,6 +97,9 @@ def cmd_verify(args) -> int:
     opts = {"n": args.n, "k": args.k, "seed": args.seed, "samples": args.samples,
             "max_size": args.max_size, "grids": args.grids, "bound": args.bound}
     opts = {k: v for k, v in opts.items() if v is not None}
+    if args.format == "csv":
+        sys.stderr.write("usage: verify --format takes text or json\n")
+        return 2
     if args.theorem == "list":
         _emit("\n".join(sorted(vf.REGISTRY)) + "\n", args.out)
         return 0

@@ -8,8 +8,8 @@ from itertools import combinations
 
 from . import cache
 from .diagrams import (OddSubsetError, SymTLDiagram, compatible_diagrams, diagram_order_key,
-                       enumerate_matchings, enumerate_sym_tl, enumerate_sym_tl_even,
-                       i_maximal_diagrams, removal_closure, standard_partition)
+                       enumerate_sym_tl, enumerate_sym_tl_even, i_maximal_diagrams,
+                       removal_closure, standard_partition)
 from .pfaffian import SkewArray, complementary_pfaffian, min_partition, monomial_pfaffian
 from .poly import Poly, express_in_span, matrix_rank
 
@@ -49,13 +49,8 @@ class PfaffinantFunctional:
         return total
 
 
-def _f_tables(n: int, seed: int = 0, use_cache: bool = True) -> dict:
-    return {pi: cache.f_table(pi, n, seed, use_cache=use_cache)
-            for pi in enumerate_matchings(n)}
-
-
 def diagram_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
-    tables = _f_tables(D.n, seed)
+    tables = cache.f_tables(D.n, seed)
     return PfaffinantFunctional.from_dict(
         D.n, {pi: t.get(D, 0) for pi, t in tables.items()})
 
@@ -68,7 +63,7 @@ def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
 def tl_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
     if not D.is_even:
         raise ValueError(f"TL pfaffinant requires an even diagram, got {D}")
-    tables = _f_tables(D.n, seed)
+    tables = cache.f_tables(D.n, seed)
     closure = removal_closure(D)
     coeffs = {}
     for pi, t in tables.items():

@@ -222,17 +222,6 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-ZERO = Poly.zero()
-ONE = Poly.const(1)
-
-
-def poly_sum(polys) -> Poly:
-    total = Poly.zero()
-    for p in polys:
-        total = total + p
-    return total
-
-
 def poly_prod(polys) -> Poly:
     total = Poly.const(1)
     for p in polys:

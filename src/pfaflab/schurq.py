@@ -1,10 +1,16 @@
-"""Shifted tableaux, Schur Q-functions, Q-Jacobi-Trudi arrays, and scanners.
+"""Schur Q-functions, Q-Jacobi-Trudi arrays, and the conjecture scanners.
 
 All symmetric functions are truncated to k variables.  Strict partitions
 of size at most d have at most ~sqrt(2d) parts, so any identity among
 Schur Q-functions of degree <= d is faithfully decided with k at least
 the maximal part count: the Q_lambda with l(lambda) <= k stay linearly
 independent and the longer ones vanish identically.
+
+``schur_q`` computes Q_{lam/mu}(x_1..x_k) by the one-variable branching
+rule, memoised on (lam, mu, k), so every shape reached on the way down to
+one variable is computed once.  ``schur_q_tableaux`` enumerates the
+shifted tableaux one by one; it is the oracle of the tests and of the
+thm-5.2 check, and nothing else calls it.
 """
 
 from __future__ import annotations
@@ -66,12 +72,77 @@ def shifted_cells(lam, mu=()) -> list:
     return cells
 
 
+def _interlacing(lam, mu):
+    """Strict nu with mu <= nu and lam_1 >= nu_1 >= lam_2 >= nu_2 >= ...; zero parts dropped."""
+    below = lam[1:] + (0,)
+
+    def rec(i, acc):
+        if i == len(lam):
+            yield tuple(p for p in acc if p)
+            return
+        lo = max(below[i], mu[i] if i < len(mu) else 0)
+        for p in range(lo, lam[i] + 1):
+            if p and acc and p == acc[-1]:
+                continue  # nu must stay strict
+            yield from rec(i + 1, acc + [p])
+
+    yield from rec(0, [])
+
+
+def _strip_components(lam, nu) -> int:
+    """a(lam/nu): the edge-connected components of the shifted strip lam/nu.
+
+    Row i of the unshifted strip holds columns nu_i+1..lam_i.  A nonempty row
+    starts a new component unless the row above ends in column lam_i + 1,
+    that is nu_{i-1} == lam_i; the shifted cells of the two rows then share
+    a column.  Rows that only touch at a corner are separate components.
+    """
+    nu = nu + (0,) * (len(lam) - len(nu))
+    return sum(1 for i in range(len(lam))
+               if nu[i] < lam[i] and (i == 0 or nu[i - 1] != lam[i]))
+
+
 @lru_cache(maxsize=None)
 def schur_q(lam, mu, k: int) -> Poly:
+    """Q_{lam/mu}(x_1..x_k) by the one-variable branching rule.
+
+    Q_{lam/mu}(x_1..x_k) is the sum over the nu of ``_interlacing`` of
+    Q_{nu/mu}(x_1..x_{k-1}) * 2^a(lam/nu) * x_k^(|lam|-|nu|)
+    (Macdonald, Symmetric Functions and Hall Polynomials, III.8); with no
+    variables left only nu == mu survives.  ``schur_q_tableaux`` computes
+    the same polynomial from shifted tableaux.
+    """
+    if k < 1:
+        raise ValueError("need at least one variable")
+    shifted_cells(lam, mu)
+    mu = tuple(p for p in mu if p)
+    if lam == mu:
+        return Poly.const(1)
+    size = sum(lam)
+    xk = x(k)
+    terms: dict = {}
+    for nu in _interlacing(lam, mu):
+        if k > 1:
+            inner = schur_q(nu, mu, k - 1).terms
+        elif nu == mu:
+            inner = {(): 1}
+        else:
+            continue
+        weight = 2 ** _strip_components(lam, nu)
+        # x_k is the largest variable, so appending it keeps monomials sorted
+        tail = (xk,) * (size - sum(nu))
+        for m, c in inner.items():
+            m = m + tail
+            terms[m] = terms.get(m, 0) + weight * c
+    return Poly(terms)
+
+
+def schur_q_tableaux(lam, mu, k: int) -> Poly:
     """Weight generating function of shifted tableaux in letters 1' < 1 < ... < k.
 
     Rows and columns weakly increase; each primed letter appears at most
-    once per row and each unprimed letter at most once per column.
+    once per row and each unprimed letter at most once per column.  The
+    tableaux are enumerated one by one: this is the oracle for ``schur_q``.
     """
     if k < 1:
         raise ValueError("need at least one variable")
@@ -364,11 +435,15 @@ def scan_cell_transfer(bound: int, k: int = 5, skew: bool = True):
             if sum(s1[0]) + sum(s2[0]) > bound:
                 continue
             try:
-                (jl, jm), (ml, mm) = join_meet(s1, s2)
+                join, meet = join_meet(s1, s2)
             except (ValueError, AssertionError):
                 continue
-            diff = _skew_q((jl, jm), k) * _skew_q((ml, mm), k) - _skew_q(s1, k) * _skew_q(s2, k)
-            verdict, expansion = _classify_with_recheck(diff, s1, s2, k)
+
+            def diff_at(j):
+                return _skew_q(join, j) * _skew_q(meet, j) - _skew_q(s1, j) * _skew_q(s2, j)
+
+            diff = diff_at(k)
+            verdict, expansion = _classify_with_recheck(diff, k, diff_at)
             yield {
                 "conjecture": "con2",
                 "instance": {"shape1": _shape_str(s1), "shape2": _shape_str(s2)},
@@ -378,14 +453,12 @@ def scan_cell_transfer(bound: int, k: int = 5, skew: bool = True):
             }
 
 
-def _classify_with_recheck(diff, s1, s2, k):
+def _classify_with_recheck(diff, k: int, rebuild=None) -> tuple:
+    """Classify ``diff``; a non-positive verdict is replaced by the verdict on
+    ``rebuild(k + 1)``, the same difference in one more variable."""
     verdict, expansion = classify_difference(diff, k)
-    if verdict != "positive":
-        # rebuild the difference with one more variable before reporting
-        join, meet = join_meet(s1, s2)
-        diff2 = _skew_q(join, k + 1) * _skew_q(meet, k + 1) \
-            - _skew_q(s1, k + 1) * _skew_q(s2, k + 1)
-        verdict, expansion = classify_difference(diff2, k + 1)
+    if verdict != "positive" and rebuild is not None:
+        verdict, expansion = classify_difference(rebuild(k + 1), k + 1)
     return verdict, expansion
 
 
@@ -399,13 +472,13 @@ def scan_sort(bound: int, k: int = 5):
             if sum(lam) + sum(mu) > bound:
                 continue
             s1, s2 = sort_split(lam, mu)
-            diff = schur_q(s1, (), k) * schur_q(s2, (), k) \
-                - schur_q(lam, (), k) * schur_q(mu, (), k)
-            verdict, expansion = classify_difference(diff, k)
-            if verdict != "positive":
-                diff2 = schur_q(s1, (), k + 1) * schur_q(s2, (), k + 1) \
-                    - schur_q(lam, (), k + 1) * schur_q(mu, (), k + 1)
-                verdict, expansion = classify_difference(diff2, k + 1)
+
+            def diff_at(j):
+                return schur_q(s1, (), j) * schur_q(s2, (), j) \
+                    - schur_q(lam, (), j) * schur_q(mu, (), j)
+
+            diff = diff_at(k)
+            verdict, expansion = _classify_with_recheck(diff, k, diff_at)
             yield {
                 "conjecture": "con3",
                 "instance": {"lam": list(lam), "mu": list(mu)},
@@ -513,10 +586,12 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0, combos: int
         A = q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
         for label, obj, in_cone in elements:
             val = evaluate(obj, A)
-            verdict, expansion = classify_difference(val, k)
-            if verdict != "positive" and in_cone:
-                A2 = q_jt_matrix(list(pi), [], k + 1, allow_nonstrict=True)
-                verdict, expansion = classify_difference(evaluate(obj, A2), k + 1)
+
+            def rebuild(j):
+                return evaluate(obj, q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
+
+            # only cone elements are rechecked: the conjecture covers no others
+            verdict, expansion = _classify_with_recheck(val, k, rebuild if in_cone else None)
             yield {
                 "conjecture": "con1",
                 "instance": {"pi": list(pi), "element": label},

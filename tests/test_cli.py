@@ -84,6 +84,13 @@ def test_verify_json_format(capsys):
     assert rep["theorem"] == "ex-2.5" and rep["failures"] == []
 
 
+def test_verify_rejects_csv_format(capsys):
+    code = main(["verify", "ex-2.5", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage:") and captured.err.count("\n") == 1
+
+
 def test_scan_emits_jsonl(capsys):
     code, out = run(capsys, "scan", "con3", "--bound", "4")
     assert code == 0

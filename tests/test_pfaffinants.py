@@ -216,3 +216,21 @@ def test_concurrent_table_writes(tmp_path):
 def test_no_cache_matches_cache():
     pi = frozenset({(1, 3), (2, 4)})
     assert cache.f_table(pi, 2, 0, use_cache=False) == cache.f_table(pi, 2, 0)
+
+
+def test_f_tables_memo(tmp_path):
+    from pfaflab.diagrams import enumerate_matchings
+
+    tables = cache.f_tables(2, 0, cache_dir=tmp_path)
+    assert set(tables) == set(enumerate_matchings(2))
+    assert all(tables[pi] == cache.f_table(pi, 2, 0, use_cache=False) for pi in tables)
+    assert cache.f_tables(2, 0, cache_dir=tmp_path) is tables
+    # use_cache=False and a disabled cache both bypass the memo
+    assert cache.f_tables(2, 0, cache_dir=tmp_path, use_cache=False) is not tables
+    cache.configure(enabled=False)
+    assert cache.f_tables(2, 0, cache_dir=tmp_path) is not tables
+    cache.configure()
+    cache.clear_memory()
+    again = cache.f_tables(2, 0, cache_dir=tmp_path)
+    assert again is not tables and again == tables
+    cache.clear_memory()

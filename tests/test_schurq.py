@@ -5,11 +5,12 @@ import pytest
 
 from pfaflab.pfaffian import pfaffian
 from pfaflab.poly import Poly, a, x
-from pfaflab.schurq import (classify_difference, expand_in_q_basis, join_meet, join_meet_parts,
-                            merged_positions, monomial_expand, one_row_q, q_from_pfaffian,
-                            q_jt_matrix, scan_cell_transfer, scan_q_positivity, scan_sort,
-                            schur_q, shifted_cells, sort_split, strict_partitions,
-                            strict_subpartitions, two_row_q, verify_min_difference_q)
+from pfaflab.schurq import (_classify_with_recheck, classify_difference, expand_in_q_basis,
+                            join_meet, join_meet_parts, merged_positions, monomial_expand,
+                            one_row_q, q_from_pfaffian, q_jt_matrix, scan_cell_transfer,
+                            scan_q_positivity, scan_sort, schur_q, schur_q_tableaux, shifted_cells,
+                            sort_split, strict_partitions, strict_subpartitions, two_row_q,
+                            verify_min_difference_q)
 
 
 def test_one_row_values():
@@ -22,6 +23,33 @@ def test_one_row_values():
 
 def test_q1_value():
     assert schur_q((1,), (), 2).render() == "2*x[1] + 2*x[2]"
+
+
+def test_branching_matches_tableaux():
+    def shapes(max_size):
+        for size in range(max_size + 1):
+            for lam in strict_partitions(size) if size else [()]:
+                for mu in strict_subpartitions(lam):
+                    yield lam, mu
+
+    for k in range(1, 5):
+        for lam, mu in shapes(8):
+            assert schur_q(lam, mu, k) == schur_q_tableaux(lam, mu, k), (lam, mu, k)
+    for lam, mu in shapes(7):
+        assert schur_q(lam, mu, 5) == schur_q_tableaux(lam, mu, 5), (lam, mu, 5)
+
+
+def test_branching_corner_components():
+    # the strip (4,1)/(2) has two components that touch only at a corner
+    assert schur_q((4, 1), (2,), 1) == 4 * Poly.var(x(1)) ** 3
+
+
+def test_schur_q_input_errors():
+    for fn in (schur_q, schur_q_tableaux):
+        with pytest.raises(ValueError):
+            fn((2, 1), (), 0)
+        with pytest.raises(ValueError):
+            fn((2, 2), (), 3)
 
 
 def test_shifted_cells_and_validation():
@@ -163,3 +191,18 @@ def test_classify_difference_detects_negativity():
     q2 = schur_q((2,), (), 3)
     verdict, expansion = classify_difference(-q2, 3)
     assert verdict == "counterexample" and expansion == {(2,): Fraction(-1)}
+
+
+def test_recheck_in_one_more_variable():
+    lone = Poly.var(x(1))  # not symmetric in two variables
+    asked = []
+
+    def rebuild(j):
+        asked.append(j)
+        return schur_q((1,), (), j)
+
+    assert _classify_with_recheck(lone, 2, rebuild) == ("positive", {(1,): Fraction(1)})
+    assert asked == [3]
+    assert _classify_with_recheck(lone, 2)[0] == "not-in-q-span"
+    assert _classify_with_recheck(schur_q((1,), (), 2), 2, rebuild)[0] == "positive"
+    assert asked == [3]
