@@ -97,9 +97,6 @@ def cmd_verify(args) -> int:
     opts = {"n": args.n, "k": args.k, "seed": args.seed, "samples": args.samples,
             "max_size": args.max_size, "grids": args.grids, "bound": args.bound}
     opts = {k: v for k, v in opts.items() if v is not None}
-    if args.format == "csv":
-        sys.stderr.write("usage: verify --format takes text or json\n")
-        return 2
     if args.theorem == "list":
         _emit("\n".join(sorted(vf.REGISTRY)) + "\n", args.out)
         return 0
@@ -174,23 +171,10 @@ def cmd_eval(args) -> int:
     if not args.diagram:
         sys.stderr.write("--diagram is required\n")
         return 2
-    d = _parse_tl_key(args.diagram, n)
+    d = dg.parse_tl_key(args.diagram, n)
     B = im.symbolic_square(n)
     _emit(im.tl_immanant(d, B).render() + "\n", args.out)
     return 0
-
-
-def _parse_tl_key(key: str, n: int):
-    body = key.strip()
-    if not (body.startswith("T[") and body.endswith("]")):
-        raise ValueError(f"bad TL diagram key {key!r}")
-    edges = []
-    for chunk in body[2:-1].replace(")(", ");(").split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            i, j = chunk[1:-1].split(",")
-            edges.append((int(i), int(j)))
-    return dg.tl_diagram(n, edges)
 
 
 def _csv(rows) -> str:
@@ -296,8 +280,16 @@ COMMANDS = {
 }
 
 
+# the --format values verify, scan and table can print; the other subcommands ignore it
+FORMATS = {"verify": ("text", "json"), "scan": ("json",), "table": ("csv",)}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formats = FORMATS.get(args.command)
+    if args.format is not None and formats is not None and args.format not in formats:
+        sys.stderr.write(f"usage: {args.command} --format takes {' or '.join(formats)}\n")
+        return 2
     cache_mod.configure(cache_dir=getattr(args, "cache_dir", None),
                         enabled=not getattr(args, "no_cache", False))
     try:

@@ -72,10 +72,6 @@ def matching_sign(pi: Matching) -> int:
     return -1 if crossing_number(pi) % 2 else 1
 
 
-def matching_key(pi: Matching) -> str:
-    return "M[" + "".join(f"({i},{j})" for i, j in sorted(pi)) + "]"
-
-
 # -- symmetric TL diagrams ----------------------------------------------------
 
 
@@ -150,21 +146,29 @@ def sym_diagram(n: int, edges=()) -> SymTLDiagram:
     return SymTLDiagram(n, frozenset(tuple(sorted(e)) for e in edges))
 
 
-def parse_diagram_key(key: str, n: int) -> SymTLDiagram:
+def _parse_edges(key: str, prefix: str, what: str) -> list:
+    """The (i,j) pairs of a key such as ``V[(2,3)]``; ``what`` names it in errors."""
+    bad = ValueError(f"bad {what} key {key!r}")
     body = key.strip()
-    if not (body.startswith("V[") and body.endswith("]")):
-        raise ValueError(f"bad diagram key {key!r}")
-    inner = body[2:-1]
+    if not (body.startswith(prefix + "[") and body.endswith("]")):
+        raise bad
     edges = []
-    for chunk in inner.replace(")(", ");(").split(";"):
+    for chunk in body[2:-1].replace(")(", ");(").split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError(f"bad diagram key {key!r}")
-        i, j = chunk[1:-1].split(",")
-        edges.append((int(i), int(j)))
-    return sym_diagram(n, edges)
+            raise bad
+        try:
+            i, j = chunk[1:-1].split(",")
+            edges.append((int(i), int(j)))
+        except ValueError:
+            raise bad from None
+    return edges
+
+
+def parse_diagram_key(key: str, n: int) -> SymTLDiagram:
+    return sym_diagram(n, _parse_edges(key, "V", "diagram"))
 
 
 def subset_order_key(I) -> tuple:
@@ -366,6 +370,10 @@ class TLDiagram:
 
 def tl_diagram(n: int, edges) -> TLDiagram:
     return TLDiagram(n, frozenset(tuple(sorted(e)) for e in edges))
+
+
+def parse_tl_key(key: str, n: int) -> TLDiagram:
+    return tl_diagram(n, _parse_edges(key, "T", "TL diagram"))
 
 
 def _noncrossing_matchings(points):

@@ -13,12 +13,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .diagrams import TLDiagram, enumerate_tl, tl_diagram
-from .pfaffian import GeneralMatrix, SkewArray, minor
+from .pfaffian import GeneralMatrix, SkewArray, minor, skew_to_matrix
 from .poly import Poly, a, express_in_span, poly_prod
-
-
-def inversions(w) -> int:
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
 def inverse_permutation(w) -> tuple:
@@ -134,11 +130,6 @@ def symbolic_square(n: int, offset: int = 0) -> GeneralMatrix:
                           for i in range(1, n + 1)])
 
 
-def skew_as_general(A: SkewArray) -> GeneralMatrix:
-    return GeneralMatrix([[A.entry(i, j) for j in range(1, A.size + 1)]
-                          for i in range(1, A.size + 1)])
-
-
 def compatible_tl_diagrams(S, n: int) -> list:
     """TL diagrams whose every edge joins an S-point to a non-S-point."""
     S = set(S)
@@ -227,7 +218,7 @@ def quadratic_relation_table(use_reference: bool = True, seed: int = 0) -> list:
         N = tl_pfaffinant(sym_diagram(2, [(1, 2), (3, 4)]), A4, seed)
     products = [L * L, L * M, L * N, M * M, M * N, N * N]
     labels = ["L^2", "L*M", "L*N", "M^2", "M*N", "N^2"]
-    imms = tl_immanants(skew_as_general(SkewArray.symbolic(4)))
+    imms = tl_immanants(skew_to_matrix(SkewArray.symbolic(4)))
     rows = []
     for d in sorted(imms, key=lambda d: sorted(d.edges)):
         coeffs = express_in_span(imms[d], products)
@@ -248,7 +239,7 @@ def non_span_witness() -> dict:
     d = tl_diagram(6, [(2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (1, 12)])
     A = SkewArray.symbolic(6)
     target = Poly.zero()
-    B = skew_as_general(A)
+    B = skew_to_matrix(A)
     for w in permutations(range(1, 7)):
         mono = poly_prod(B.entry(i, w[i - 1]) for i in range(1, 7))
         if mono.is_zero():

@@ -26,6 +26,7 @@ from itertools import combinations
 from .diagrams import OddSubsetError, SymTLDiagram, sym_diagram
 from .pfaffian import SkewArray
 from .poly import Poly, poly_prod, x
+from .uncross import _find, _segment_crossing, _union
 
 
 class InvalidNetworkError(ValueError):
@@ -231,18 +232,6 @@ def _theta_type_mult(N: Network, kept, marked) -> tuple:
             arcs.append((k, 1))
     arc_id = {a: i for i, a in enumerate(arcs)}
     parent = list(range(len(arcs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
     joins = []
     for v in N.vertices:
         ins = [a for a in arcs if N.edges[a[0]].head == v]
@@ -257,7 +246,7 @@ def _theta_type_mult(N: Network, kept, marked) -> tuple:
             joins.append((ins[0], outs[0]))
     for a, b in joins:
         if a[0] not in marked and b[0] not in marked:
-            union(arc_id[a], arc_id[b])
+            _union(parent, arc_id[a], arc_id[b])
 
     unmarked_arcs = [a for a in arcs if a[0] not in marked]
     source_arc = {}
@@ -265,7 +254,7 @@ def _theta_type_mult(N: Network, kept, marked) -> tuple:
         outs = [a for a in unmarked_arcs if N.edges[a[0]].tail == u]
         if len(outs) != 1:
             raise AssertionError(f"source {u} must carry exactly one unmarked arc")
-        source_arc[idx + 1] = find(arc_id[outs[0]])
+        source_arc[idx + 1] = _find(parent, arc_id[outs[0]])
 
     n = len(N.sources) // 2
     edges = set()
@@ -277,7 +266,7 @@ def _theta_type_mult(N: Network, kept, marked) -> tuple:
     typ = sym_diagram(n, edges)
 
     source_roots = set(source_arc.values())
-    roots = {find(arc_id[a]) for a in unmarked_arcs}
+    roots = {_find(parent, arc_id[a]) for a in unmarked_arcs}
     r = len([root for root in roots if root not in source_roots])
     return typ, 2 ** r
 
@@ -368,10 +357,10 @@ def construct_network_of_diagram(D: SymTLDiagram, symbolic: bool = True, weights
     for s1, s2 in combinations(range(len(segs)), 2):
         A, B = segs[s1][0], segs[s1][1]
         C, Dd = segs[s2][0], segs[s2][1]
-        hit = _interior_intersection(A, B, C, Dd)
+        hit = _segment_crossing(A, B, C, Dd)
         if hit is not None:
-            cuts[s1].add(hit)
-            cuts[s2].add(hit)
+            cuts[s1].add(hit[0])
+            cuts[s2].add(hit[0])
 
     vertices = {}
     edges = []
@@ -397,20 +386,6 @@ def construct_network_of_diagram(D: SymTLDiagram, symbolic: bool = True, weights
     sources = [f"u{i}" for i in range(1, n2 + 1)]
     sinks = [f"w{i}" for i in range(1, n2 + 1) if i not in ingoing]
     return Network(vertices, edges, sources, sinks)
-
-
-def _interior_intersection(A, B, C, D):
-    r = (B[0] - A[0], B[1] - A[1])
-    s = (D[0] - C[0], D[1] - C[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    if denom == 0:
-        return None
-    q = (C[0] - A[0], C[1] - A[1])
-    t = (q[0] * s[1] - q[1] * s[0]) / denom
-    u = (q[0] * r[1] - q[1] * r[0]) / denom
-    if 0 < t < 1 and 0 < u < 1:
-        return (A[0] + t * r[0], A[1] + t * r[1])
-    return None
 
 
 # -- random planar fence networks -------------------------------------------------

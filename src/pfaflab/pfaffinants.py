@@ -200,6 +200,23 @@ def min_difference_element(I, n: int) -> ConeElement:
     return ConeElement.from_dict(n, coeffs)
 
 
+def cone_elements(n: int, rng, combos: int):
+    """(label, ConeElement) pairs of the standard network-positive cone elements.
+
+    Yields the TL-pfaffinant unit vectors, the min-difference elements of
+    every nonempty even I with |I| >= n (some of them are empty), and
+    ``combos`` random nonnegative TL combinations drawn from ``rng``.
+    """
+    even = enumerate_sym_tl_even(n)
+    for D in even:
+        yield f"tl:{D.key()}", ConeElement.from_dict(n, {D: 1})
+    for I in even_subsets(2 * n):
+        if len(I) >= n and I:
+            yield f"mindiff:{sorted(I)}", min_difference_element(I, n)
+    for t in range(combos):
+        yield f"random-{t}", ConeElement.from_dict(n, {D: rng.randrange(0, 3) for D in even})
+
+
 def maximal_diagrams(n: int) -> frozenset:
     """Even diagrams to which no odd edge can be added.
 

@@ -85,9 +85,6 @@ class Poly:
     def coeff(self, mono) -> Fraction:
         return Fraction(self.terms.get(tuple(mono), 0))
 
-    def total_degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
     def variables(self) -> set:
         return {v for m in self.terms for v in m}
 

@@ -513,22 +513,12 @@ def cone_test_elements(n: int, seed: int, combos: int) -> list:
     """
     import random
 
-    from .diagrams import enumerate_sym_tl, enumerate_sym_tl_even
-    from .pfaffinants import ConeElement, even_subsets, min_difference_element
+    from .diagrams import enumerate_sym_tl
+    from .pfaffinants import cone_elements
 
-    rng = random.Random(seed)
-    out = []
-    even = enumerate_sym_tl_even(n)
-    for D in even:
-        out.append((f"tl:{D.key()}", ConeElement.from_dict(n, {D: 1}), True))
-    for I in even_subsets(2 * n):
-        if len(I) >= n and len(I) > 0:
-            elt = min_difference_element(I, n)
-            if elt.tl_coeffs:
-                out.append((f"mindiff:{sorted(I)}", elt, True))
-    for t in range(combos):
-        elt = ConeElement.from_dict(n, {D: rng.randrange(0, 3) for D in even})
-        out.append((f"random-{t}", elt, True))
+    # an empty min-difference element evaluates to 0 and is left out
+    out = [(label, elt, True) for label, elt in cone_elements(n, random.Random(seed), combos)
+           if elt.tl_coeffs or not label.startswith("mindiff:")]
     for D in enumerate_sym_tl(n):
         out.append((f"diagram:{D.key()}", D, _diagram_in_cone(D, n)))
     return out

@@ -67,7 +67,11 @@ def _placement(n: int, seed: int, retry: int) -> list:
 
 
 def _segment_crossing(A, B, C, D):
-    """Exact intersection of proper segments AB and CD, or None."""
+    """Exact interior crossing of segments AB and CD, or None.
+
+    Returns (point, t, u) with point = A + t(B - A) = C + u(D - C) and
+    0 < t, u < 1.
+    """
     r = (B[0] - A[0], B[1] - A[1])
     s = (D[0] - C[0], D[1] - C[1])
     denom = r[0] * s[1] - r[1] * s[0]
@@ -135,8 +139,8 @@ class ChordMap:
                     if not _interleave(chords[i], chords[j]):
                         continue
                     ci, cj = chords[i], chords[j]
-                    hit = _segment_crossing(coords[self._start(ci)], coords[self._end(ci)],
-                                            coords[self._start(cj)], coords[self._end(cj)])
+                    hit = _segment_crossing(coords[ci[0]], coords[ci[1]],
+                                            coords[cj[0]], coords[cj[1]])
                     if hit is None:
                         raise AssertionError("interleaved chords failed to cross")
                     point, t, u = hit
@@ -186,14 +190,6 @@ class ChordMap:
         self.class_kind = class_kind
         self._prepare_pieces()
 
-    @staticmethod
-    def _start(chord) -> int:
-        return chord[0]
-
-    @staticmethod
-    def _end(chord) -> int:
-        return chord[1]
-
     def _prepare_pieces(self):
         # order crossings along each chord by exact parameter from the start
         nch = len(self.chords)
@@ -223,8 +219,8 @@ class ChordMap:
         # boundary position -> piece
         self.boundary_piece = {}
         for c, chord in enumerate(self.chords):
-            self.boundary_piece[self._start(chord)] = self.piece_offset[c]
-            self.boundary_piece[self._end(chord)] = self.piece_offset[c] + len(self.cross_along[c])
+            self.boundary_piece[chord[0]] = self.piece_offset[c]
+            self.boundary_piece[chord[1]] = self.piece_offset[c] + len(self.cross_along[c])
         # mirror map on pieces: piece k of c -> piece (m_c - k) of mirror(c)
         self.mirror_piece = [0] * self.n_pieces
         for c in range(nch):
@@ -300,6 +296,12 @@ def _find(parent, i):
     return i
 
 
+def _union(parent, i, j) -> None:
+    ri, rj = _find(parent, i), _find(parent, j)
+    if ri != rj:
+        parent[ri] = rj
+
+
 def _left_edges(cmap: ChordMap, strands) -> frozenset:
     """Check the boundary points of each traced strand; return the left edges.
 
@@ -331,12 +333,6 @@ def _trace(cmap: ChordMap, choices) -> tuple:
     Returns (left_edge_fset, loop_orbits, uv, ph).
     """
     parent = list(range(cmap.n_pieces))
-
-    def union(i, j):
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            parent[ri] = rj
-
     uv = ph = 0
     for ci, members in enumerate(cmap.classes):
         vertical = choices[ci]
@@ -347,11 +343,11 @@ def _trace(cmap: ChordMap, choices) -> tuple:
         for k in members:
             ub, ua, vb, va = cmap.cross_pieces[k]
             if vertical:
-                union(ub, vb)
-                union(ua, va)
+                _union(parent, ub, vb)
+                _union(parent, ua, va)
             else:
-                union(ub, va)
-                union(ua, vb)
+                _union(parent, ub, va)
+                _union(parent, ua, vb)
 
     by_root = {}
     for p, piece in cmap.boundary_piece.items():

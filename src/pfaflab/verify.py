@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from . import diagrams as dg
 from . import immanants as im
@@ -25,16 +26,33 @@ from .pfaffian import (SkewArray, complementary_pfaffian, determinant, min_parti
 from .pfaffinants import VerificationError
 
 
-def _run(cases, check):
+def _run(theorem, params, cases, check, label=repr):
+    """Run ``check`` on every case and report.
+
+    A case fails when ``check`` returns an error message (not None) or
+    raises VerificationError or AssertionError; ``label(case)`` names it.
+    """
     failures = []
     total = 0
     for case in cases:
         total += 1
         try:
-            check(case)
+            error = check(case)
         except (VerificationError, AssertionError) as exc:
-            failures.append({"case": repr(case), "error": str(exc)})
-    return total, failures
+            error = str(exc)
+        if error is not None:
+            failures.append({"case": label(case), "error": error})
+    return _report(theorem, params, total, failures)
+
+
+def _n_subset_label(case):
+    """Label of a case (n, I, ...)."""
+    return f"n={case[0]} I={sorted(case[1])}"
+
+
+def _subset_cases(nmax):
+    for n in range(1, nmax + 1):
+        yield from ((n, I) for I in pf.even_subsets(2 * n))
 
 
 def _report(theorem, params, total, failures):
@@ -69,10 +87,9 @@ def verify_seed_independence(opts):
         kind, n, obj = case
         fn = ux.f_coefficient if kind == "pi" else ux.g_coefficient
         if fn(obj, n, seeds[0]) != fn(obj, n, seeds[1]):
-            raise AssertionError(f"{kind} coefficients differ between seeds {seeds}")
+            return f"{kind} coefficients differ between seeds {seeds}"
 
-    total, failures = _run(cases, check)
-    return _report("thm-2.4", {"n": nmax, "seeds": seeds}, total, failures)
+    return _run("thm-2.4", {"n": nmax, "seeds": seeds}, cases, check)
 
 
 EXAMPLE_F_TABLE = {
@@ -110,21 +127,20 @@ EXAMPLE_DIAGRAM_PFAFFINANTS = {
 
 def verify_example_diagram_pfaffinants(opts):
     A = SkewArray.symbolic(4)
-    failures = []
-    for key, want in EXAMPLE_DIAGRAM_PFAFFINANTS.items():
-        D = dg.parse_diagram_key(key, 2)
-        got = pf.diagram_pfaffinant(D, A).render()
+
+    def check(item):
+        key, want = item
+        got = pf.diagram_pfaffinant(dg.parse_diagram_key(key, 2), A).render()
         if got != want:
-            failures.append({"case": key, "error": f"got {got}"})
-    return _report("ex-2.7", {}, len(EXAMPLE_DIAGRAM_PFAFFINANTS), failures)
+            return f"got {got}"
+
+    return _run("ex-2.7", {}, EXAMPLE_DIAGRAM_PFAFFINANTS.items(), check, itemgetter(0))
 
 
 def _decomposition_cases(opts):
     nmax = int(opts.get("n") or 3)
     samples = int(opts.get("samples") or 0)
-    cases = []
-    for n in range(1, nmax + 1):
-        cases.extend((n, I) for I in pf.even_subsets(2 * n))
+    cases = list(_subset_cases(nmax))
     if samples:
         rng = random.Random(int(opts.get("seed") or 0))
         big = list(pf.even_subsets(2 * (nmax + 1)))
@@ -132,32 +148,26 @@ def _decomposition_cases(opts):
     return cases
 
 
-def verify_diagram_decomposition(opts):
-    cases = _decomposition_cases(opts)
+def _decomposition(theorem, identity, opts):
+    """Check ``identity(A, I)`` at every (n, I) of the decomposition cases."""
     arrays = {}
 
     def check(case):
         n, I = case
-        A = arrays.setdefault(n, SkewArray.symbolic(2 * n))
-        pf.verify_diagram_decomposition(A, I)
+        if n not in arrays:
+            arrays[n] = SkewArray.symbolic(2 * n)
+        identity(arrays[n], I)
 
-    total, failures = _run(cases, check)
-    return _report("thm-2.6", {"n": opts.get("n") or 3, "samples": opts.get("samples") or 0},
-                   total, failures)
+    params = {"n": opts.get("n") or 3, "samples": opts.get("samples") or 0}
+    return _run(theorem, params, _decomposition_cases(opts), check)
+
+
+def verify_diagram_decomposition(opts):
+    return _decomposition("thm-2.6", pf.verify_diagram_decomposition, opts)
 
 
 def verify_tl_decomposition(opts):
-    cases = _decomposition_cases(opts)
-    arrays = {}
-
-    def check(case):
-        n, I = case
-        A = arrays.setdefault(n, SkewArray.symbolic(2 * n))
-        pf.verify_tl_decomposition(A, I)
-
-    total, failures = _run(cases, check)
-    return _report("thm-2.12", {"n": opts.get("n") or 3, "samples": opts.get("samples") or 0},
-                   total, failures)
+    return _decomposition("thm-2.12", pf.verify_tl_decomposition, opts)
 
 
 def verify_closure_power(opts):
@@ -176,17 +186,15 @@ def verify_closure_power(opts):
 
 def verify_partition_property(opts):
     nmax = int(opts.get("n") or 4)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        for I in pf.even_subsets(2 * n):
-            total += 1
-            comp = dg.compatible_diagrams(I, n)
-            blocks = [dg.removal_closure(D) for D in dg.i_maximal_diagrams(I, n)]
-            union = set().union(*blocks) if blocks else set()
-            if union != comp or sum(len(b) for b in blocks) != len(comp):
-                failures.append({"case": f"n={n} I={sorted(I)}", "error": "not a disjoint union"})
-    return _report("lem-2.9", {"n": nmax}, total, failures)
+
+    def check(case):
+        n, I = case
+        comp = dg.compatible_diagrams(I, n)
+        blocks = [dg.removal_closure(D) for D in dg.i_maximal_diagrams(I, n)]
+        if set().union(*blocks) != comp or sum(len(b) for b in blocks) != len(comp):
+            return "not a disjoint union"
+
+    return _run("lem-2.9", {"n": nmax}, _subset_cases(nmax), check, _n_subset_label)
 
 
 def verify_standard_bijection(opts):
@@ -210,89 +218,87 @@ def verify_standard_bijection(opts):
 
 def verify_order_compatibility(opts):
     nmax = int(opts.get("n") or 4)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        all_d = dg.enumerate_sym_tl(n)
-        for D2 in all_d:
-            I2 = dg.i_set(D2)
-            if len(I2) % 2:
-                continue
-            for D in dg.compatible_diagrams(I2, n):
-                total += 1
-                if dg.diagram_order_key(D) > dg.diagram_order_key(D2):
-                    failures.append({"case": f"{D.key()} vs {D2.key()}", "error": "order violated"})
-    return _report("lem-2.15", {"n": nmax}, total, failures)
+
+    def cases():
+        for n in range(1, nmax + 1):
+            for D2 in dg.enumerate_sym_tl(n):
+                I2 = dg.i_set(D2)
+                if len(I2) % 2 == 0:
+                    yield from ((D, D2) for D in dg.compatible_diagrams(I2, n))
+
+    def check(case):
+        D, D2 = case
+        if dg.diagram_order_key(D) > dg.diagram_order_key(D2):
+            return "order violated"
+
+    return _run("lem-2.15", {"n": nmax}, cases(), check, lambda c: f"{c[0].key()} vs {c[1].key()}")
 
 
 def verify_triangularity(opts):
     nmax = int(opts.get("n") or 4)
-    failures = []
-    for n in range(1, nmax + 1):
-        try:
-            pf.transition_matrix(n)
-        except VerificationError as exc:
-            failures.append({"case": f"n={n}", "error": str(exc)})
-    return _report("prop-2.16", {"n": nmax}, nmax, failures)
+
+    def check(n):
+        pf.transition_matrix(n)  # raises unless unit upper triangular
+
+    return _run("prop-2.16", {"n": nmax}, range(1, nmax + 1), check, "n={}".format)
 
 
 def verify_basis(opts):
     nmax = int(opts.get("n") or 4)
-    failures = []
-    for n in range(1, nmax + 1):
+
+    def check(n):
         rep = pf.certify_basis(n)
         want = comb(2 * n - 1, n)
         if rep["tl_rank"] != want or rep["complementary_rank"] != want:
-            failures.append({"case": f"n={n}", "error": repr(rep)})
-    return _report("thm-2.17", {"n": nmax}, nmax, failures)
+            return repr(rep)
+
+    return _run("thm-2.17", {"n": nmax}, range(1, nmax + 1), check, "n={}".format)
 
 
-def _network_suite(opts):
+def _networks(opts):
+    """(case, n, N) for each network of the suite, built when it is reached.
+
+    The case, ("separator", n, D) or ("fence", 2, seed), labels failures.
+    """
     nmax = int(opts.get("n") or 3)
     grids = int(opts.get("grids") or 10)
-    nets = []
     for n in range(1, nmax + 1):
-        nets.extend(("separator", n, D) for D in dg.enumerate_sym_tl(n))
+        for D in dg.enumerate_sym_tl(n):
+            yield ("separator", n, D), n, nw.construct_network_of_diagram(D)
     rng_seed = int(opts.get("seed") or 0)
-    nets.extend(("fence", 2, rng_seed + t) for t in range(grids))
-    return nets
-
-
-def _build_network(case):
-    kind, n, arg = case
-    if kind == "separator":
-        return n, nw.construct_network_of_diagram(arg)
-    return n, nw.random_fence_network(n, 6, seed=arg)
+    for t in range(grids):
+        yield ("fence", 2, rng_seed + t), 2, nw.random_fence_network(2, 6, seed=rng_seed + t)
 
 
 def verify_path_pfaffian(opts):
-    cases = _network_suite(opts)
-    failures = []
-    total = 0
-    for case in cases:
-        n, N = _build_network(case)
-        A = nw.path_weight_matrix(N)
-        for I in pf.even_subsets(2 * n):
-            total += 1
-            if nw.q_i_weight(N, I) != complementary_pfaffian(A, I):
-                failures.append({"case": f"{case} I={sorted(I)}", "error": "weights differ"})
-    return _report("cor-3.2", {"n": opts.get("n") or 3}, total, failures)
+    def cases():
+        for net, n, N in _networks(opts):
+            A = nw.path_weight_matrix(N)
+            yield from ((net, N, A, I) for I in pf.even_subsets(2 * n))
+
+    def check(case):
+        _, N, A, I = case
+        if nw.q_i_weight(N, I) != complementary_pfaffian(A, I):
+            return "weights differ"
+
+    return _run("cor-3.2", {"n": opts.get("n") or 3}, cases(), check,
+                lambda c: f"{c[0]} I={sorted(c[-1])}")
 
 
 def verify_network_equality(opts):
-    cases = _network_suite(opts)
-    failures = []
-    total = 0
-    for case in cases:
-        n, N = _build_network(case)
-        subs = nw.marked_subnetworks(N)
-        A = nw.path_weight_matrix(N)
-        for D in dg.enumerate_sym_tl_even(n):
-            total += 1
-            lhs = pf.tl_pfaffinant(D, A)
-            if lhs != nw.hat_pfaf(N, D, subs):
-                failures.append({"case": f"{case} {D.key()}", "error": "sides differ"})
-    return _report("thm-3.6", {"n": opts.get("n") or 3}, total, failures)
+    def cases():
+        for net, n, N in _networks(opts):
+            subs = nw.marked_subnetworks(N)
+            A = nw.path_weight_matrix(N)
+            yield from ((net, N, subs, A, D) for D in dg.enumerate_sym_tl_even(n))
+
+    def check(case):
+        _, N, subs, A, D = case
+        if pf.tl_pfaffinant(D, A) != nw.hat_pfaf(N, D, subs):
+            return "sides differ"
+
+    return _run("thm-3.6", {"n": opts.get("n") or 3}, cases(), check,
+                lambda c: f"{c[0]} {c[-1].key()}")
 
 
 def verify_separating_type(opts):
@@ -319,36 +325,35 @@ def verify_separating_type(opts):
 
 def verify_covering_counts(opts):
     nmax = int(opts.get("n") or 2)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        for D in dg.enumerate_sym_tl(n):
-            N = nw.construct_network_of_diagram(D)
-            subs = nw.marked_subnetworks(N)
-            fams = nw._families(N, lambda *a: True)
-            fams = [f for f in fams if nw._triple_free(f)]
-            for s in subs:
-                for I in pf.even_subsets(2 * n):
-                    total += 1
-                    count = 0
-                    for fam in fams:
-                        use = {}
-                        for p in fam:
-                            for k in p[1]:
-                                use[k] = use.get(k, 0) + 1
-                        if frozenset(use) != s.kept or \
-                                frozenset(k for k, c in use.items() if c == 2) != s.marked:
-                            continue
-                        ok = all(
-                            not (set(fam[i][0]) & set(fam[j][0]))
-                            for i in range(2 * n) for j in range(i + 1, 2 * n)
-                            if ((i + 1) in I) == ((j + 1) in I))
-                        count += ok
-                    want = s.mult if dg.is_compatible(s.type, I) else 0
-                    if count != want:
-                        failures.append({"case": f"{D.key()} I={sorted(I)}",
-                                         "error": f"count {count} != {want}"})
-    return _report("lem-3.4", {"n": nmax}, total, failures)
+
+    def cases():
+        for n in range(1, nmax + 1):
+            for D in dg.enumerate_sym_tl(n):
+                N = nw.construct_network_of_diagram(D)
+                fams = [f for f in nw._families(N, lambda *a: True) if nw._triple_free(f)]
+                for s in nw.marked_subnetworks(N):
+                    yield from ((D, fams, s, I) for I in pf.even_subsets(2 * n))
+
+    def check(case):
+        D, fams, s, I = case
+        count = 0
+        for fam in fams:
+            use = {}
+            for p in fam:
+                for k in p[1]:
+                    use[k] = use.get(k, 0) + 1
+            if frozenset(use) != s.kept or \
+                    frozenset(k for k, c in use.items() if c == 2) != s.marked:
+                continue
+            count += all(
+                not (set(fam[i][0]) & set(fam[j][0]))
+                for i in range(2 * D.n) for j in range(i + 1, 2 * D.n)
+                if ((i + 1) in I) == ((j + 1) in I))
+        want = s.mult if dg.is_compatible(s.type, I) else 0
+        if count != want:
+            return f"count {count} != {want}"
+
+    return _run("lem-3.4", {"n": nmax}, cases(), check, lambda c: f"{c[0].key()} I={sorted(c[-1])}")
 
 
 BOOLEAN_CONE_VECTORS = [
@@ -360,126 +365,120 @@ BOOLEAN_CONE_VECTORS = [
 
 
 def verify_boolean_cone(opts):
-    failures = []
-    for vec, want in BOOLEAN_CONE_VECTORS:
+    def check(item):
+        vec, want = item
         if pf.boolean_cone_check(3, "odd", vec) != want:
-            failures.append({"case": repr(vec), "error": f"expected {want}"})
-    return _report("ex-3.13", {}, len(BOOLEAN_CONE_VECTORS), failures)
+            return f"expected {want}"
+
+    return _run("ex-3.13", {}, BOOLEAN_CONE_VECTORS, check, lambda item: repr(item[0]))
 
 
 def verify_min_partition_monotone(opts):
     nmax = int(opts.get("n") or 5)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        for I in pf.even_subsets(2 * n):
-            if len(I) < n:
-                continue
-            total += 1
+
+    def cases():
+        yield from ((n, I, "contain") for n, I in _subset_cases(nmax) if len(I) >= n)
+        # cone membership of the min differences at n = 2, 3
+        for n in (2, min(3, nmax)):
+            yield from ((n, I, "cone") for I in pf.even_subsets(2 * n) if len(I) >= n and I)
+
+    def check(case):
+        n, I, kind = case
+        if kind == "contain":
             mn = min_partition(I, 2 * n)
             if not dg.compatible_diagrams(I, n) <= dg.compatible_diagrams(mn, n):
-                failures.append({"case": f"n={n} I={sorted(I)}", "error": "containment fails"})
-    # cone membership of the min differences at n = 2, 3
-    for n in (2, min(3, nmax)):
-        for I in pf.even_subsets(2 * n):
-            if len(I) < n or not I:
-                continue
-            total += 1
-            verdict = pf.cone_membership(pf.min_difference_element(I, n))
-            if not verdict.positive:
-                failures.append({"case": f"n={n} I={sorted(I)}",
-                                 "error": f"witness {verdict.witness.key()}"})
-    return _report("prop-3.14", {"n": nmax}, total, failures)
+                return "containment fails"
+            return None
+        verdict = pf.cone_membership(pf.min_difference_element(I, n))
+        if not verdict.positive:
+            return f"witness {verdict.witness.key()}"
+
+    return _run("prop-3.14", {"n": nmax}, cases(), check, _n_subset_label)
 
 
 def verify_cone_restriction(opts):
     nmax = int(opts.get("n") or 3)
     rng = random.Random(int(opts.get("seed") or 0))
-    failures = []
-    total = 0
-    for n in range(2, nmax + 1):
-        even = dg.enumerate_sym_tl_even(n)
-        elements = [pf.ConeElement.from_dict(n, {D: 1}) for D in even]
-        for I in pf.even_subsets(2 * n):
-            if len(I) >= n and I:
-                elements.append(pf.min_difference_element(I, n))
-        for _ in range(10):
-            elements.append(pf.ConeElement.from_dict(
-                n, {D: rng.randrange(0, 3) for D in even}))
-        maximal = pf.maximal_diagrams(n)
-        for c in elements:
-            if not pf.cone_membership(c).positive:
-                continue
-            for Dm in maximal:
-                total += 1
-                keep = dg.removal_closure(Dm)
-                if not pf.cone_membership(c.restrict(keep)).positive:
-                    failures.append({"case": f"n={n} {Dm.key()}", "error": "restriction leaves cone"})
-    return _report("lem-3.12", {"n": nmax}, total, failures)
+
+    def cases():
+        for n in range(2, nmax + 1):
+            maximal = pf.maximal_diagrams(n)
+            # empty min-difference elements lie in the cone and count as cases
+            for _, c in pf.cone_elements(n, rng, 10):
+                if pf.cone_membership(c).positive:
+                    yield from ((n, c, Dm) for Dm in maximal)
+
+    def check(case):
+        _, c, Dm = case
+        if not pf.cone_membership(c.restrict(dg.removal_closure(Dm))).positive:
+            return "restriction leaves cone"
+
+    return _run("lem-3.12", {"n": nmax}, cases(), check, lambda c: f"n={c[0]} {c[-1].key()}")
 
 
 def verify_imm_decomposition(opts):
     nmax = int(opts.get("n") or 3)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        B = im.symbolic_square(n)
-        for k in range(0, n + 1):
-            for I in combinations(range(1, n + 1), k):
-                for J in combinations(range(1, n + 1), k):
-                    total += 1
-                    try:
-                        im.verify_imm_decomposition(B, I, J)
-                    except VerificationError as exc:
-                        failures.append({"case": f"n={n} I={I} J={J}", "error": str(exc)})
-    return _report("thm-4.1", {"n": nmax}, total, failures)
+
+    def cases():
+        for n in range(1, nmax + 1):
+            B = im.symbolic_square(n)
+            for k in range(0, n + 1):
+                for I in combinations(range(1, n + 1), k):
+                    yield from ((n, I, J, B) for J in combinations(range(1, n + 1), k))
+
+    def check(case):
+        _, I, J, B = case
+        im.verify_imm_decomposition(B, I, J)
+
+    return _run("thm-4.1", {"n": nmax}, cases(), check, lambda c: f"n={c[0]} I={c[1]} J={c[2]}")
 
 
 def verify_block_sign_law(opts):
     nmax = int(opts.get("n") or 3)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        A, B = im.block_pair(n)
-        for I in pf.even_subsets(2 * n):
-            total += 1
-            lhs = complementary_pfaffian(A, I)
-            I1 = sorted(i for i in I if i <= n)
-            I2 = sorted(i - n for i in I if i > n)
-            if len(I1) != len(I) // 2:
-                ok = lhs.is_zero()
-            else:
-                I1bar = [p for p in range(1, n + 1) if p not in I1]
-                I2bar = [p for p in range(1, n + 1) if p not in I2]
-                sign = (-1) ** (comb(len(I1), 2) + comb(len(I1bar), 2))
-                ok = lhs == sign * minor(B, I1, I2) * minor(B, I1bar, I2bar)
-            if not ok:
-                failures.append({"case": f"n={n} I={sorted(I)}", "error": "sign law fails"})
-    return _report("lem-4.2", {"n": nmax}, total, failures)
+
+    def cases():
+        for n in range(1, nmax + 1):
+            A, B = im.block_pair(n)
+            yield from ((n, I, A, B) for I in pf.even_subsets(2 * n))
+
+    def check(case):
+        n, I, A, B = case
+        lhs = complementary_pfaffian(A, I)
+        I1 = sorted(i for i in I if i <= n)
+        I2 = sorted(i - n for i in I if i > n)
+        if len(I1) != len(I) // 2:
+            ok = lhs.is_zero()
+        else:
+            I1bar = [p for p in range(1, n + 1) if p not in I1]
+            I2bar = [p for p in range(1, n + 1) if p not in I2]
+            sign = (-1) ** (comb(len(I1), 2) + comb(len(I1bar), 2))
+            ok = lhs == sign * minor(B, I1, I2) * minor(B, I1bar, I2bar)
+        if not ok:
+            return "sign law fails"
+
+    return _run("lem-4.2", {"n": nmax}, cases(), check, _n_subset_label)
 
 
 def verify_bridge(opts):
     nmax = int(opts.get("n") or 3)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        for D in dg.enumerate_sym_tl_even(n):
-            total += 1
-            try:
-                im.verify_pfaffinant_immanant_bridge(n, diagrams=[D])
-            except VerificationError as exc:
-                failures.append({"case": f"n={n} {D.key()}", "error": str(exc)})
-    return _report("thm-4.3", {"n": nmax}, total, failures)
+
+    def check(case):
+        n, D = case
+        im.verify_pfaffinant_immanant_bridge(n, diagrams=[D])
+
+    cases = ((n, D) for n in range(1, nmax + 1) for D in dg.enumerate_sym_tl_even(n))
+    return _run("thm-4.3", {"n": nmax}, cases, check, lambda c: f"n={c[0]} {c[1].key()}")
 
 
 def verify_pf_squared(opts):
     nmax = int(opts.get("n") or 3)
-    failures = []
-    for n in range(1, nmax + 1):
+
+    def check(n):
         A = SkewArray.symbolic(2 * n)
         if pfaffian(A) ** 2 != determinant(skew_to_matrix(A)):
-            failures.append({"case": f"n={n}", "error": "pf^2 != det"})
-    return _report("thm-4.4", {"n": nmax}, nmax, failures)
+            return "pf^2 != det"
+
+    return _run("thm-4.4", {"n": nmax}, range(1, nmax + 1), check, "n={}".format)
 
 
 QUADRATIC_TABLE_ROWS = {
@@ -499,20 +498,19 @@ QUADRATIC_TABLE_ROWS = {
 
 def verify_quadratic_table(opts):
     rows = {r["diagram"]: r for r in im.quadratic_relation_table()}
-    failures = []
-    total = 0
-    for key, want in QUADRATIC_TABLE_ROWS.items():
-        total += 1
+
+    def check(case):
+        key, want = case
         row = rows.get(key)
+        if want is None:  # every computed row must lie in the span
+            return None if row["in_span"] else "not in span of products"
         got = None if row is None or not row["in_span"] else \
             tuple(row["coefficients"][lbl] for lbl in ("L^2", "L*M", "L*N", "M^2", "M*N", "N^2"))
         if got != want:
-            failures.append({"case": key, "error": f"got {got}"})
-    for key, row in rows.items():
-        total += 1
-        if not row["in_span"]:
-            failures.append({"case": key, "error": "not in span of products"})
-    return _report("tab-4.3", {}, total, failures)
+            return f"got {got}"
+
+    cases = [*QUADRATIC_TABLE_ROWS.items(), *((key, None) for key in rows)]
+    return _run("tab-4.3", {}, cases, check, itemgetter(0))
 
 
 def verify_non_span_witness(opts):
@@ -524,22 +522,28 @@ def verify_non_span_witness(opts):
 def verify_jacobi_trudi(opts):
     max_size = int(opts.get("max_size") or 8)
     k = int(opts.get("k") or 4)
-    failures = []
-    total = 0
-    for tot in range(1, max_size + 1):
-        for lam in sq.strict_partitions(tot):
-            for mu in sq.strict_subpartitions(lam):
-                total += 1
-                if sq.q_from_pfaffian(lam, mu, k) != sq.schur_q_tableaux(lam, mu, k):
-                    failures.append({"case": f"{lam}/{mu}", "error": "pfaffian != tableau sum"})
-    # reversed-H sign variant on a sample
-    for lam, mu in (((3, 1), (2,)), ((4, 2), (3, 1)), ((5, 3, 1), (2, 1))):
-        total += 1
+
+    def cases():
+        for tot in range(1, max_size + 1):
+            for lam in sq.strict_partitions(tot):
+                yield from ((lam, mu, False) for mu in sq.strict_subpartitions(lam))
+        # reversed-H sign variant on a sample
+        for lam, mu in (((3, 1), (2,)), ((4, 2), (3, 1)), ((5, 3, 1), (2, 1))):
+            yield lam, mu, True
+
+    def check(case):
+        lam, mu, reversed_h = case
+        if not reversed_h:
+            if sq.q_from_pfaffian(lam, mu, k) != sq.schur_q_tableaux(lam, mu, k):
+                return "pfaffian != tableau sum"
+            return None
         A = sq.q_jt_matrix(lam, mu, 3)
         At = sq.q_jt_matrix(lam, mu, 3, reversed_h=True)
         if pfaffian(A) != (-1) ** comb(len(mu), 2) * pfaffian(At):
-            failures.append({"case": f"{lam}/{mu} reversed", "error": "sign variant fails"})
-    return _report("thm-5.2", {"max_size": max_size, "k": k}, total, failures)
+            return "sign variant fails"
+
+    return _run("thm-5.2", {"max_size": max_size, "k": k}, cases(), check,
+                lambda c: f"{c[0]}/{c[1]}" + (" reversed" if c[2] else ""))
 
 
 def verify_monomial_positivity(opts):
@@ -547,38 +551,37 @@ def verify_monomial_positivity(opts):
     generalized arrays; the skew extension is recorded as false elsewhere."""
     bound = int(opts.get("bound") or 6)
     n = int(opts.get("n") or 2)
-    failures = []
-    total = 0
     funcs = {D: pf.tl_functional(D) for D in dg.enumerate_sym_tl_even(n)}
-    for pi in sq.weakly_decreasing_parts(bound, 2 * n):
-        k = max(1, sum(pi))
-        A = sq.q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
-        for D, f in funcs.items():
-            total += 1
-            m = sq.monomial_expand(f.evaluate(A), k)
-            if m is None or any(c < 0 for c in m.values()):
-                failures.append({"case": f"pi={pi} {D.key()}", "error": "negative monomial"})
-    return _report("thm-5.4", {"n": n, "bound": bound}, total, failures)
+
+    def cases():
+        for pi in sq.weakly_decreasing_parts(bound, 2 * n):
+            k = max(1, sum(pi))
+            A = sq.q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
+            yield from ((pi, D, f, k, A) for D, f in funcs.items())
+
+    def check(case):
+        _, _, f, k, A = case
+        m = sq.monomial_expand(f.evaluate(A), k)
+        if m is None or any(c < 0 for c in m.values()):
+            return "negative monomial"
+
+    return _run("thm-5.4", {"n": n, "bound": bound}, cases(), check,
+                lambda c: f"pi={c[0]} {c[1].key()}")
 
 
 def verify_min_difference_bridge(opts):
     bound = int(opts.get("bound") or 8)
     k = int(opts.get("k") or 4)
-    failures = []
-    total = 0
     parts = [()]
     for t in range(1, bound + 1):
         parts.extend(sq.strict_partitions(t))
-    for i, lam in enumerate(parts):
-        for nu in parts[i:]:
-            if not lam or sum(lam) + sum(nu) > bound:
-                continue
-            total += 1
-            try:
-                sq.verify_min_difference_q(lam, nu, k)
-            except VerificationError as exc:
-                failures.append({"case": f"{lam},{nu}", "error": str(exc)})
-    return _report("prop-5.6", {"bound": bound, "k": k}, total, failures)
+
+    def check(case):
+        sq.verify_min_difference_q(*case, k)
+
+    cases = ((lam, nu) for i, lam in enumerate(parts) for nu in parts[i:]
+             if lam and sum(lam) + sum(nu) <= bound)
+    return _run("prop-5.6", {"bound": bound, "k": k}, cases, check, lambda c: f"{c[0]},{c[1]}")
 
 
 def verify_span_probe(opts):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pfaflab.cli import main
 
 GOLDEN_EX_2_7 = """diagram,pfaffinant
@@ -84,8 +86,13 @@ def test_verify_json_format(capsys):
     assert rep["theorem"] == "ex-2.5" and rep["failures"] == []
 
 
-def test_verify_rejects_csv_format(capsys):
-    code = main(["verify", "ex-2.5", "--format", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "ex-2.5", "--format", "csv"],
+    ["scan", "con3", "--bound", "2", "--format", "csv"],
+    ["table", "ex-2.5", "--format", "json"],
+], ids=["verify", "scan", "table"])
+def test_verify_rejects_csv_format(capsys, argv):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage:") and captured.err.count("\n") == 1

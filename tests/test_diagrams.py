@@ -7,8 +7,9 @@ from pfaflab.diagrams import (NotStandardError, OddSubsetError, compatible_diagr
                               enumerate_noncrossing_4n, enumerate_sym_tl, enumerate_sym_tl_even,
                               enumerate_tl, i_maximal_diagrams, i_set, is_standard_partition,
                               matching, matching_sign, omega_involution, parse_diagram_key,
-                              removal_closure, standard_partition, standard_partition_inv,
-                              subset_bijection, subset_bijection_inv, sym_diagram, tl_diagram)
+                              parse_tl_key, removal_closure, standard_partition,
+                              standard_partition_inv, subset_bijection, subset_bijection_inv,
+                              sym_diagram, tl_diagram)
 
 M = matching
 D2 = lambda *edges: sym_diagram(2, edges)
@@ -146,6 +147,12 @@ def test_tl_enumeration():
 def test_diagram_keys_parse_round_trip():
     for D in enumerate_sym_tl(3):
         assert parse_diagram_key(D.key(), 3) == D
+    for n in range(1, 5):
+        for d in enumerate_tl(n):
+            assert parse_tl_key(d.key(), n) == d
+    for key in ("T[1,2]", "T[(1,2)(3,4)x]", "V[(1,2)(3,4)]"):
+        with pytest.raises(ValueError, match="bad TL diagram key"):
+            parse_tl_key(key, 2)
 
 
 def test_order_key_is_total():

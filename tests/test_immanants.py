@@ -5,11 +5,12 @@ import pytest
 from pfaflab.diagrams import enumerate_sym_tl_even, tl_diagram
 from pfaflab.immanants import (block_pair, inverse_permutation, non_span_witness,
                                quadratic_relation_table, reduced_word, reduced_word_reversed,
-                               skew_as_general, symbolic_square, tl_immanant,
+                               symbolic_square, tl_immanant,
                                tl_immanant_coefficients, tl_immanants,
                                verify_imm_decomposition, verify_pfaffinant_immanant_bridge,
                                wiring_word)
-from pfaflab.pfaffian import SkewArray, complementary_pfaffian, determinant, minor
+from pfaflab.pfaffian import (SkewArray, complementary_pfaffian, determinant, minor,
+                              skew_to_matrix)
 from pfaflab.pfaffinants import even_subsets
 
 P2 = tl_diagram(2, [(1, 4), (2, 3)])
@@ -71,7 +72,7 @@ def test_bridge_identity():
 def test_squared_pfaffian_vs_principal_minors():
     for n in (1, 2):
         A = SkewArray.symbolic(2 * n)
-        G = skew_as_general(A)
+        G = skew_to_matrix(A)
         for I in even_subsets(2 * n):
             Ibar = [p for p in range(1, 2 * n + 1) if p not in I]
             lhs = complementary_pfaffian(A, I) ** 2
@@ -81,7 +82,7 @@ def test_squared_pfaffian_vs_principal_minors():
 def test_squared_decomposition_identity_sampled():
     # pf_{I,Ibar}(A)^2 expands over S-compatible TL immanants of A itself
     A = SkewArray.symbolic(4)
-    G = skew_as_general(A)
+    G = skew_to_matrix(A)
     imms = tl_immanants(G)
     n2 = 4
     for I in (frozenset(), frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 2, 3, 4})):

@@ -2,35 +2,37 @@ import pytest
 
 from pfaflab import verify as vf
 
+# id -> (small options, number of cases they give)
 SMALL_OPTS = {
-    "prop-2.3": {"n": 4},
-    "thm-2.4": {"n": 2},
-    "thm-2.6": {"n": 2},
-    "thm-2.12": {"n": 2},
-    "lem-2.8": {"n": 3},
-    "lem-2.9": {"n": 3},
-    "lem-2.13": {"n": 3},
-    "lem-2.15": {"n": 3},
-    "prop-2.16": {"n": 3},
-    "thm-2.17": {"n": 3},
-    "probe-2.5": {"n": 2},
-    "cor-3.2": {"n": 2, "grids": 2},
-    "lem-3.4": {"n": 2},
-    "thm-3.6": {"n": 2, "grids": 2},
-    "lem-3.7": {"n": 2},
-    "lem-3.12": {"n": 2},
-    "prop-3.14": {"n": 3},
-    "thm-4.1": {"n": 2},
-    "lem-4.2": {"n": 2},
-    "thm-4.3": {"n": 2},
-    "thm-4.4": {"n": 2},
-    "thm-5.2": {"max_size": 4, "k": 3},
-    "thm-5.4": {"n": 2, "bound": 3},
-    "prop-5.6": {"bound": 5, "k": 3},
-    "ex-2.5": {},
-    "ex-2.7": {},
-    "ex-3.13": {},
-    "tab-4.3": {},
+    "prop-2.3": ({"n": 4}, 4),
+    "thm-2.4": ({"n": 2}, 7),
+    "thm-2.6": ({"n": 2}, 10),
+    "thm-2.12": ({"n": 2}, 10),
+    "lem-2.8": ({"n": 3}, 28),
+    "lem-2.9": ({"n": 3}, 42),
+    "lem-2.13": ({"n": 3}, 28),
+    "lem-2.15": ({"n": 3}, 73),
+    "prop-2.16": ({"n": 3}, 3),
+    "thm-2.17": ({"n": 3}, 3),
+    "probe-2.5": ({"n": 2}, 6),
+    "cor-3.2": ({"n": 2, "grids": 2}, 68),
+    "lem-3.4": ({"n": 2}, 52),
+    "thm-3.6": ({"n": 2, "grids": 2}, 26),
+    "lem-3.7": ({"n": 2}, 8),
+    "lem-3.12": ({"n": 2}, 40),
+    "prop-3.14": ({"n": 3}, 47),
+    "thm-4.1": ({"n": 2}, 8),
+    "lem-4.2": ({"n": 2}, 10),
+    "thm-4.3": ({"n": 2}, 4),
+    "thm-4.4": ({"n": 2}, 2),
+    "thm-5.2": ({"max_size": 4, "k": 3}, 27),
+    "thm-5.4": ({"n": 2, "bound": 3}, 21),
+    "prop-5.6": ({"bound": 5, "k": 3}, 9),
+    "ex-2.5": ({}, 2),
+    "ex-2.7": ({}, 6),
+    "ex-3.13": ({}, 10),
+    "tab-4.3": ({}, 22),
+    "witness-4.3": ({}, 1),
 }
 
 
@@ -38,11 +40,24 @@ SMALL_OPTS = {
 def test_registry_smoke(theorem):
     if theorem == "witness-4.3":
         pytest.skip("covered by the acceptance suite (long-running)")
-    opts = SMALL_OPTS.get(theorem, {})
+    opts, cases = SMALL_OPTS[theorem]
     report = vf.run(theorem, opts)
     assert report["theorem"] == theorem
-    assert report["cases"] >= 1
+    assert report["cases"] == cases
     assert report["failures"] == []
+
+
+def test_runner_records_assertion_as_failure(monkeypatch):
+    from pfaflab import diagrams
+
+    def broken(D):
+        raise AssertionError("closure is not a power of two")
+
+    monkeypatch.setattr(diagrams, "removal_closure", broken)
+    report = vf.run("lem-2.9", {"n": 2})
+    assert report["cases"] == 10
+    assert len(report["failures"]) == report["cases"]
+    assert report["failures"][0] == {"case": "n=1 I=[]", "error": "closure is not a power of two"}
 
 
 def test_unknown_id():
