@@ -1,8 +1,9 @@
 """Command-line workbench: verify, scan, eval, table, network, cache.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
-error, 3 a computation exceeded a capacity bound.  Output is
-deterministic for a fixed configuration and seed.
+Exit codes: 0 all checks passed, 1 a mathematical check failed or an
+internal assertion failed, 2 usage error, 3 a computation exceeded a
+capacity bound.  Output is deterministic for a fixed configuration and
+seed.
 """
 
 from __future__ import annotations
@@ -280,15 +281,18 @@ COMMANDS = {
 }
 
 
-# the --format values verify, scan and table can print; the other subcommands ignore it
-FORMATS = {"verify": ("text", "json"), "scan": ("json",), "table": ("csv",)}
+# the --format values each subcommand (each network action) can print
+FORMATS = {"verify": ("text", "json"), "scan": ("json",), "table": ("csv",), "eval": ("text",),
+           "cache": ("text",), "network build": ("json",), "network matrix": ("csv",),
+           "network check": ("text",)}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    formats = FORMATS.get(args.command)
-    if args.format is not None and formats is not None and args.format not in formats:
-        sys.stderr.write(f"usage: {args.command} --format takes {' or '.join(formats)}\n")
+    command = f"network {args.action}" if args.command == "network" else args.command
+    formats = FORMATS[command]
+    if args.format is not None and args.format not in formats:
+        sys.stderr.write(f"usage: {command} --format takes {' or '.join(formats)}\n")
         return 2
     cache_mod.configure(cache_dir=getattr(args, "cache_dir", None),
                         enabled=not getattr(args, "no_cache", False))
@@ -297,6 +301,9 @@ def main(argv=None) -> int:
     except ux.CapacityError as exc:
         sys.stderr.write(f"error: capacity: {exc}\n")
         return 3
+    except AssertionError as exc:
+        sys.stderr.write(f"error: internal: {str(exc) or 'assertion failed'}\n")
+        return 1
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -479,5 +479,5 @@ def parse_weight(text: str) -> Poly:
                 coeff *= Fraction(f)
         if neg:
             coeff = -coeff
-        total = total + Poly({tuple(sorted(mono)): coeff})
+        total = total + Poly({tuple(mono): coeff})
     return total

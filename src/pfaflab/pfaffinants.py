@@ -21,10 +21,9 @@ class VerificationError(RuntimeError):
 def _require_equal(lhs: Poly, rhs: Poly, what: str) -> None:
     if lhs == rhs:
         return
-    diff = lhs - rhs
-    mono = sorted(diff.terms)[0]
+    mono, c = min((lhs - rhs).items())
     raise VerificationError(f"{what}: sides differ at monomial {Poly._mono_str(mono) or '1'} "
-                            f"by {diff.terms[mono]}")
+                            f"by {c}")
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,24 @@
 Variables come in two kinds: upper-triangular matrix entries ``a[i,j]``
 (with i < j) and indexed indeterminates ``x[k]``.  Coefficients are exact
 integers or rationals; no floating point anywhere.  A polynomial is a
-mapping from monomials to nonzero coefficients, where a monomial is a
-sorted tuple of variables with repetition encoding powers.
+mapping ``terms`` from monomials to nonzero coefficients.
+
+A monomial is a packed int.  Each variable is interned once per process
+and owns a FIELD_BITS-wide bit field of the int, holding its exponent, so
+multiplying two monomials adds their ints.  The top bit of every field is
+a guard: exponents stay at most MAX_EXPONENT, adding two keys never
+carries into a neighbouring field, and a product that reaches a guard bit
+raises CapacityError.  A key depends on the order in which the process
+met its variables, so nothing is sorted or printed by key: ``items()``
+gives the tuple view, a sorted tuple of variables with repetition
+encoding powers, and rendering and the linear algebra order monomials by
+that tuple.  ``Poly(dict)`` takes tuple-keyed dicts and packs them.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from fractions import Fraction
 
 # A variable is a plain tuple: ("a", i, j) with i < j, or ("x", k) with
@@ -16,6 +28,19 @@ from fractions import Fraction
 # (by index pair), then indeterminates (by index).
 Variable = tuple
 Monomial = tuple
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+
+_VARS: list = []   # interned variables, in order of first use
+_INDEX: dict = {}  # variable -> its position in _VARS
+_GUARDS = 0        # the guard bits of the fields of all interned variables
+_INTERNING = threading.Lock()
+
+
+class CapacityError(ValueError):
+    """A computation needs more room than its bound allows."""
 
 
 def a(i: int, j: int) -> Variable:
@@ -30,6 +55,67 @@ def x(k: int) -> Variable:
     if not (isinstance(k, int) and k >= 1):
         raise ValueError(f"indeterminate index must be >= 1, got {k}")
     return ("x", k)
+
+
+def _shift(v: Variable) -> int:
+    """Bit offset of the exponent field of v, interning v on first use."""
+    i = _INDEX.get(v)
+    if i is None:
+        global _GUARDS
+        with _INTERNING:
+            i = _INDEX.get(v)
+            if i is None:
+                i = len(_VARS)
+                _VARS.append(v)
+                _GUARDS |= 1 << (i * FIELD_BITS + FIELD_BITS - 1)
+                _INDEX[v] = i
+    return i * FIELD_BITS
+
+
+def _lowest_field(bits: int) -> int:
+    """Index of the variable whose field holds the lowest set bit of bits."""
+    return ((bits & -bits).bit_length() - 1) // FIELD_BITS
+
+
+def _overflow(v: Variable) -> CapacityError:
+    return CapacityError(f"exponent of {_var_str(v)} exceeds {MAX_EXPONENT}")
+
+
+def power_key(v: Variable, e: int) -> int:
+    """The key of the monomial v^e; raises CapacityError past MAX_EXPONENT."""
+    if e > MAX_EXPONENT:
+        raise _overflow(v)
+    return e << _shift(v)
+
+
+def _pack(mono: Monomial) -> int:
+    return sum(power_key(v, e) for v, e in Counter(mono).items())
+
+
+def _unpack(key: int) -> Monomial:
+    mono = []
+    while key:
+        i = _lowest_field(key)
+        e = (key >> (i * FIELD_BITS)) & _FIELD
+        mono += (_VARS[i],) * e
+        key -= e << (i * FIELD_BITS)
+    mono.sort()
+    return tuple(mono)
+
+
+def exponent_reader(variables):
+    """A function from a monomial key to its exponents of the distinct
+    ``variables``, as a tuple, or to None if the monomial holds any other
+    variable."""
+    shifts = [_shift(v) for v in variables]
+    others = ~sum(_FIELD << s for s in shifts)
+
+    def read(key: int):
+        if key & others:
+            return None
+        return tuple([(key >> s) & _FIELD for s in shifts])
+
+    return read
 
 
 def _num(c):
@@ -55,15 +141,30 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        """Build from a dict mapping monomial tuples (variables in any
+        order, repetition encoding powers) to int or Fraction coefficients."""
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = _num(c)
+                key = _pack(mono)
+                c = _num(clean.get(key, 0) + _num(c))
                 if c != 0:
-                    clean[tuple(mono)] = c
+                    clean[key] = c
+                else:
+                    clean.pop(key, None)
         object.__setattr__(self, "terms", clean)
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_packed(terms: dict) -> "Poly":
+        """Wrap a dict of packed monomial keys to nonzero coefficients as is.
+
+        The keys must be built from this module's keys by addition within
+        MAX_EXPONENT (``power_key`` checks one factor)."""
+        p = Poly.__new__(Poly)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     @staticmethod
     def zero() -> "Poly":
@@ -71,11 +172,12 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({(): c})
+        c = _num(c)
+        return Poly.from_packed({0: c} if c else {})
 
     @staticmethod
     def var(v: Variable) -> "Poly":
-        return Poly({(v,): 1})
+        return Poly.from_packed({1 << _shift(v): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -83,10 +185,11 @@ class Poly:
         return not self.terms
 
     def coeff(self, mono) -> Fraction:
-        return Fraction(self.terms.get(tuple(mono), 0))
+        return Fraction(self.terms.get(_pack(mono), 0))
 
-    def variables(self) -> set:
-        return {v for m in self.terms for v in m}
+    def items(self) -> list:
+        """(sorted variable tuple, coefficient) per term, in storage order."""
+        return [(_unpack(m), c) for m, c in self.terms.items()]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -100,6 +203,10 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
+
+    def __reduce__(self):
+        # keys are private to this process's interning order; pickle the tuple view
+        return Poly, (dict(self.items()),)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -122,16 +229,12 @@ class Poly:
                 terms.pop(m, None)
             else:
                 terms[m] = s
-        p = Poly.__new__(Poly)
-        object.__setattr__(p, "terms", terms)
-        return p
+        return Poly.from_packed(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        object.__setattr__(p, "terms", {m: -c for m, c in self.terms.items()})
-        return p
+        return Poly.from_packed({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = Poly._coerce(other)
@@ -146,18 +249,21 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
+        acc = {}
+        get = acc.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                s = terms.get(m, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        p = Poly.__new__(Poly)
-        object.__setattr__(p, "terms", {m: _num(c) for m, c in terms.items() if c != 0})
-        return p
+            for m2, c2 in right:
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+        terms = {}
+        guards = _GUARDS
+        for m, c in acc.items():
+            if c:
+                if m & guards:
+                    raise _overflow(_VARS[_lowest_field(m & guards)])
+                terms[m] = c if c.__class__ is int else _num(c)
+        return Poly.from_packed(terms)
 
     __rmul__ = __mul__
 
@@ -169,8 +275,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- rendering -----------------------------------------------------------
@@ -196,8 +303,7 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[mono]
+        for mono, c in sorted(self.items(), key=lambda t: (len(t[0]), t[0])):
             neg = c < 0
             mag = -c if neg else c
             if not mono:
@@ -230,10 +336,11 @@ def poly_prod(polys) -> Poly:
 
 
 def _support(polys) -> list:
+    """The monomial keys of ``polys``, ordered by their tuple view."""
     monos = set()
     for p in polys:
         monos.update(p.terms)
-    return sorted(monos)
+    return sorted(monos, key=_unpack)
 
 
 def express_in_span(target: Poly, generators) -> list | None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .pfaffian import SkewArray, pfaffian
-from .poly import Poly, x
+from .poly import Poly, exponent_reader, power_key, x
 
 
 def is_strict(parts) -> bool:
@@ -125,16 +125,16 @@ def schur_q(lam, mu, k: int) -> Poly:
         if k > 1:
             inner = schur_q(nu, mu, k - 1).terms
         elif nu == mu:
-            inner = {(): 1}
+            inner = {0: 1}
         else:
             continue
         weight = 2 ** _strip_components(lam, nu)
-        # x_k is the largest variable, so appending it keeps monomials sorted
-        tail = (xk,) * (size - sum(nu))
+        # the inner monomials hold no x_k, so adding x_k^d to a key cannot overflow
+        tail = power_key(xk, size - sum(nu))
         for m, c in inner.items():
-            m = m + tail
+            m += tail
             terms[m] = terms.get(m, 0) + weight * c
-    return Poly(terms)
+    return Poly.from_packed(terms)
 
 
 def schur_q_tableaux(lam, mu, k: int) -> Poly:
@@ -253,13 +253,10 @@ def q_from_pfaffian(lam, mu, k: int, allow_nonstrict: bool = False) -> Poly:
 # -- expansions ---------------------------------------------------------------
 
 
-def _exponent_vector(mono, k: int):
-    e = [0] * k
-    for v in mono:
-        if v[0] != "x" or v[1] > k:
-            return None
-        e[v[1] - 1] += 1
-    return tuple(e)
+def _x_exponents(k: int):
+    """Maps a monomial key to its exponents of x_1..x_k, or to None if it
+    holds any other variable."""
+    return exponent_reader([x(i) for i in range(1, k + 1)])
 
 
 @dataclass(frozen=True)
@@ -287,10 +284,11 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
     """
     coeffs = {}
     rem = f
+    exponents = _x_exponents(k)
     while not rem.is_zero():
         vecs = {}
         for mono in rem.terms:
-            e = _exponent_vector(mono, k)
+            e = exponents(mono)
             if e is None:
                 return QExpansion(tuple(sorted(coeffs.items())), rem)
             vecs[e] = mono
@@ -309,8 +307,9 @@ def monomial_expand(f: Poly, k: int) -> dict | None:
     from itertools import permutations as perms
 
     by_shape = {}
+    exponents = _x_exponents(k)
     for mono, c in f.terms.items():
-        e = _exponent_vector(mono, k)
+        e = exponents(mono)
         if e is None:
             return None
         shape = tuple(sorted((p for p in e), reverse=True))

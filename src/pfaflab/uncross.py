@@ -35,13 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import SymTLDiagram, TLDiagram, sym_diagram
+from .poly import CapacityError
 
 DEFAULT_CLASS_BOUND = 24      # resolution classes, for the 2^k enumeration
 DEFAULT_STATE_BOUND = 2500    # fold states; n = 5 needs at most 252
-
-
-class CapacityError(ValueError):
-    """A computation needs more room than its bound allows."""
 
 
 def circle_point(s: Fraction) -> tuple:

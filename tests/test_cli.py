@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pfaflab
 from pfaflab.cli import main
 
 GOLDEN_EX_2_7 = """diagram,pfaffinant
@@ -79,6 +84,28 @@ def test_capacity_exit_code(capsys, monkeypatch):
     assert captured.err.startswith("error: capacity:") and captured.err.count("\n") == 1
 
 
+def test_exponent_overflow_exit_code(capsys):
+    from pfaflab.poly import MAX_EXPONENT
+
+    code = main(["eval", "schur-q", "--lam", str(MAX_EXPONENT + 1), "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: capacity: exponent of x[1] exceeds {MAX_EXPONENT}\n"
+
+
+def test_internal_assertion_exit_code(capsys, monkeypatch):
+    from pfaflab import schurq
+
+    def broken(lam, mu, k):
+        raise AssertionError("schur_q invariant broken")
+
+    monkeypatch.setattr(schurq, "schur_q", broken)
+    code = main(["eval", "schur-q", "--lam", "2,1", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: internal: schur_q invariant broken\n"
+
+
 def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "ex-2.5", "--format", "json")
     assert code == 0
@@ -90,7 +117,13 @@ def test_verify_json_format(capsys):
     ["verify", "ex-2.5", "--format", "csv"],
     ["scan", "con3", "--bound", "2", "--format", "csv"],
     ["table", "ex-2.5", "--format", "json"],
-], ids=["verify", "scan", "table"])
+    ["eval", "schur-q", "--lam", "2,1", "--k", "2", "--format", "json"],
+    ["cache", "info", "--format", "csv"],
+    ["network", "build", "--diagram", "V[(1,2)]", "--n", "1", "--format", "csv"],
+    ["network", "matrix", "--file", "net.json", "--format", "json"],
+    ["network", "check", "--file", "net.json", "--format", "json"],
+], ids=["verify", "scan", "table", "eval", "cache", "network-build", "network-matrix",
+        "network-check"])
 def test_verify_rejects_csv_format(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -131,3 +164,75 @@ def test_no_cache_matches_cached(capsys):
     _, cached = run(capsys, "table", "ex-2.7")
     _, fresh = run(capsys, "table", "ex-2.7", "--no-cache")
     assert cached == fresh
+
+
+# Runs the given CLI argument lists in a fresh interpreter and prints a JSON
+# list of their outputs, then the message of a forced _require_equal failure
+# and a pickled polynomial.  With "reverse", x[9]..x[1] and a[8,9]..a[1,2]
+# are interned first, so every monomial key differs from a default-order run.
+INTERNING_SCRIPT = """
+import contextlib, io, json, pickle, sys
+from pfaflab import pfaffinants, poly
+from pfaflab.cli import main
+from pfaflab.poly import Poly, a, x
+
+if sys.argv[1] == "reverse":
+    for k in range(9, 0, -1):
+        Poly.var(x(k))
+    for i in range(8, 0, -1):
+        for j in range(9, i, -1):
+            Poly.var(a(i, j))
+outputs = []
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    outputs.append([code, buf.getvalue()])
+lhs = Poly.var(a(1, 2)) * Poly.var(x(9)) + 3 * Poly.var(a(8, 9)) * Poly.var(x(1)) ** 2
+rhs = Poly.var(x(2)) - Poly.var(a(2, 5))
+try:
+    pfaffinants._require_equal(lhs, rhs, "probe")
+except pfaffinants.VerificationError as exc:
+    outputs.append(str(exc))
+outputs.append(pickle.dumps(lhs * rhs).hex())
+print(json.dumps(outputs))
+"""
+
+
+def _run_fresh(order, commands):
+    env = dict(os.environ, PYTHONPATH=str(Path(pfaflab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", INTERNING_SCRIPT, order, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_output_independent_of_interning_order():
+    import pickle
+
+    from pfaflab.poly import Poly, a, x
+
+    commands = [["eval", "schur-q", "--lam", "5,3,1", "--k", "4"], ["table", "ex-2.11"],
+                ["verify", "thm-2.6", "--n", "2", "--format", "json"]]
+    default, reverse = _run_fresh("default", commands), _run_fresh("reverse", commands)
+    assert reverse == default[:-1] + [reverse[-1]]
+    assert [code for code, _ in default[:3]] == [0, 0, 0]
+    assert default[3] == "probe: sides differ at monomial a[1,2]*x[9] by 1"
+    # a polynomial pickled under another interning order unpickles to the same value
+    want = ((Poly.var(a(1, 2)) * Poly.var(x(9)) + 3 * Poly.var(a(8, 9)) * Poly.var(x(1)) ** 2)
+            * (Poly.var(x(2)) - Poly.var(a(2, 5))))
+    assert pickle.loads(bytes.fromhex(default[4])) == want
+    assert pickle.loads(bytes.fromhex(reverse[4])) == want
+
+
+def test_verify_jobs_match_serial(capsys, monkeypatch):
+    from pfaflab import verify
+
+    ids = ("ex-2.7", "thm-2.6", "thm-4.4", "thm-5.2", "thm-5.4")
+    monkeypatch.setattr(verify, "REGISTRY", {t: verify.REGISTRY[t] for t in ids})
+    argv = ["verify", "all", "--n", "2", "--bound", "3", "--k", "3", "--max-size", "3",
+            "--format", "json"]
+    code1, serial = run(capsys, *argv, "--jobs", "1")
+    code2, pooled = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert pooled == serial and len(json.loads(serial)) == len(ids)

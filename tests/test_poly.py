@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from pfaflab.poly import Poly, a, express_in_span, matrix_rank, x
+from pfaflab import uncross
+from pfaflab.poly import MAX_EXPONENT, CapacityError, Poly, a, express_in_span, matrix_rank, x
 
 
 def av(i, j):
@@ -59,10 +60,25 @@ def test_ring_laws_random():
 def test_rational_coefficients():
     p = Fraction(1, 2) * av(1, 2) + Fraction(1, 2) * av(1, 2)
     assert p == av(1, 2)
-    assert (Fraction(1, 3) * av(1, 2)).terms[(a(1, 2),)] == Fraction(1, 3)
+    assert dict((Fraction(1, 3) * av(1, 2)).items())[(a(1, 2),)] == Fraction(1, 3)
     # integral products stay int for speed
     q = Poly({(a(1, 2),): 2}) * Poly({(a(3, 4),): 3})
-    assert isinstance(q.terms[(a(1, 2), a(3, 4))], int)
+    assert isinstance(dict(q.items())[(a(1, 2), a(3, 4))], int)
+
+
+def test_exponent_overflow_is_capacity_error():
+    assert uncross.CapacityError is CapacityError
+    top = Poly.var(x(1)) ** MAX_EXPONENT
+    assert top.render() == f"x[1]^{MAX_EXPONENT}"
+    # a product at the limit leaves the neighbouring fields alone
+    assert (top * (av(1, 2) + Poly.var(x(2)))).render() == \
+        f"a[1,2]*x[1]^{MAX_EXPONENT} + x[1]^{MAX_EXPONENT}*x[2]"
+    with pytest.raises(CapacityError, match=r"exponent of x\[1\] exceeds"):
+        Poly.var(x(1)) ** (MAX_EXPONENT + 1)
+    with pytest.raises(CapacityError):
+        top * (Poly.var(x(1)) + 1)
+    with pytest.raises(CapacityError):
+        Poly({(a(1, 2),) * (MAX_EXPONENT + 1): 1})
 
 
 def test_render_contract():

@@ -65,7 +65,7 @@ def test_symmetry_under_adjacent_swap():
     for lam in ((2, 1), (3,), (3, 1)):
         p = schur_q(lam, (), 3)
         swapped = {}
-        for mono, c in p.terms.items():
+        for mono, c in p.items():
             sub = tuple(sorted(x(2) if v == x(1) else x(1) if v == x(2) else v for v in mono))
             swapped[sub] = c
         assert Poly(swapped) == p
