@@ -1,9 +1,10 @@
-"""Command-line workbench: verify, scan, eval, table, network, cache.
+"""Command-line workbench: verify, scan, eval, table, network.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed or an
 internal assertion failed, 2 usage error, 3 a computation exceeded a
 capacity bound.  Output is deterministic for a fixed configuration and
-seed.
+seed.  Uncrossing tables live in process memory only: each process (each
+``verify --jobs`` worker too) computes the tables it needs once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import cache as cache_mod
 from . import diagrams as dg
 from . import immanants as im
 from . import networks as nw
@@ -31,10 +31,6 @@ def _common(parser):
     parser.add_argument("--k", type=int, default=None, help="number of variables")
     parser.add_argument("--bound", type=int, default=None, help="size bound for scans")
     parser.add_argument("--seed", type=int, default=0, help="placement/scan seed")
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker pool size for independent verification targets")
     parser.add_argument("--format", choices=("text", "json", "csv"), default=None)
     parser.add_argument("--out", default=None, help="write output to a file")
 
@@ -49,6 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--grids", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for independent verification targets")
     _common(p)
 
     p = sub.add_parser("scan", help="run a conjecture scanner, emitting JSONL verdicts")
@@ -73,10 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("build", "matrix", "check"))
     p.add_argument("--diagram", default=None)
     p.add_argument("--file", default=None, help="network JSON file")
-    _common(p)
-
-    p = sub.add_parser("cache", help="inspect or manage the uncrossing-table cache")
-    p.add_argument("action", choices=("info", "clear", "warm"))
     _common(p)
     return parser
 
@@ -108,7 +102,8 @@ def cmd_verify(args) -> int:
         return 2
     items = [(t, opts) for t in targets]
     if args.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(items))) as pool:
             reports = list(pool.map(_verify_one, items))
     else:
         reports = [_verify_one(it) for it in items]
@@ -246,45 +241,18 @@ def cmd_network(args) -> int:
     return 0
 
 
-def cmd_cache(args) -> int:
-    cdir = cache_mod.default_cache_dir()
-    if args.action == "info":
-        files = sorted(cdir.glob("f_n*.json")) if cdir.exists() else []
-        _emit(f"cache dir: {cdir}\ntables: {len(files)}\n", args.out)
-        return 0
-    if args.action == "clear":
-        removed = 0
-        if cdir.exists():
-            for f in cdir.glob("f_n*.json"):
-                f.unlink()
-                removed += 1
-        cache_mod.clear_memory()
-        _emit(f"removed {removed} tables\n", args.out)
-        return 0
-    n = args.n or 3
-    count = 0
-    for m in range(1, n + 1):
-        for pi in dg.enumerate_matchings(m):
-            cache_mod.f_table(pi, m, args.seed)
-            count += 1
-    _emit(f"warmed {count} tables up to n={n}\n", args.out)
-    return 0
-
-
 COMMANDS = {
     "verify": cmd_verify,
     "scan": cmd_scan,
     "eval": cmd_eval,
     "table": cmd_table,
     "network": cmd_network,
-    "cache": cmd_cache,
 }
 
 
 # the --format values each subcommand (each network action) can print
 FORMATS = {"verify": ("text", "json"), "scan": ("json",), "table": ("csv",), "eval": ("text",),
-           "cache": ("text",), "network build": ("json",), "network matrix": ("csv",),
-           "network check": ("text",)}
+           "network build": ("json",), "network matrix": ("csv",), "network check": ("text",)}
 
 
 def main(argv=None) -> int:
@@ -294,8 +262,9 @@ def main(argv=None) -> int:
     if args.format is not None and args.format not in formats:
         sys.stderr.write(f"usage: {command} --format takes {' or '.join(formats)}\n")
         return 2
-    cache_mod.configure(cache_dir=getattr(args, "cache_dir", None),
-                        enabled=not getattr(args, "no_cache", False))
+    if command == "verify" and args.jobs < 1:
+        sys.stderr.write("usage: verify --jobs takes a positive integer\n")
+        return 2
     try:
         return COMMANDS[args.command](args)
     except ux.CapacityError as exc:

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from . import cache
 from .diagrams import (OddSubsetError, SymTLDiagram, compatible_diagrams, diagram_order_key,
-                       enumerate_sym_tl, enumerate_sym_tl_even, i_maximal_diagrams,
-                       removal_closure, standard_partition)
+                       enumerate_matchings, enumerate_sym_tl, enumerate_sym_tl_even,
+                       i_maximal_diagrams, removal_closure, standard_partition)
 from .pfaffian import SkewArray, complementary_pfaffian, min_partition, monomial_pfaffian
-from .poly import Poly, express_in_span, matrix_rank
+from .poly import Poly, _num, express_in_span, matrix_rank
+from .uncross import f_coefficient
 
 
 class VerificationError(RuntimeError):
@@ -40,16 +41,28 @@ class PfaffinantFunctional:
         return PfaffinantFunctional(n, items)
 
     def evaluate(self, A: SkewArray) -> Poly:
+        """The sum of c * pf_pi(A) over the support, added up in one dict."""
         if A.size != 2 * self.n:
             raise ValueError(f"array size {A.size} does not match n={self.n}")
-        total = Poly.zero()
+        acc = {}
+        get = acc.get
         for pi, c in self.coefficients:
-            total = total + c * monomial_pfaffian(A, pi)
-        return total
+            for m, v in monomial_pfaffian(A, pi).terms.items():
+                acc[m] = get(m, 0) + c * v
+        return Poly.from_packed({m: v if v.__class__ is int else _num(v)
+                                 for m, v in acc.items() if v})
 
 
+@lru_cache(maxsize=None)
+def f_tables(n: int, seed: int = 0) -> dict:
+    """The uncrossing table of every matching of [2n], built once per
+    process; every caller shares the returned dicts and must not change them."""
+    return {pi: f_coefficient(pi, n, seed) for pi in enumerate_matchings(n)}
+
+
+@lru_cache(maxsize=None)
 def diagram_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
-    tables = cache.f_tables(D.n, seed)
+    tables = f_tables(D.n, seed)
     return PfaffinantFunctional.from_dict(
         D.n, {pi: t.get(D, 0) for pi, t in tables.items()})
 
@@ -59,10 +72,11 @@ def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
     return diagram_functional(D, seed).evaluate(A)
 
 
+@lru_cache(maxsize=None)
 def tl_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
     if not D.is_even:
         raise ValueError(f"TL pfaffinant requires an even diagram, got {D}")
-    tables = cache.f_tables(D.n, seed)
+    tables = f_tables(D.n, seed)
     closure = removal_closure(D)
     coeffs = {}
     for pi, t in tables.items():
@@ -75,14 +89,22 @@ def tl_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
     return tl_functional(D, seed).evaluate(A)
 
 
+def _summed_side(n: int, functionals) -> PfaffinantFunctional:
+    """The sum of ``functionals``, matching by matching: evaluating it
+    builds each monomial pfaffian of a sum of pfaffinants once."""
+    coeffs: dict = {}
+    for f in functionals:
+        for pi, c in f.coefficients:
+            coeffs[pi] = coeffs.get(pi, 0) + c
+    return PfaffinantFunctional.from_dict(n, coeffs)
+
+
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible diagrams."""
     n = A.size // 2
     lhs = complementary_pfaffian(A, I)
-    rhs = Poly.zero()
-    for D in compatible_diagrams(I, n):
-        rhs = rhs + diagram_pfaffinant(D, A, seed)
-    _require_equal(lhs, rhs, f"diagram decomposition at I={sorted(I)}")
+    rhs = _summed_side(n, (diagram_functional(D, seed) for D in compatible_diagrams(I, n)))
+    _require_equal(lhs, rhs.evaluate(A), f"diagram decomposition at I={sorted(I)}")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
@@ -90,10 +112,8 @@ def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal diagrams."""
     n = A.size // 2
     lhs = complementary_pfaffian(A, I)
-    rhs = Poly.zero()
-    for D in i_maximal_diagrams(I, n):
-        rhs = rhs + tl_pfaffinant(D, A, seed)
-    _require_equal(lhs, rhs, f"TL decomposition at I={sorted(I)}")
+    rhs = _summed_side(n, (tl_functional(D, seed) for D in i_maximal_diagrams(I, n)))
+    _require_equal(lhs, rhs.evaluate(A), f"TL decomposition at I={sorted(I)}")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .pfaffian import SkewArray, pfaffian
-from .poly import Poly, exponent_reader, power_key, x
+from .poly import Poly, _num, exponent_reader, power_key, x
 
 
 def is_strict(parts) -> bool:
@@ -283,22 +283,28 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
     part is returned as the remainder.
     """
     coeffs = {}
-    rem = f
+    rem = dict(f.terms)  # the remainder, updated in place
     exponents = _x_exponents(k)
-    while not rem.is_zero():
+    while rem:
         vecs = {}
-        for mono in rem.terms:
+        for mono in rem:
             e = exponents(mono)
             if e is None:
-                return QExpansion(tuple(sorted(coeffs.items())), rem)
+                return QExpansion(tuple(sorted(coeffs.items())), Poly.from_packed(rem))
             vecs[e] = mono
         lead = max(vecs)
         lam = tuple(p for p in lead if p)
         if list(lead) != sorted(lead, reverse=True) or not is_strict(lam):
-            return QExpansion(tuple(sorted(coeffs.items())), rem)
-        c = Fraction(rem.terms[vecs[lead]], 2 ** len(lam))
+            return QExpansion(tuple(sorted(coeffs.items())), Poly.from_packed(rem))
+        c = Fraction(rem[vecs[lead]], 2 ** len(lam))
         coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
-        rem = rem - c * schur_q(lam, (), k)
+        c = _num(c)  # an integral c keeps the subtraction in int arithmetic
+        for mono, q in schur_q(lam, (), k).terms.items():
+            v = rem.get(mono, 0) - c * q
+            if v:
+                rem[mono] = v if v.__class__ is int else _num(v)
+            else:
+                del rem[mono]
     return QExpansion(tuple(sorted((l, c) for l, c in coeffs.items() if c)), Poly.zero())
 
 
@@ -555,21 +561,14 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0, combos: int
     from .pfaffinants import ConeElement, diagram_functional, tl_functional
 
     elements = cone_test_elements(n, seed, combos)
-    eval_cache: dict = {}
 
     def evaluate(obj, A):
         if isinstance(obj, ConeElement):
             total = Poly.zero()
             for D, c in obj.tl_coeffs:
-                key = ("tl", D)
-                if key not in eval_cache:
-                    eval_cache[key] = tl_functional(D)
-                total = total + c * eval_cache[key].evaluate(A)
+                total = total + c * tl_functional(D).evaluate(A)
             return total
-        key = ("diag", obj)
-        if key not in eval_cache:
-            eval_cache[key] = diagram_functional(obj)
-        return eval_cache[key].evaluate(A)
+        return diagram_functional(obj).evaluate(A)
 
     for pi in weakly_decreasing_parts(bound, 2 * n):
         A = q_jt_matrix(list(pi), [], k, allow_nonstrict=True)

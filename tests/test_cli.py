@@ -118,12 +118,10 @@ def test_verify_json_format(capsys):
     ["scan", "con3", "--bound", "2", "--format", "csv"],
     ["table", "ex-2.5", "--format", "json"],
     ["eval", "schur-q", "--lam", "2,1", "--k", "2", "--format", "json"],
-    ["cache", "info", "--format", "csv"],
     ["network", "build", "--diagram", "V[(1,2)]", "--n", "1", "--format", "csv"],
     ["network", "matrix", "--file", "net.json", "--format", "json"],
     ["network", "check", "--file", "net.json", "--format", "json"],
-], ids=["verify", "scan", "table", "eval", "cache", "network-build", "network-matrix",
-        "network-check"])
+], ids=["verify", "scan", "table", "eval", "network-build", "network-matrix", "network-check"])
 def test_verify_rejects_csv_format(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -148,22 +146,6 @@ def test_network_round_trip(tmp_path, capsys):
     assert code == 0 and "round-trip stable" in out
     code, out = run(capsys, "network", "matrix", "--file", str(out_file))
     assert code == 0 and out.startswith("i,j,entry")
-
-
-def test_cache_workflow(tmp_path, capsys):
-    cdir = str(tmp_path / "cache")
-    code, out = run(capsys, "cache", "warm", "--n", "2", "--cache-dir", cdir)
-    assert code == 0 and "warmed" in out
-    code, out = run(capsys, "cache", "info", "--cache-dir", cdir)
-    assert code == 0 and "tables: 4" in out
-    code, out = run(capsys, "cache", "clear", "--cache-dir", cdir)
-    assert code == 0 and "removed 4" in out
-
-
-def test_no_cache_matches_cached(capsys):
-    _, cached = run(capsys, "table", "ex-2.7")
-    _, fresh = run(capsys, "table", "ex-2.7", "--no-cache")
-    assert cached == fresh
 
 
 # Runs the given CLI argument lists in a fresh interpreter and prints a JSON
@@ -236,3 +218,60 @@ def test_verify_jobs_match_serial(capsys, monkeypatch):
     code2, pooled = run(capsys, *argv, "--jobs", "2")
     assert code1 == code2 == 0
     assert pooled == serial and len(json.loads(serial)) == len(ids)
+
+
+def test_verify_pool_is_capped(capsys, monkeypatch):
+    from pfaflab import cli, verify
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    ids = ("ex-2.5", "ex-2.7", "prop-2.3")
+    monkeypatch.setattr(verify, "REGISTRY", {t: verify.REGISTRY[t] for t in ids})
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out = run(capsys, "verify", "all", "--n", "2", "--jobs", "500")
+    assert code == 0 and sizes == [3] and out.count("PASS") == 3
+    for jobs in ("0", "-1"):
+        code = main(["verify", "all", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "usage: verify --jobs takes a positive integer\n"
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "con3", "--bound", "2"],
+    ["eval", "schur-q", "--lam", "2,1", "--k", "2"],
+    ["table", "ex-2.5"],
+    ["network", "build", "--diagram", "V[(1,2)]", "--n", "1"],
+], ids=["scan", "eval", "table", "network"])
+def test_jobs_only_for_verify(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "7"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --jobs 7" in captured.err
+
+
+def test_python_m_pfaflab():
+    from pfaflab import verify
+
+    env = dict(os.environ, PYTHONPATH=str(Path(pfaflab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pfaflab", "verify", "list"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.split() == sorted(verify.REGISTRY)

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pfaflab import cache
 from pfaflab.diagrams import enumerate_sym_tl, enumerate_sym_tl_even, sym_diagram
-from pfaflab.pfaffian import SkewArray, complementary_pfaffian
+from pfaflab.pfaffian import SkewArray, complementary_pfaffian, monomial_pfaffian
 from pfaflab.pfaffinants import (ConeElement, VerificationError, boolean_cone_check, certify_basis,
                                  check_pfafprime_in_span, cone_membership, decomposition_cone_element,
                                  diagram_pfaffinant, even_subsets, maximal_diagrams,
@@ -159,78 +158,85 @@ def test_span_probe_n2():
     assert rows["V[]"]["coefficients"] is not None
 
 
-def test_f_cache_round_trip(tmp_path):
-    pi = frozenset({(1, 4), (2, 3)})
-    t1 = cache.f_table(pi, 2, 0, cache_dir=tmp_path)
-    path = cache.table_path(tmp_path, 2, pi, 0)
-    assert path.exists()
-    t2 = cache.read_table(path, 2)
-    assert t1 == t2
-    # verify mode recomputes and compares
-    assert cache.f_table(pi, 2, 0, cache_dir=tmp_path, verify=True) == t1
-    # a corrupted table is detected
-    import json
-    payload = json.loads(path.read_text())
-    payload["f"]["V[]"] = 99
-    path.write_text(json.dumps(payload))
-    cache.clear_memory()
-    with pytest.raises(RuntimeError):
-        cache.f_table(pi, 2, 0, cache_dir=tmp_path, verify=True)
-    cache.clear_memory()
-
-
-def test_concurrent_table_writes(tmp_path):
-    import sys
-    import threading
-
-    pi = frozenset({(1, 4), (2, 3)})
-    table = cache.f_table(pi, 2, 0, use_cache=False)
-    path = cache.table_path(tmp_path, 2, pi, 0)
-    errors = []
-    start = threading.Barrier(8)
-
-    def writer():
-        try:
-            start.wait(timeout=10)
-            for _ in range(25):
-                cache.write_table(path, 2, pi, 0, table)
-        except Exception as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=writer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert cache.read_table(path, 2) == table
-    assert [f.name for f in tmp_path.iterdir()] == [path.name]
-
-
-def test_no_cache_matches_cache():
-    pi = frozenset({(1, 3), (2, 4)})
-    assert cache.f_table(pi, 2, 0, use_cache=False) == cache.f_table(pi, 2, 0)
-
-
-def test_f_tables_memo(tmp_path):
+def test_f_tables_memo():
     from pfaflab.diagrams import enumerate_matchings
+    from pfaflab.pfaffinants import f_tables
+    from pfaflab.uncross import f_coefficient
 
-    tables = cache.f_tables(2, 0, cache_dir=tmp_path)
+    tables = f_tables(2, 0)
     assert set(tables) == set(enumerate_matchings(2))
-    assert all(tables[pi] == cache.f_table(pi, 2, 0, use_cache=False) for pi in tables)
-    assert cache.f_tables(2, 0, cache_dir=tmp_path) is tables
-    # use_cache=False and a disabled cache both bypass the memo
-    assert cache.f_tables(2, 0, cache_dir=tmp_path, use_cache=False) is not tables
-    cache.configure(enabled=False)
-    assert cache.f_tables(2, 0, cache_dir=tmp_path) is not tables
-    cache.configure()
-    cache.clear_memory()
-    again = cache.f_tables(2, 0, cache_dir=tmp_path)
+    assert all(tables[pi] == f_coefficient(pi, 2, 0) for pi in tables)
+    assert f_tables(2, 0) is tables
+    f_tables.cache_clear()
+    again = f_tables(2, 0)
     assert again is not tables and again == tables
-    cache.clear_memory()
+
+
+def _evaluate_oracle(f, A):
+    """Sum of c * pf_pi(A) in plain Poly arithmetic."""
+    total = Poly.zero()
+    for pi, c in f.coefficients:
+        total = total + c * monomial_pfaffian(A, pi)
+    return total
+
+
+def _fraction_arrays():
+    """n = 2 arrays whose entries are multi-term polynomials with Fraction coefficients."""
+    from pfaflab.networks import Network, path_weight_matrix, random_fence_network
+    from pfaflab.schurq import q_jt_matrix
+
+    def scaled(A, c):
+        return SkewArray(A.size, {ij: c * v for ij, v in A.entries.items()})
+
+    fence = random_fence_network(2, 4, seed=1, symbolic=True)
+    edges = [(e.tail, e.head, Fraction(1, t + 2) * e.weight) for t, e in enumerate(fence.edges)]
+    N = Network(fence.vertices, edges, fence.sources, fence.sinks)
+    return [scaled(q_jt_matrix([3, 2, 1, 0], [], 2, allow_nonstrict=True), Fraction(1, 3)),
+            scaled(q_jt_matrix([2, 2, 1, 1], [], 3, allow_nonstrict=True), Fraction(2, 3)),
+            path_weight_matrix(N)]
+
+
+def test_evaluate_matches_poly_oracle():
+    from pfaflab.diagrams import enumerate_matchings
+    from pfaflab.pfaffinants import PfaffinantFunctional, diagram_functional, tl_functional
+
+    pis = enumerate_matchings(2)
+    functionals = [diagram_functional(D) for D in enumerate_sym_tl(2)]
+    functionals += [tl_functional(D) for D in enumerate_sym_tl_even(2)]
+    functionals.append(PfaffinantFunctional.from_dict(2, {pis[0]: 3, pis[1]: -5, pis[2]: 4}))
+    arrays = _fraction_arrays()
+    assert all(any(isinstance(c, Fraction) for c in v.terms.values()) and len(v.terms) > 1
+               for A in arrays for v in A.entries.values())
+    for A in arrays:
+        for f in functionals:
+            got = f.evaluate(A)
+            assert got == _evaluate_oracle(f, A)
+            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    # equal entries: pf_pi(A) is the same for every matching, so +1 and -1 cancel
+    P = Fraction(1, 2) * Poly.var(a(1, 2)) + Fraction(1, 3) * Poly.var(a(3, 4))
+    flat = SkewArray(4, {(i, j): P for i in range(1, 5) for j in range(i + 1, 5)})
+    cancel = PfaffinantFunctional.from_dict(2, {pis[0]: 1, pis[2]: -1})
+    assert cancel.evaluate(flat).terms == {} == _evaluate_oracle(cancel, flat).terms
+    # 36 clears the denominators of P^2, so every coefficient is an int
+    square = PfaffinantFunctional.from_dict(2, {pis[1]: 36})
+    got = square.evaluate(flat)
+    assert got == _evaluate_oracle(square, flat)
+    assert got.terms and all(type(c) is int for c in got.terms.values())
+
+
+def test_summed_side_matches_per_diagram_sum():
+    from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
+    from pfaflab.pfaffinants import _summed_side, diagram_functional, tl_functional
+
+    for n in (1, 2, 3):
+        A = SkewArray.symbolic(2 * n)
+        for I in even_subsets(2 * n):
+            comp, maximal = compatible_diagrams(I, n), i_maximal_diagrams(I, n)
+            want = Poly.zero()
+            for D in comp:
+                want = want + diagram_pfaffinant(D, A)
+            assert _summed_side(n, map(diagram_functional, comp)).evaluate(A) == want
+            want = Poly.zero()
+            for D in maximal:
+                want = want + tl_pfaffinant(D, A)
+            assert _summed_side(n, map(tl_functional, maximal)).evaluate(A) == want

@@ -118,6 +118,39 @@ def test_expand_remainder_flag():
     assert not exp.ok
 
 
+def _expand_by_poly_arithmetic(f, k):
+    """expand_in_q_basis with the remainder kept as a Poly: rem - c * Q_lam."""
+    from pfaflab.schurq import QExpansion, is_strict
+
+    coeffs = {}
+    rem = f
+    while not rem.is_zero():
+        vecs = {}
+        for mono, c in rem.items():
+            if any(v[0] != "x" or v[1] > k for v in mono):
+                return QExpansion(tuple(sorted(coeffs.items())), rem)
+            vecs[tuple(mono.count(x(i)) for i in range(1, k + 1))] = c
+        lead = max(vecs)
+        lam = tuple(p for p in lead if p)
+        if list(lead) != sorted(lead, reverse=True) or not is_strict(lam):
+            return QExpansion(tuple(sorted(coeffs.items())), rem)
+        c = Fraction(vecs[lead], 2 ** len(lam))
+        coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
+        rem = rem - c * schur_q(lam, (), k)
+    return QExpansion(tuple(sorted((l, c) for l, c in coeffs.items() if c)), Poly.zero())
+
+
+def test_expand_matches_poly_arithmetic():
+    k = 4
+    in_span = schur_q((3, 1), (), k) * schur_q((2, 1), (), k) - 3 * schur_q((4, 2, 1), (), k)
+    # peels the same three Q-functions, then stops at the asymmetric x[1]^2*x[2]^3
+    out_of_span = in_span + Fraction(1, 3) * Poly.var(x(1)) ** 2 * Poly.var(x(2)) ** 3
+    for f, ok in ((in_span, True), (out_of_span, False)):
+        got, want = expand_in_q_basis(f, k), _expand_by_poly_arithmetic(f, k)
+        assert got == want and got.ok is ok and len(got.coeffs) > 2
+    assert not expand_in_q_basis(out_of_span, k).remainder.is_zero()
+
+
 def test_monomial_expand():
     assert monomial_expand(schur_q((1,), (), 2), 2) == {(1,): 2}
     assert monomial_expand(Poly.var(a(1, 2)), 2) is None
