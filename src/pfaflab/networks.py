@@ -5,7 +5,10 @@ strictly increasing in x, sources on the left boundary and sinks on the
 right.  Any two edges may meet only at shared endpoint vertices, so every
 geometric crossing is itself a vertex; internal vertices have in- and
 out-degree at most 2.  Under these checks the sources and sinks sit in
-order on a common bounding curve.
+order on a common bounding curve.  `Network.validate` checks planarity
+with an x-sweep: edges sorted by tail x, each tested only against the
+edges whose closed x-range reaches its tail, in integer coordinates over
+the common denominator.
 
 A path family (one path per source, no vertex used three times) induces a
 marked subnetwork: its edge support with the doubly used edges marked.
@@ -13,6 +16,15 @@ Vertically uncrossing every twice-used vertex and deleting the marked
 edges yields a union of curves; sources in a common curve give the
 boundary matching `type`, and curves containing no source contribute a
 factor of 2 each to `mult`.
+
+Each network enumerates its path families once.  The path table holds
+every path of every source with its vertex and edge bitmasks and its
+weight; the family table, built by one depth-first pass over the
+sources, groups the triple-free families by marked subnetwork and counts
+them per meeting mask (which pairs of paths share a vertex).  No edge is
+used three times, so every family of a group weighs the group's weight.  `q_i_weight`,
+`marked_subnetworks` and `path_weight_matrix` all read these tables;
+`_families` and `_triple_free` survive as the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +33,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
+from math import lcm
 
 from .diagrams import OddSubsetError, SymTLDiagram, sym_diagram
 from .pfaffian import SkewArray
@@ -85,13 +99,38 @@ class Network:
                 continue
             if len(self.in_edges[v]) > 2 or len(self.out_edges[v]) > 2:
                 raise InvalidNetworkError(f"internal vertex {v} exceeds degree caps")
-        # geometric planarity: edges meet only at shared endpoints
-        for (i, e), (j, f) in combinations(enumerate(self.edges), 2):
-            if {e.tail, e.head} & {f.tail, f.head}:
-                continue
-            if _segments_touch(pts[e.tail], pts[e.head], pts[f.tail], pts[f.head]):
-                raise InvalidNetworkError(
-                    f"edges {e.tail}->{e.head} and {f.tail}->{f.head} cross off-vertex")
+        self._check_planar()
+
+    def _check_planar(self):
+        """Edges meet only at shared endpoints, by an exact x-sweep.
+
+        Of several touching pairs the first in `combinations` order is
+        reported, as an all-pairs test would.
+        """
+        scale = lcm(*(Fraction(c).denominator for p in self.vertices.values() for c in p))
+        pts = {v: (int(Fraction(p[0]) * scale), int(Fraction(p[1]) * scale))
+               for v, p in self.vertices.items()}
+        segs = [(pts[e.tail], pts[e.head]) for e in self.edges]
+        active = []   # earlier edges (by tail x) whose head x reaches the sweep
+        first = None
+        for j in sorted(range(len(segs)), key=lambda k: segs[k][0][0]):
+            C, D = segs[j]
+            ends = (self.edges[j].tail, self.edges[j].head)
+            active = [i for i in active if segs[i][1][0] >= C[0]]
+            for i in active:
+                pair = (i, j) if i < j else (j, i)
+                if first is not None and pair >= first:
+                    continue
+                e = self.edges[i]
+                if e.tail in ends or e.head in ends:
+                    continue
+                if _segments_touch(*segs[i], C, D):
+                    first = pair
+            active.append(j)
+        if first is not None:
+            e, f = (self.edges[k] for k in first)
+            raise InvalidNetworkError(
+                f"edges {e.tail}->{e.head} and {f.tail}->{f.head} cross off-vertex")
 
     # -- paths -------------------------------------------------------------
 
@@ -114,11 +153,74 @@ class Network:
     def path_weight(self, path) -> Poly:
         return poly_prod(self.edges[k].weight for k in path[1])
 
+    @cached_property
+    def _path_table(self) -> list:
+        """Per source, every path as (vertex mask, edge mask, weight)."""
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        return [[(sum(bit[v] for v in p[0]), sum(1 << k for k in p[1]), self.path_weight(p))
+                 for p in self.paths_from(u)] for u in self.sources]
+
+    @cached_property
+    def _family_table(self) -> list:
+        """The triple-free path families grouped by marked subnetwork.
+
+        One row (kept, marked, weight, meets) per group, in the order of
+        `marked_subnetworks`; meets maps a meeting mask, with bit i*m + j
+        set when paths i < j share a vertex, to its number of families.
+        No edge is used three times (its tail would be), so a family's
+        weight, the product of its path weights, is Π kept w · Π marked w:
+        the same for every family of the group.
+        """
+        paths = self._path_table
+        m = len(paths)
+        groups = {}   # (kept mask, marked mask) -> [path weights of one family, meets]
+        # depth first over the sources on an explicit stack: a recursive
+        # closure is a reference cycle, which keeps what it holds alive until
+        # the cycle collector runs
+        stack = [(0, 0, 0, 0, 0, 0, ())]   # a partial family, and the paths it chose
+        while stack:
+            i, once, twice, kept, marked, meet, chosen = stack.pop()
+            if i == m:
+                group = groups.get((kept, marked))
+                if group is None:
+                    group = groups[(kept, marked)] = [[row[2] for row in chosen], {}]
+                group[1][meet] = group[1].get(meet, 0) + 1
+                continue
+            for row in paths[i]:
+                pv, pe, _ = row
+                if pv & twice:
+                    continue
+                met = meet
+                if pv & once:
+                    for j, (qv, _, _) in enumerate(chosen):
+                        if pv & qv:
+                            met |= 1 << (j * m + i)
+                stack.append((i + 1, once | pv, twice | (once & pv), kept | pe,
+                              marked | (kept & pe), met, chosen + (row,)))
+
+        rows = sorted(((_bits(kept), _bits(marked), poly_prod(weights), meets)
+                       for (kept, marked), (weights, meets) in groups.items()),
+                      key=lambda row: row[:2])
+        # from a dict, a frozenset sizes its table once: built from a list it
+        # can take twice the memory, and callers keep every group
+        return [(frozenset(dict.fromkeys(kept)), frozenset(dict.fromkeys(marked)), weight, meets)
+                for kept, marked, weight, meets in rows]
+
 
 def _as_poly(w) -> Poly:
     if isinstance(w, Poly):
         return w
     return Poly.const(w)
+
+
+def _bits(mask: int) -> list:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _cross(o, a, b):
@@ -141,28 +243,29 @@ def _segments_touch(A, B, C, D) -> bool:
 # -- path family enumeration ----------------------------------------------------
 
 
-def _vertex_disjoint(p, q) -> bool:
-    return not (set(p[0]) & set(q[0]))
-
-
 def path_weight_matrix(N: Network) -> SkewArray:
     """A(N): entry (i,j) sums weights of vertex-disjoint path pairs from u_i, u_j."""
-    m = len(N.sources)
-    paths = [N.paths_from(u) for u in N.sources]
+    paths = N._path_table
+    m = len(paths)
     entries = {}
     for i in range(m):
         for j in range(i + 1, m):
             total = Poly.zero()
-            for p in paths[i]:
-                for q in paths[j]:
-                    if _vertex_disjoint(p, q):
-                        total = total + N.path_weight(p) * N.path_weight(q)
+            for pv, _, wp in paths[i]:
+                partners = Poly.zero()
+                for qv, _, wq in paths[j]:
+                    if not pv & qv:
+                        partners = partners + wq
+                if partners:
+                    total = total + wp * partners
             entries[(i + 1, j + 1)] = total
     return SkewArray(m, entries)
 
 
 def _families(N: Network, compatible):
-    """All path families (one path per source) with pairwise test `compatible`."""
+    """All path families (one path per source) with pairwise test `compatible`.
+
+    The exhaustive oracle of the family table, with `_triple_free`."""
     paths = [N.paths_from(u) for u in N.sources]
     m = len(paths)
     out = []
@@ -197,16 +300,15 @@ def q_i_weight(N: Network, I) -> Poly:
     I = set(I)
     if len(I) % 2:
         raise OddSubsetError(f"subset {sorted(I)} has odd cardinality")
-
-    def compatible(i, j, p, q):
+    same_side = 0
+    for i, j in combinations(range(m), 2):
         if ((i + 1) in I) == ((j + 1) in I):
-            return _vertex_disjoint(p, q)
-        return True
-
+            same_side |= 1 << (i * m + j)
     total = Poly.zero()
-    for fam in _families(N, compatible):
-        if _triple_free(fam):
-            total = total + poly_prod(N.path_weight(p) for p in fam)
+    for _, _, weight, meets in N._family_table:
+        count = sum(c for meet, c in meets.items() if not meet & same_side)
+        if count:
+            total = total + count * weight
     return total
 
 
@@ -224,74 +326,49 @@ class MarkedSubnetwork:
 
 
 def _theta_type_mult(N: Network, kept, marked) -> tuple:
-    """Vertically uncross twice-used vertices, drop marked edges, read the curves."""
-    arcs = []     # (edge index, copy)
-    for k in sorted(kept):
-        arcs.append((k, 0))
-        if k in marked:
-            arcs.append((k, 1))
-    arc_id = {a: i for i, a in enumerate(arcs)}
-    parent = list(range(len(arcs)))
-    joins = []
-    for v in N.vertices:
-        ins = [a for a in arcs if N.edges[a[0]].head == v]
-        outs = [a for a in arcs if N.edges[a[0]].tail == v]
-        if len(ins) > 2 or len(outs) > 2:
-            raise AssertionError(f"vertex {v} used more than twice")
-        if len(ins) == 2:
-            joins.append((ins[0], ins[1]))
-        if len(outs) == 2:
-            joins.append((outs[0], outs[1]))
-        if len(ins) == 1 and len(outs) == 1:
-            joins.append((ins[0], outs[0]))
-    for a, b in joins:
-        if a[0] not in marked and b[0] not in marked:
-            _union(parent, arc_id[a], arc_id[b])
+    """Vertically uncross twice-used vertices, drop marked edges, read the curves.
 
-    unmarked_arcs = [a for a in arcs if a[0] not in marked]
+    The curves are the classes of the unmarked kept edges, joined at each
+    vertex: its two ends in, its two ends out, or its one end in to its
+    one end out.
+    """
+    ins, outs = {}, {}   # vertex -> kept edges at it, a marked edge twice
+    for k in sorted(kept):
+        e = N.edges[k]
+        for at, v in ((ins, e.head), (outs, e.tail)):
+            here = at.setdefault(v, [])
+            here += (k, k) if k in marked else (k,)
+            if len(here) > 2:
+                raise AssertionError(f"vertex {v} used more than twice")
+    joins = [pair for pair in chain(ins.values(), outs.values()) if len(pair) == 2]
+    joins += [(vin[0], outs[v][0]) for v, vin in ins.items()
+              if len(vin) == 1 and len(outs.get(v, ())) == 1]
+    parent = {k: k for k in kept if k not in marked}
+    for a, b in joins:
+        if a in parent and b in parent:
+            _union(parent, a, b)
+
     source_arc = {}
     for idx, u in enumerate(N.sources):
-        outs = [a for a in unmarked_arcs if N.edges[a[0]].tail == u]
-        if len(outs) != 1:
+        unmarked_outs = [k for k in outs.get(u, ()) if k in parent]
+        if len(unmarked_outs) != 1:
             raise AssertionError(f"source {u} must carry exactly one unmarked arc")
-        source_arc[idx + 1] = _find(parent, arc_id[outs[0]])
+        source_arc[idx + 1] = _find(parent, unmarked_outs[0])
 
-    n = len(N.sources) // 2
-    edges = set()
-    matched = set()
-    for i, j in combinations(sorted(source_arc), 2):
-        if source_arc[i] == source_arc[j]:
-            edges.add((i, j))
-            matched.update((i, j))
-    typ = sym_diagram(n, edges)
-
-    source_roots = set(source_arc.values())
-    roots = {_find(parent, arc_id[a]) for a in unmarked_arcs}
-    r = len([root for root in roots if root not in source_roots])
-    return typ, 2 ** r
+    typ = sym_diagram(len(N.sources) // 2, [(i, j) for i, j in combinations(source_arc, 2)
+                                            if source_arc[i] == source_arc[j]])
+    roots = {k for k, up in parent.items() if up == k}
+    return typ, 2 ** len(roots - set(source_arc.values()))
 
 
 def marked_subnetworks(N: Network) -> list:
     """Group all triple-free path families by their marked subnetwork."""
-    groups = {}
-    for fam in _families(N, lambda *args: True):
-        if not _triple_free(fam):
-            continue
-        use = {}
-        for p in fam:
-            for k in p[1]:
-                use[k] = use.get(k, 0) + 1
-        if any(c > 2 for c in use.values()):
-            continue
-        kept = frozenset(use)
-        marked = frozenset(k for k, c in use.items() if c == 2)
-        groups.setdefault((kept, marked), []).append(fam)
     out = []
-    for (kept, marked), fams in sorted(groups.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))):
+    types = {}   # one SymTLDiagram per type, shared by its subnetworks
+    for kept, marked, weight, meets in N._family_table:
         typ, mult = _theta_type_mult(N, kept, marked)
-        weight = poly_prod(N.edges[k].weight for k in sorted(kept)) \
-            * poly_prod(N.edges[k].weight for k in sorted(marked))
-        out.append(MarkedSubnetwork(kept, marked, typ, mult, weight, len(fams)))
+        typ = types.setdefault(typ, typ)
+        out.append(MarkedSubnetwork(kept, marked, typ, mult, weight, sum(meets.values())))
     return out
 
 

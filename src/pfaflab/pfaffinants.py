@@ -60,8 +60,13 @@ def f_tables(n: int, seed: int = 0) -> dict:
     return {pi: f_coefficient(pi, n, seed) for pi in enumerate_matchings(n)}
 
 
-@lru_cache(maxsize=None)
 def diagram_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
+    return _diagram_functional(D, seed)
+
+
+@lru_cache(maxsize=None)
+def _diagram_functional(D: SymTLDiagram, seed: int) -> PfaffinantFunctional:
+    # memoised behind a wrapper, so that an omitted seed and seed=0 share an entry
     tables = f_tables(D.n, seed)
     return PfaffinantFunctional.from_dict(
         D.n, {pi: t.get(D, 0) for pi, t in tables.items()})
@@ -72,8 +77,13 @@ def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
     return diagram_functional(D, seed).evaluate(A)
 
 
-@lru_cache(maxsize=None)
 def tl_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
+    return _tl_functional(D, seed)
+
+
+@lru_cache(maxsize=None)
+def _tl_functional(D: SymTLDiagram, seed: int) -> PfaffinantFunctional:
+    # memoised behind a wrapper, as _diagram_functional is
     if not D.is_even:
         raise ValueError(f"TL pfaffinant requires an even diagram, got {D}")
     tables = f_tables(D.n, seed)

@@ -148,6 +148,24 @@ def test_network_round_trip(tmp_path, capsys):
     assert code == 0 and out.startswith("i,j,entry")
 
 
+def test_network_check_reports_first_crossing(tmp_path, capsys):
+    # crossings at x = 1/2 (u3->b3, u4->b4) and x = 11/2 (a1->w1, a2->w2);
+    # the pair met first in edge order is the one reported
+    xy = {"u1": (0, 3), "u2": (0, 2), "u3": (0, 1), "u4": (0, 0), "a1": (5, 3), "a2": (5, 2),
+          "b3": (1, 0), "b4": (1, 1), "w1": (6, 2), "w2": (6, 3), "w3": (6, 0), "w4": (6, 1)}
+    pairs = [("a1", "w1"), ("a2", "w2"), ("u3", "b3"), ("u4", "b4"),
+             ("u1", "a1"), ("u2", "a2"), ("b3", "w3"), ("b4", "w4")]
+    path = tmp_path / "two_crossings.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": v, "x": f"{x}/1", "y": f"{y}/1"} for v, (x, y) in xy.items()],
+        "edges": [{"from": p, "to": q, "weight": "1"} for p, q in pairs],
+        "sources": ["u1", "u2", "u3", "u4"], "sinks": ["w1", "w2", "w3", "w4"]}))
+    code = main(["network", "check", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: edges a1->w1 and a2->w2 cross off-vertex\n"
+
+
 # Runs the given CLI argument lists in a fresh interpreter and prints a JSON
 # list of their outputs, then the message of a forced _require_equal failure
 # and a pickled polynomial.  With "reverse", x[9]..x[1] and a[8,9]..a[1,2]

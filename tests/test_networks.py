@@ -1,14 +1,21 @@
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from pfaflab.diagrams import (enumerate_sym_tl, enumerate_sym_tl_even, is_compatible,
                               removal_closure, sym_diagram)
-from pfaflab.networks import (InvalidNetworkError, Network, construct_network_of_diagram,
-                              hat_pfaf, hat_pfaf_prime, marked_subnetworks, network_from_json,
-                              network_to_json, path_weight_matrix, q_i_weight,
-                              random_fence_network, verify_network_equality)
+from pfaflab.networks import (InvalidNetworkError, Network, _families, _segments_touch, _triple_free,
+                              construct_network_of_diagram, hat_pfaf, hat_pfaf_prime,
+                              marked_subnetworks, network_from_json, network_to_json,
+                              path_weight_matrix, q_i_weight, random_fence_network,
+                              verify_network_equality)
 from pfaflab.pfaffian import complementary_pfaffian
 from pfaflab.pfaffinants import even_subsets, tl_pfaffinant
-from pfaflab.poly import Poly
+from pfaflab.poly import Poly, poly_prod
+from pfaflab.uncross import _find, _union
 
 
 def test_validation_rejects_bad_networks():
@@ -38,11 +45,16 @@ def test_single_vertical_edge_network():
 
 
 def test_brute_force_pair_matrix():
-    N = random_fence_network(1, 3, seed=5)
+    for N in [random_fence_network(1, 3, seed=5), *_oracle_networks()]:
+        _check_pair_matrix(N)
+
+
+def _check_pair_matrix(N):
     A = path_weight_matrix(N)
     paths = [N.paths_from(u) for u in N.sources]
-    for i in range(2):
-        for j in range(i + 1, 2):
+    m = len(paths)
+    for i in range(m):
+        for j in range(i + 1, m):
             total = Poly.zero()
             for p in paths[i]:
                 for q in paths[j]:
@@ -83,7 +95,6 @@ def test_covering_family_counts():
     for D in enumerate_sym_tl(2):
         N = construct_network_of_diagram(D)
         subs = marked_subnetworks(N)
-        from pfaflab.networks import _families, _triple_free
         fams = [f for f in _families(N, lambda *a: True) if _triple_free(f)]
         for s in subs:
             for I in even_subsets(4):
@@ -145,3 +156,189 @@ def test_symbolic_fence():
     A = path_weight_matrix(N)
     for I in even_subsets(2):
         assert q_i_weight(N, I) == complementary_pfaffian(A, I)
+
+
+# -- the one-pass family table against the exhaustive enumeration ----------------
+
+
+def _oracle_q_i_weight(N, I):
+    """The per-I enumeration: families disjoint on each side of I, triple-free."""
+    def compatible(i, j, p, q):
+        return ((i + 1) in I) != ((j + 1) in I) or not set(p[0]) & set(q[0])
+
+    total = Poly.zero()
+    for fam in _families(N, compatible):
+        if _triple_free(fam):
+            total = total + poly_prod(N.path_weight(p) for p in fam)
+    return total
+
+
+def _oracle_type_mult(N, kept, marked):
+    """Type and multiplicity by scanning every arc at every vertex."""
+    arcs = [(k, c) for k in sorted(kept) for c in ((0, 1) if k in marked else (0,))]
+    parent = list(range(len(arcs)))
+    for v in N.vertices:
+        ins = [t for t, (k, _) in enumerate(arcs) if N.edges[k].head == v]
+        outs = [t for t, (k, _) in enumerate(arcs) if N.edges[k].tail == v]
+        joins = [js for js in (ins, outs) if len(js) == 2]
+        if len(ins) == 1 and len(outs) == 1:
+            joins.append(ins + outs)
+        for s, t in joins:
+            if arcs[s][0] not in marked and arcs[t][0] not in marked:
+                _union(parent, s, t)
+    live = [t for t, (k, _) in enumerate(arcs) if k not in marked]
+    root = {}
+    for i, u in enumerate(N.sources, start=1):
+        (t,) = [t for t in live if N.edges[arcs[t][0]].tail == u]
+        root[i] = _find(parent, t)
+    typ = sym_diagram(len(N.sources) // 2,
+                      [(i, j) for i in root for j in root if i < j and root[i] == root[j]])
+    free = {_find(parent, t) for t in live} - set(root.values())
+    return typ, 2 ** len(free)
+
+
+def _oracle_subnetworks(N):
+    groups = {}
+    for fam in _families(N, lambda *a: True):
+        if _triple_free(fam):
+            use = Counter(k for p in fam for k in p[1])
+            marked = frozenset(k for k, c in use.items() if c == 2)
+            groups.setdefault((frozenset(use), marked), []).append(fam)
+    out = []
+    for (kept, marked), fams in sorted(groups.items(),
+                                       key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))):
+        weight = poly_prod(N.edges[k].weight for k in sorted(kept)) \
+            * poly_prod(N.edges[k].weight for k in sorted(marked))
+        assert all(poly_prod(N.path_weight(p) for p in fam) == weight for fam in fams)
+        out.append((kept, marked, *_oracle_type_mult(N, kept, marked), weight, len(fams)))
+    return out
+
+
+def _oracle_networks():
+    for n in (1, 2, 3):
+        for D in enumerate_sym_tl(n):
+            yield construct_network_of_diagram(D)
+    for seed in range(10):
+        yield random_fence_network(2, 6, seed=seed)
+        yield random_fence_network(2, 6, seed=seed, symbolic=True)
+
+
+def test_family_table_matches_enumeration():
+    for N in _oracle_networks():
+        m = len(N.sources)
+        for I in even_subsets(m):
+            assert q_i_weight(N, I) == _oracle_q_i_weight(N, I)
+        got = [(s.kept, s.marked, s.type, s.mult, s.weight, s.families)
+               for s in marked_subnetworks(N)]
+        assert got == _oracle_subnetworks(N)
+
+
+# -- the planarity sweep against the all-pairs test ------------------------------
+
+
+def _all_pairs_error(vertices, edges):
+    """The message of the first touching pair in combinations order, or None."""
+    for (p, q, _), (r, s, _) in combinations(edges, 2):
+        if {p, q} & {r, s}:
+            continue
+        if _segments_touch(vertices[p], vertices[q], vertices[r], vertices[s]):
+            return f"edges {p}->{q} and {r}->{s} cross off-vertex"
+    return None
+
+
+def _build_error(vertices, edges, sources, sinks):
+    try:
+        Network(vertices, edges, sources, sinks)
+    except InvalidNetworkError as exc:
+        return str(exc)
+    return None
+
+
+def _random_layout(rng):
+    """A small network that passes every check but planarity.
+
+    Coordinates come from a coarse grid with denominators 1, 2 and 3, so
+    x-coordinates are often shared and edges often collinear; some vertices
+    sit on an earlier edge (a T-junction).
+    """
+    grid = sorted({Fraction(a, d) for d in (1, 2, 3) for a in range(0, 3 * d + 1)})
+    top = grid[-1] + 1
+    n_src = rng.choice((2, 4))
+    ys = sorted(rng.sample(grid, n_src), reverse=True)
+    vertices = {f"u{i}": (Fraction(0), y) for i, y in enumerate(ys, start=1)}
+    sinks = [f"w{i}" for i in range(1, rng.randint(1, 4) + 1)]
+    for w in sinks:
+        vertices[w] = (top, rng.choice(grid))
+    inner = []
+    edges = []
+    deg_in, deg_out = {}, {}
+
+    def add_edge(p, q):
+        if vertices[p][0] >= vertices[q][0]:
+            return
+        if p in inner and deg_out.get(p, 0) == 2 or q in inner and deg_in.get(q, 0) == 2:
+            return   # the degree caps of internal vertices
+        deg_out[p] = deg_out.get(p, 0) + 1
+        deg_in[q] = deg_in.get(q, 0) + 1
+        edges.append((p, q, 1))
+
+    for t in range(rng.randint(2, 7)):
+        v = f"v{t}"
+        if edges and rng.random() < 0.3:
+            p, q, _ = rng.choice(edges)
+            (x0, y0), (x1, y1) = vertices[p], vertices[q]
+            lam = Fraction(rng.randint(1, 3), 4)
+            vertices[v] = (x0 + lam * (x1 - x0), y0 + lam * (y1 - y0))
+        else:
+            vertices[v] = (rng.choice(grid[1:]), rng.choice(grid))
+        inner.append(v)
+        for _ in range(rng.randint(1, 3)):
+            add_edge(rng.choice([u for u in vertices if u.startswith(("u", "v"))]),
+                     rng.choice(inner + sinks))
+    return vertices, edges, list(vertices)[:n_src], sinks
+
+
+def test_planarity_sweep_matches_all_pairs():
+    rng = random.Random(2006)
+    outcomes = Counter()
+    for _ in range(2000):
+        vertices, edges, sources, sinks = _random_layout(rng)
+        want = _all_pairs_error(vertices, edges)
+        assert _build_error(vertices, edges, sources, sinks) == want
+        outcomes[want is None] += 1
+    assert min(outcomes.values()) > 200   # accepted and rejected layouts both occur
+
+
+TWO_CROSSINGS = (
+    {"u1": (0, 3), "u2": (0, 2), "u3": (0, 1), "u4": (0, 0), "a1": (5, 3), "a2": (5, 2),
+     "b3": (1, 0), "b4": (1, 1), "w1": (6, 2), "w2": (6, 3), "w3": (6, 0), "w4": (6, 1)},
+    [("a1", "w1", 1), ("a2", "w2", 1), ("u3", "b3", 1), ("u4", "b4", 1),
+     ("u1", "a1", 1), ("u2", "a2", 1), ("b3", "w3", 1), ("b4", "w4", 1)],
+    ["u1", "u2", "u3", "u4"], ["w1", "w2", "w3", "w4"])
+
+
+def test_planarity_reports_first_pair():
+    # two off-vertex crossings; the later one in x comes first in edge order
+    assert _build_error(*TWO_CROSSINGS) == "edges a1->w1 and a2->w2 cross off-vertex"
+    # a T-junction: u2->t ends inside u1->w1
+    V = {"u1": (0, 1), "u2": (0, 0), "t": (1, 1), "w1": (2, 1), "w2": (2, 0)}
+    E = [("u1", "w1", 1), ("u2", "t", 1), ("t", "w2", 1)]
+    assert _build_error(V, E, ["u1", "u2"], ["w1", "w2"]) \
+        == _all_pairs_error(V, E) == "edges u1->w1 and u2->t cross off-vertex"
+    # a collinear overlap on y = 1 between x = 1 and x = 2, with mixed denominators
+    V = {"u1": (0, 1), "u2": (0, 0), "a": (2, 1), "b": (1, 1),
+         "w1": (3, 1), "w2": (Fraction(7, 2), Fraction(-1, 3))}
+    E = [("u1", "a", 1), ("b", "w1", 1), ("u2", "b", 1), ("a", "w2", 1)]
+    assert _build_error(V, E, ["u1", "u2"], ["w1", "w2"]) \
+        == _all_pairs_error(V, E) == "edges u1->a and b->w1 cross off-vertex"
+
+
+def test_identities_on_n3_fences():
+    for seed in range(3):
+        N = random_fence_network(3, 8, seed=seed)
+        A = path_weight_matrix(N)
+        for I in even_subsets(6):
+            assert q_i_weight(N, I) == complementary_pfaffian(A, I)
+        subs = marked_subnetworks(N)
+        for D in enumerate_sym_tl_even(3):
+            assert tl_pfaffinant(D, A) == hat_pfaf(N, D, subs)

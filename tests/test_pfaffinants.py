@@ -240,3 +240,24 @@ def test_summed_side_matches_per_diagram_sum():
             for D in maximal:
                 want = want + tl_pfaffinant(D, A)
             assert _summed_side(n, map(tl_functional, maximal)).evaluate(A) == want
+
+
+def test_functional_memo_keys_are_canonical():
+    from pfaflab import verify
+    from pfaflab.pfaffinants import (_diagram_functional, _tl_functional, diagram_functional,
+                                     tl_functional)
+
+    _diagram_functional.cache_clear()
+    _tl_functional.cache_clear()
+    diagrams, even = enumerate_sym_tl(2), enumerate_sym_tl_even(2)
+    for D in diagrams:
+        assert diagram_functional(D) is diagram_functional(D, 0) is diagram_functional(D, seed=0)
+    for D in even:
+        assert tl_functional(D) is tl_functional(D, 0) is tl_functional(D, seed=0)
+    assert _diagram_functional.cache_info().currsize == len(diagrams)
+    assert _tl_functional.cache_info().currsize == len(even)
+    # thm-2.12 passes the seed, thm-5.4 omits it: one entry per diagram between them
+    _tl_functional.cache_clear()
+    verify.run("thm-2.12", {"n": 2})
+    verify.run("thm-5.4", {"bound": 2})
+    assert _tl_functional.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
