@@ -1,10 +1,13 @@
 """Command-line workbench: verify, scan, eval, table, network.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed or an
-internal assertion failed, 2 usage error, 3 a computation exceeded a
-capacity bound.  Output is deterministic for a fixed configuration and
-seed.  Uncrossing tables live in process memory only: each process (each
-``verify --jobs`` worker too) computes the tables it needs once.
+Exit codes: 0 all checks passed, 1 a mathematical check failed or the
+library failed internally (an assertion, or any error but the ones for 2
+and 3), 2 usage error (UsageError for bad options, keys, subsets, shapes
+or network files, OddSubsetError, NotStandardError, InvalidNetworkError),
+3 a computation exceeded a capacity bound.  Output is deterministic for a
+fixed configuration and seed.  Uncrossing tables live in process memory
+only: each process (each ``verify --jobs`` worker too) computes the
+tables it needs once.
 """
 
 from __future__ import annotations
@@ -24,12 +27,20 @@ from . import schurq as sq
 from . import uncross as ux
 from . import verify as vf
 from .pfaffian import SkewArray, pfaffian
+from .poly import UsageError
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _common(parser):
-    parser.add_argument("--n", type=int, default=None, help="size bound")
-    parser.add_argument("--k", type=int, default=None, help="number of variables")
-    parser.add_argument("--bound", type=int, default=None, help="size bound for scans")
+    parser.add_argument("--n", type=_count, default=None, help="size bound")
+    parser.add_argument("--k", type=_count, default=None, help="number of variables")
+    parser.add_argument("--bound", type=_count, default=None, help="size bound for scans")
     parser.add_argument("--seed", type=int, default=0, help="placement/scan seed")
     parser.add_argument("--format", choices=("text", "json", "csv"), default=None)
     parser.add_argument("--out", default=None, help="write output to a file")
@@ -42,9 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a registered identity check")
     p.add_argument("theorem", help="identity id (or 'all'); see 'verify list'")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--grids", type=int, default=None)
+    p.add_argument("--samples", type=_count, default=None)
+    p.add_argument("--max-size", type=_count, default=None)
+    p.add_argument("--grids", type=_count, default=None)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for independent verification targets")
     _common(p)
@@ -77,8 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -139,7 +153,10 @@ def cmd_scan(args) -> int:
 
 
 def _parse_ints(text):
-    return [int(t) for t in text.split(",") if t.strip()] if text else []
+    try:
+        return [int(t) for t in text.split(",") if t.strip()] if text else []
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_eval(args) -> int:
@@ -225,8 +242,12 @@ def cmd_network(args) -> int:
     if not args.file:
         sys.stderr.write(f"network {args.action} needs --file\n")
         return 2
-    with open(args.file) as fh:
-        N = nw.network_from_json(fh.read())
+    try:
+        with open(args.file) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+    N = nw.network_from_json(text)
     if args.action == "check":
         round_trip = nw.network_from_json(nw.network_to_json(N))
         ok = nw.network_to_json(round_trip) == nw.network_to_json(N)
@@ -270,12 +291,16 @@ def main(argv=None) -> int:
     except ux.CapacityError as exc:
         sys.stderr.write(f"error: capacity: {exc}\n")
         return 3
+    except (UsageError, dg.OddSubsetError, dg.NotStandardError, nw.InvalidNetworkError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except AssertionError as exc:
         sys.stderr.write(f"error: internal: {str(exc) or 'assertion failed'}\n")
         return 1
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:
+        # any other error escaping the library is a fault of the library
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

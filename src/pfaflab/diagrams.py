@@ -15,6 +15,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from .poly import CapacityError, UsageError
+
 DEFAULT_ENUM_BOUND = 6
 
 Matching = frozenset  # of sorted integer pairs
@@ -38,7 +40,7 @@ def matching(pairs) -> Matching:
 def enumerate_matchings(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list:
     """All (2n-1)!! perfect matchings of [2n], deterministic order."""
     if n > bound:
-        raise ValueError(f"matching enumeration bound exceeded: n={n} > {bound}")
+        raise CapacityError(f"matching enumeration bound exceeded: n={n} > {bound}")
     return list(_matchings_cached(n))
 
 
@@ -146,9 +148,13 @@ def sym_diagram(n: int, edges=()) -> SymTLDiagram:
     return SymTLDiagram(n, frozenset(tuple(sorted(e)) for e in edges))
 
 
-def _parse_edges(key: str, prefix: str, what: str) -> list:
-    """The (i,j) pairs of a key such as ``V[(2,3)]``; ``what`` names it in errors."""
-    bad = ValueError(f"bad {what} key {key!r}")
+def _parse_key(key: str, n: int, prefix: str, what: str, build):
+    """``build(n, edges)`` for a key such as ``V[(2,3)]``; ``what`` names it in errors.
+
+    A key that does not parse, or whose edges ``build`` rejects, raises
+    UsageError.
+    """
+    bad = UsageError(f"bad {what} key {key!r}")
     body = key.strip()
     if not (body.startswith(prefix + "[") and body.endswith("]")):
         raise bad
@@ -164,11 +170,14 @@ def _parse_edges(key: str, prefix: str, what: str) -> list:
             edges.append((int(i), int(j)))
         except ValueError:
             raise bad from None
-    return edges
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_diagram_key(key: str, n: int) -> SymTLDiagram:
-    return sym_diagram(n, _parse_edges(key, "V", "diagram"))
+    return _parse_key(key, n, "V", "diagram", sym_diagram)
 
 
 def subset_order_key(I) -> tuple:
@@ -189,7 +198,7 @@ def diagram_order_key(D: SymTLDiagram) -> tuple:
 def enumerate_sym_tl(n: int, bound: int = 8) -> list:
     """All C(2n,n) symmetric TL diagrams, sorted by the diagram order."""
     if n > bound:
-        raise ValueError(f"diagram enumeration bound exceeded: n={n} > {bound}")
+        raise CapacityError(f"diagram enumeration bound exceeded: n={n} > {bound}")
     return list(_sym_tl_cached(n))
 
 
@@ -373,7 +382,7 @@ def tl_diagram(n: int, edges) -> TLDiagram:
 
 
 def parse_tl_key(key: str, n: int) -> TLDiagram:
-    return tl_diagram(n, _parse_edges(key, "T", "TL diagram"))
+    return _parse_key(key, n, "T", "TL diagram", tl_diagram)
 
 
 def _noncrossing_matchings(points):

@@ -39,7 +39,7 @@ from math import lcm
 
 from .diagrams import OddSubsetError, SymTLDiagram, sym_diagram
 from .pfaffian import SkewArray
-from .poly import Poly, poly_prod, x
+from .poly import CapacityError, Poly, UsageError, poly_prod, x
 from .uncross import _find, _segment_crossing, _union
 
 
@@ -525,10 +525,21 @@ def network_to_json(N: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
-    payload = json.loads(text)
-    vertices = {v["id"]: (Fraction(v["x"]), Fraction(v["y"])) for v in payload["vertices"]}
-    edges = [(e["from"], e["to"], parse_weight(e["weight"])) for e in payload["edges"]]
-    return Network(vertices, edges, payload["sources"], payload["sinks"])
+    """The network of a text written by network_to_json.
+
+    Text that does not parse as such raises UsageError; a network that
+    breaks the rules of ``Network`` raises InvalidNetworkError.
+    """
+    try:
+        payload = json.loads(text)
+        vertices = {v["id"]: (Fraction(v["x"]), Fraction(v["y"])) for v in payload["vertices"]}
+        edges = [(e["from"], e["to"], parse_weight(e["weight"])) for e in payload["edges"]]
+        sources, sinks = payload["sources"], payload["sinks"]
+    except CapacityError:
+        raise
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(str(exc)) from None
+    return Network(vertices, edges, sources, sinks)
 
 
 def parse_weight(text: str) -> Poly:

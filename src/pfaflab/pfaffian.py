@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .diagrams import OddSubsetError, enumerate_matchings, matching_sign
-from .poly import Poly, poly_prod
+from .poly import Poly, UsageError, poly_prod
 
 
 class SkewArray:
@@ -69,7 +69,7 @@ def pfaffian(A: SkewArray, I=None) -> Poly:
     if len(I) % 2:
         raise OddSubsetError(f"pfaffian needs an even index set, got {I}")
     if any(not 1 <= i <= A.size for i in I):
-        raise ValueError(f"indices {I} out of range for size {A.size}")
+        raise UsageError(f"indices {I} out of range for size {A.size}")
     total = Poly.zero()
     for pi in enumerate_matchings(len(I) // 2, bound=max(6, len(I) // 2)):
         real = frozenset((I[i - 1], I[j - 1]) for i, j in pi)

@@ -11,7 +11,7 @@ from .diagrams import (OddSubsetError, SymTLDiagram, compatible_diagrams, diagra
                        enumerate_matchings, enumerate_sym_tl, enumerate_sym_tl_even,
                        i_maximal_diagrams, removal_closure, standard_partition)
 from .pfaffian import SkewArray, complementary_pfaffian, min_partition, monomial_pfaffian
-from .poly import Poly, _num, express_in_span, matrix_rank
+from .poly import Poly, UsageError, _num, express_in_span, matrix_rank
 from .uncross import f_coefficient
 
 
@@ -85,7 +85,7 @@ def tl_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
 def _tl_functional(D: SymTLDiagram, seed: int) -> PfaffinantFunctional:
     # memoised behind a wrapper, as _diagram_functional is
     if not D.is_even:
-        raise ValueError(f"TL pfaffinant requires an even diagram, got {D}")
+        raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
     tables = f_tables(D.n, seed)
     closure = removal_closure(D)
     coeffs = {}

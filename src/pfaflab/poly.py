@@ -43,6 +43,10 @@ class CapacityError(ValueError):
     """A computation needs more room than its bound allows."""
 
 
+class UsageError(ValueError):
+    """Input text that does not parse, or an argument outside a function's domain."""
+
+
 def a(i: int, j: int) -> Variable:
     """The matrix-entry variable a[i,j]; requires i < j."""
     if not (isinstance(i, int) and isinstance(j, int) and 0 < i < j):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .pfaffian import SkewArray, pfaffian
-from .poly import Poly, _num, exponent_reader, power_key, x
+from .poly import Poly, UsageError, _num, exponent_reader, power_key, x
 
 
 def is_strict(parts) -> bool:
@@ -60,11 +60,11 @@ def shifted_cells(lam, mu=()) -> list:
     """Cells (row, col) of the shifted skew diagram; rows shifted by row index."""
     lam, mu = tuple(lam), tuple(mu)
     if not is_strict(lam) and lam:
-        raise ValueError(f"outer shape {lam} is not strict")
+        raise UsageError(f"outer shape {lam} is not strict")
     if mu and not all(mu[i] > mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError(f"inner shape {mu} is not strict")
+        raise UsageError(f"inner shape {mu} is not strict")
     if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
-        raise ValueError(f"inner shape {mu} not contained in {lam}")
+        raise UsageError(f"inner shape {mu} not contained in {lam}")
     cells = []
     for r, l in enumerate(lam, start=1):
         m = mu[r - 1] if r - 1 < len(mu) else 0
@@ -113,7 +113,7 @@ def schur_q(lam, mu, k: int) -> Poly:
     the same polynomial from shifted tableaux.
     """
     if k < 1:
-        raise ValueError("need at least one variable")
+        raise UsageError("need at least one variable")
     shifted_cells(lam, mu)
     mu = tuple(p for p in mu if p)
     if lam == mu:
@@ -145,7 +145,7 @@ def schur_q_tableaux(lam, mu, k: int) -> Poly:
     tableaux are enumerated one by one: this is the oracle for ``schur_q``.
     """
     if k < 1:
-        raise ValueError("need at least one variable")
+        raise UsageError("need at least one variable")
     cells = shifted_cells(lam, mu)
     if not cells:
         return Poly.const(1)

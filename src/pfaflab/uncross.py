@@ -19,20 +19,24 @@ horizontal), with mirror-symmetric loop pairs counted once.
 
 The weight tables f and g are computed by a fold over the resolution
 classes rather than by tracing all 2^k uncrossings: classes are resolved
-one at a time in order of |x| of their crossing, and partial uncrossings
-that leave the same connectivity among the boundary points and the
-still-unresolved crossings merge into one state with a summed weight.
-The fold needs at most 252 states for any matching at n = 5, where
-enumeration would trace up to 2^25 uncrossings; it raises CapacityError
-past its state bound.  `enumerate_uncrossings` still traces every
-uncrossing one by one; it serves the |X(pi)| census and is the oracle the
-fold is tested against.
+one at a time in order of |x| of their crossing.  Each chord piece has
+two ends, and a partial uncrossing is a set of curves with two ends
+each.  A state is the tuple of mates of the live ends (the other end of
+the curve through each); the list of live ends depends only on the step,
+so the tuple is canonical as it stands.  Resolving a class joins at most
+8 ends, and partial uncrossings with the same mates merge into one state
+with a summed weight.  The fold needs at most 252 states for any
+matching at n = 5, where enumeration would trace up to 2^25
+uncrossings; it raises CapacityError past its state bound.
+`enumerate_uncrossings` still traces every uncrossing one by one; it
+serves the |X(pi)| census and is the oracle the fold is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .diagrams import SymTLDiagram, TLDiagram, sym_diagram
 from .poly import CapacityError
@@ -385,89 +389,148 @@ def enumerate_uncrossings(cmap: ChordMap, class_bound: int = DEFAULT_CLASS_BOUND
     if k > class_bound:
         raise CapacityError(f"{k} resolution classes exceed the bound {class_bound}")
     out = []
+    diagrams = {}   # left edges -> diagram, built once each
     for mask in range(1 << k):
         choices = tuple((mask >> i) & 1 == 1 for i in range(k))
         left, loops, uv, ph = _trace(cmap, choices)
+        if left not in diagrams:
+            diagrams[left] = sym_diagram(cmap.n, left)
         weight = (2 ** loops) * (-1 if (uv + ph) % 2 else 1)
-        out.append(Uncrossing(choices, sym_diagram(cmap.n, left), loops, uv, ph, weight))
+        out.append(Uncrossing(choices, diagrams[left], loops, uv, ph, weight))
     return out
 
 
 # -- the fold over resolution classes --------------------------------------------
 
 
+def _fold_steps(cmap: ChordMap, order) -> tuple:
+    """The ends each step joins, and how a state's mates are laid out.
+
+    End ``2*piece + side`` is the start (side 0) or the end (side 1) of a
+    piece.  Before step s the live ends are the unresolved ends of every
+    piece touched at an earlier step; the ends of an untouched piece are
+    their own mates and are added, with those mates, at the step that
+    first touches the piece.  Returns per step the ends at each of its
+    crossings, as (u before, u after, v before, v after), and per step
+    plus one final entry (the untouched chords, keeping the boundary ends)
+    the added mates, each end's index in a state plus those mates, and
+    the indices of the ends that stay live.
+    """
+    resolved = [len(order)] * (2 * cmap.n_pieces)   # step resolving each end
+    ports = []
+    for step, ci in enumerate(order):
+        quads = []
+        for k in cmap.classes[ci]:
+            ub, ua, vb, va = cmap.cross_pieces[k]
+            quads.append((2 * ub + 1, 2 * ua, 2 * vb + 1, 2 * va))
+            for e in quads[-1]:
+                resolved[e] = step
+        ports.append(quads)
+    first = [min(resolved[2 * p], resolved[2 * p + 1]) for p in range(cmap.n_pieces)]
+    live = []
+    layouts = []
+    for step in range(len(order) + 1):
+        extra = [e for p in range(cmap.n_pieces) if first[p] == step for e in (2 * p, 2 * p + 1)]
+        pos = [None] * len(resolved)
+        for i, e in enumerate(live + extra):
+            pos[e] = i
+        live = [e for e in live + extra if resolved[e] > step]
+        layouts.append((tuple(e ^ 1 for e in extra), pos, [pos[e] for e in live]))
+    return ports, layouts
+
+
+def _loop_orbits(partner, mirror_of, base, pos) -> int:
+    """Mirror orbits among the loops that the joins of one step close.
+
+    Such a loop runs through ends of the step's crossings only, taking
+    ``partner`` joins and the mates of ``base`` (the state before the
+    step) in turn.
+    """
+    seen = set()
+    loops = 0
+    for start in partner:
+        if start in seen:
+            continue
+        e, ring = start, []
+        while True:
+            f = partner[e]
+            ring += (e, f)
+            e = base[pos[f]]
+            if e == start or e not in partner:
+                break
+        seen.update(ring)
+        if e == start:
+            seen.update(mirror_of[end] for end in ring)
+            loops += 1
+    return loops
+
+
 def _accumulate(cmap: ChordMap, state_bound: int | None = None) -> dict:
     """Total uncrossing weight per diagram, one resolution class at a time.
 
-    A state is the canonical partition of the live tokens into strand
-    components: boundary points (stored as -p) and the pieces that still
-    touch an unresolved crossing.  Classes are taken by |x| of their
-    crossing, so both crossings of a paired orbit resolve at one step.
-    A component whose tokens all die at a step is a closed loop; since the
-    step is one mirror orbit, its mirror loop closes at the same step and
-    the pair counts once.  Zero-weight states are kept, so diagrams whose
-    weights cancel stay in the table.
+    A state is a tuple with the mate of each live end: the other end of
+    the curve through it (see _fold_steps).  Classes are taken by |x| of
+    their crossing, so both crossings of a paired orbit resolve at one
+    step.  Joining ends a and b links their mates, or closes a loop if
+    they are mates already; since the step is one mirror orbit, the mirror
+    loop closes at the same step and the pair counts once.  Zero-weight
+    states are kept, so diagrams whose weights cancel stay in the table.
     """
     bound = DEFAULT_STATE_BOUND if state_bound is None else state_bound
     order = sorted(range(cmap.num_classes),
                    key=lambda ci: (abs(cmap.crossings[cmap.classes[ci][0]].point[0]), ci))
-    last = [-1] * cmap.n_pieces     # step of the last crossing each piece touches
-    for step, ci in enumerate(order):
-        for k in cmap.classes[ci]:
-            for piece in cmap.cross_pieces[k]:
-                last[piece] = step
-    blocks = [[piece] if last[piece] >= 0 else [] for piece in range(cmap.n_pieces)]
-    for p, piece in cmap.boundary_piece.items():
-        blocks[piece].append(-p)
-    states = {tuple(sorted(tuple(sorted(b)) for b in blocks if b)): 1}
+    ports, layouts = _fold_steps(cmap, order)
     mirror = cmap.mirror_piece
-    for step, ci in enumerate(order):
-        touched = set()
-        vertical, horizontal = [], []
-        for k in cmap.classes[ci]:
-            ub, ua, vb, va = cmap.cross_pieces[k]
-            touched.update((ub, ua, vb, va))
-            vertical += [(ub, vb), (ua, va)]
-            horizontal += [(ub, va), (ua, vb)]
+    states = {(): 1}
+    for ci, quads, (extra, pos, keep) in zip(order, ports, layouts):
+        vertical = [pair for ub, ua, vb, va in quads for pair in ((ub, vb), (ua, va))]
+        horizontal = [pair for ub, ua, vb, va in quads for pair in ((ub, va), (ua, vb))]
         # -1 for an unpaired vertical or a paired horizontal resolution
-        unpaired = cmap.class_kind[ci] == "unpaired"
-        choices = ((vertical, -1 if unpaired else 1), (horizontal, 1 if unpaired else -1))
+        sign = -1 if cmap.class_kind[ci] == "unpaired" else 1
+        choices = []
+        for pairs, s in ((vertical, sign), (horizontal, -sign)):
+            partner = {}
+            for a, b in pairs:
+                partner[a], partner[b] = b, a
+            choices.append(([(b, pos[a], pos[b]) for a, b in pairs], partner, s))
+        # the mirror of an end: the mirror piece, the other side
+        mirror_of = {e: 2 * mirror[e >> 1] + (e & 1 ^ 1) for quad in quads for e in quad}
+        take = itemgetter(*keep)
         nxt = {}
         for state, weight in states.items():
-            where = {}
-            for bi, block in enumerate(state):
-                for t in block:
-                    if t in touched:
-                        where[t] = bi
-            hit = set(where.values())
-            keep = [block for bi, block in enumerate(state) if bi not in hit]
-            for joins, sign in choices:
-                parent = list(range(len(state)))
-                for u, v in joins:
-                    ru, rv = _find(parent, where[u]), _find(parent, where[v])
-                    if ru != rv:
-                        parent[ru] = rv
-                groups = {}
-                for bi in hit:
-                    groups.setdefault(_find(parent, bi), []).extend(
-                        t for t in state[bi] if t < 0 or last[t] != step)
-                loops = 0
-                seen = set()
-                for r, tokens in groups.items():
-                    if tokens or r in seen:
-                        continue
-                    seen.add(r)
-                    seen.add(_find(parent, where[mirror[state[r][0]]]))
-                    loops += 1
-                new = tuple(sorted(keep + [tuple(sorted(t)) for t in groups.values() if t]))
-                nxt[new] = nxt.get(new, 0) + ((sign * weight) << loops)
+            base = state + extra
+            for joins, partner, s in choices:
+                mate = list(base)
+                closed = False
+                for b, ia, ib in joins:
+                    ma = mate[ia]
+                    if ma == b:
+                        closed = True
+                    else:
+                        mb = mate[ib]
+                        mate[pos[ma]] = mb
+                        mate[pos[mb]] = ma
+                loops = _loop_orbits(partner, mirror_of, base, pos) if closed else 0
+                new = take(mate)
+                nxt[new] = nxt.get(new, 0) + ((s * weight) << loops)
         if len(nxt) > bound:
             raise CapacityError(f"{len(nxt)} uncrossing fold states exceed the bound {bound}")
         states = nxt
-    # a final state pairs every boundary point, so distinct states are
+    extra, pos, _ = layouts[-1]
+    ends = []   # (boundary end, its position, its index in a final state plus extra)
+    for c, (p, q) in enumerate(cmap.chords):
+        start = 2 * cmap.piece_offset[c]
+        stop = 2 * (cmap.piece_offset[c] + len(cmap.cross_along[c])) + 1
+        ends += [(start, p, pos[start]), (stop, q, pos[stop])]
+    point = {e: p for e, p, _ in ends}
+    # a final state pairs every boundary end, so distinct states are
     # distinct diagrams
-    return {sym_diagram(cmap.n, _left_edges(cmap, [[-t for t in block] for block in state])): w
-            for state, w in states.items()}
+    out = {}
+    for state, weight in states.items():
+        base = state + extra
+        strands = [(p, point[base[i]]) for e, p, i in ends if e < base[i]]
+        out[sym_diagram(cmap.n, _left_edges(cmap, strands))] = weight
+    return out
 
 
 def f_coefficient(pi, n: int, seed: int = 0, state_bound: int | None = None) -> dict:

@@ -106,6 +106,59 @@ def test_internal_assertion_exit_code(capsys, monkeypatch):
     assert captured.err == "error: internal: schur_q invariant broken\n"
 
 
+def test_internal_value_error_exit_code(capsys, monkeypatch):
+    from pfaflab import schurq
+
+    def broken(lam, mu, k):
+        raise ValueError("schur_q broke")
+
+    monkeypatch.setattr(schurq, "schur_q", broken)
+    code = main(["eval", "schur-q", "--lam", "2,1", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: internal: ValueError: schur_q broke\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["eval", "pfaffinant", "--diagram", "V[(2,3"], 2, "error: bad diagram key 'V[(2,3'"),
+    (["eval", "pfaffinant", "--diagram", "V[(1,3)]"], 2,
+     "error: vertical edges [(1, 3)] do not give a valid symmetric diagram (n=2)"),
+    (["eval", "tl-pfaffinant", "--diagram", "V[(2,3)]"], 2,
+     "error: TL pfaffinant requires an even diagram, got V[(2,3)]"),
+    (["eval", "immanant", "--diagram", "T[(1,3)(2,4)]"], 2, "error: edges [(1, 3), (2, 4)] cross"),
+    (["eval", "pfaffian", "--subset", "1,9"], 2, "error: indices [1, 9] out of range for size 4"),
+    (["eval", "pfaffian", "--subset", "1,2,3"], 2,
+     "error: pfaffian needs an even index set, got [1, 2, 3]"),
+    (["eval", "pfaffian", "--subset", "1,x"], 2,
+     "error: invalid literal for int() with base 10: 'x'"),
+    (["eval", "schur-q", "--lam", "2,2"], 2, "error: outer shape (2, 2) is not strict"),
+    (["network", "check", "--file", "missing.json"], 2,
+     "error: [Errno 2] No such file or directory: 'missing.json'"),
+    (["network", "check", "--file", "list.json"], 2,
+     "error: list indices must be integers or slices, not str"),
+    (["network", "matrix", "--file", "keyless.json"], 2, "error: 'edges'"),
+    (["verify", "prop-2.3", "--n", "9"], 3,
+     "error: capacity: diagram enumeration bound exceeded: n=9 > 8"),
+], ids=["key", "diagram", "odd-tl", "tl-diagram", "subset-range", "odd-subset", "ints", "shape",
+        "no-file", "not-object", "no-edges", "enum-bound"])
+def test_usage_and_capacity_errors(capsys, monkeypatch, tmp_path, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "keyless.json").write_text('{"vertices": []}')
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err + "\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_negative_count_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-2.6", "--samples", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument --samples: {value!r} is not a non-negative integer" in captured.err
+
+
 def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "ex-2.5", "--format", "json")
     assert code == 0

@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from pfaflab.diagrams import enumerate_matchings, enumerate_tl, matching, sym_diagram, tl_diagram
 from pfaflab.uncross import (DEFAULT_CLASS_BOUND, CapacityError, ChordMap, embed_nu_d, embed_nu_pi,
                              enumerate_uncrossings, f_coefficient, g_coefficient,
-                             g_tilde_coefficient, z_count)
+                             g_tilde_coefficient, nu_pi_positions, z_count)
 
 D2 = lambda *edges: sym_diagram(2, edges)
 
@@ -99,8 +101,24 @@ def test_class_bound():
     with pytest.raises(ValueError) as info:
         f_coefficient(pi, 2, state_bound=2)
     assert info.type is CapacityError
-    with pytest.raises(CapacityError):
+    assert str(info.value) == "4 uncrossing fold states exceed the bound 2"
+    with pytest.raises(CapacityError, match=r"^4 resolution classes exceed the bound 3$"):
         enumerate_uncrossings(embed_nu_pi(pi, 2), class_bound=3)
+
+
+# peak fold state counts, recorded from the union-find fold that the
+# mate fold replaced
+N3_PEAKS = {((1, 2), (3, 4), (5, 6)): 8, ((1, 3), (2, 4), (5, 6)): 12,
+            ((1, 3), (2, 5), (4, 6)): 18, ((1, 6), (2, 5), (3, 4)): 20}
+
+
+def test_state_bound_is_the_peak():
+    for edges, peak in N3_PEAKS.items():
+        pi = matching(edges)
+        assert f_coefficient(pi, 3, state_bound=peak) == f_coefficient(pi, 3)
+        with pytest.raises(CapacityError, match=rf"^{peak} uncrossing fold states exceed "
+                                                rf"the bound {peak - 1}$"):
+            f_coefficient(pi, 3, state_bound=peak - 1)
 
 
 def _oracle(cmap):
@@ -111,17 +129,33 @@ def _oracle(cmap):
     return acc
 
 
+def _num_classes(positions, n):
+    """Resolution classes of a doubled matching, from interleaving alone:
+    a chord crossing its own mirror is one class, other crossings pair up."""
+    crossings = unpaired = 0
+    for c1, c2 in combinations(positions, 2):
+        (a, b), (c, d) = sorted(c1), sorted(c2)
+        if a < c < b < d or c < a < d < b:
+            crossings += 1
+            unpaired += sorted((4 * n + 1 - b, 4 * n + 1 - a)) == [c, d]
+    return unpaired + (crossings - unpaired) // 2
+
+
 def test_fold_matches_enumeration():
-    for n in (1, 2, 3):
+    # every matching up to n = 3, n = 4 up to 12 classes (86 of 105) and
+    # n = 5 up to 9 classes (65 of 945); every TL diagram up to n = 4
+    class_limit = {1: 3, 2: 8, 3: 15, 4: 12, 5: 9}
+    for n in (1, 2, 3, 4, 5):
+        pis = [pi for pi in enumerate_matchings(n)
+               if _num_classes(nu_pi_positions(pi, n), n) <= class_limit[n]]
         for seed in (0, 1):
-            for pi in enumerate_matchings(n):
+            for pi in pis:
                 assert f_coefficient(pi, n, seed) == _oracle(embed_nu_pi(pi, n, seed)), (pi, seed)
-            for d in enumerate_tl(n):
+            for d in enumerate_tl(n) if n <= 4 else ():
                 assert g_coefficient(d, n, seed) == _oracle(embed_nu_d(d, n, seed)), (d, seed)
-    for edges in ([(1, 8), (2, 7), (3, 6), (4, 5)], [(1, 2), (3, 8), (4, 7), (5, 6)],
-                  [(1, 4), (2, 3), (5, 8), (6, 7)], [(1, 5), (2, 6), (3, 7), (4, 8)]):
-        pi = matching(edges)
-        assert f_coefficient(pi, 4) == _oracle(embed_nu_pi(pi, 4)), edges
+    assert len(pis) == 65
+    pi = matching([(1, 8), (2, 7), (3, 6), (4, 5)])   # 16 classes, the most at n = 4
+    assert f_coefficient(pi, 4) == _oracle(embed_nu_pi(pi, 4))
 
 
 def test_fold_reaches_n5():
