@@ -37,9 +37,16 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """A positive integer option value."""
+    if not text.isdecimal() or not int(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _common(parser):
-    parser.add_argument("--n", type=_count, default=None, help="size bound")
-    parser.add_argument("--k", type=_count, default=None, help="number of variables")
+    parser.add_argument("--n", type=_positive, default=None, help="size bound")
+    parser.add_argument("--k", type=_positive, default=None, help="number of variables")
     parser.add_argument("--bound", type=_count, default=None, help="size bound for scans")
     parser.add_argument("--seed", type=int, default=0, help="placement/scan seed")
     parser.add_argument("--format", choices=("text", "json", "csv"), default=None)

@@ -32,22 +32,33 @@ class PfaffinantFunctional:
     """A finitely supported coefficient function on matchings of [2n]."""
 
     n: int
-    coefficients: tuple  # tuple of (Matching, int), canonical order
+    coefficients: tuple  # tuple of (Matching, int or Fraction), canonical order
 
     @staticmethod
     def from_dict(n, coeffs) -> "PfaffinantFunctional":
-        items = tuple(sorted(((frozenset(pi), int(c)) for pi, c in coeffs.items() if c),
-                             key=lambda kv: sorted(kv[0])))
+        # _num keeps a rational coefficient exact, so a nonzero one stays nonzero
+        items = tuple(sorted(((frozenset(pi), c if c.__class__ is int else _num(c))
+                              for pi, c in coeffs.items() if c), key=lambda kv: sorted(kv[0])))
         return PfaffinantFunctional(n, items)
 
-    def evaluate(self, A: SkewArray) -> Poly:
-        """The sum of c * pf_pi(A) over the support, added up in one dict."""
+    def evaluate(self, A: SkewArray, pfaffians: dict | None = None) -> Poly:
+        """The sum of c * pf_pi(A) over the support, added up in one dict.
+
+        ``pfaffians``, if given, memoises the terms of pf_pi(A) by pi; the
+        caller keeps one such dict per array, shared by every functional
+        evaluated on it."""
         if A.size != 2 * self.n:
             raise ValueError(f"array size {A.size} does not match n={self.n}")
         acc = {}
         get = acc.get
         for pi, c in self.coefficients:
-            for m, v in monomial_pfaffian(A, pi).terms.items():
+            if pfaffians is None:
+                terms = monomial_pfaffian(A, pi).terms
+            else:
+                terms = pfaffians.get(pi)
+                if terms is None:
+                    terms = pfaffians[pi] = monomial_pfaffian(A, pi).terms
+            for m, v in terms.items():
                 acc[m] = get(m, 0) + c * v
         return Poly.from_packed({m: v if v.__class__ is int else _num(v)
                                  for m, v in acc.items() if v})
@@ -192,6 +203,13 @@ class ConeElement:
             for Dp in removal_closure(D):
                 out[Dp] = out.get(Dp, Fraction(0)) + c
         return out
+
+    def functional(self, seed: int = 0) -> PfaffinantFunctional:
+        """The combination of TL functionals, as one summed functional."""
+        scaled = (PfaffinantFunctional(self.n, tuple((pi, c * t) for pi, t in
+                                                     tl_functional(D, seed).coefficients))
+                  for D, c in self.tl_coeffs)
+        return _summed_side(self.n, scaled)
 
     def restrict(self, keep) -> "ConeElement":
         keep = set(keep)

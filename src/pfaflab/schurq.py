@@ -11,6 +11,17 @@ rule, memoised on (lam, mu, k), so every shape reached on the way down to
 one variable is computed once.  ``schur_q_tableaux`` enumerates the
 shifted tableaux one by one; it is the oracle of the tests and of the
 thm-5.2 check, and nothing else calls it.
+
+The scanners do each piece of exact work once.  A con2 pair whose join
+and meet are its two shapes, and a con3 pair that is already its own
+sorted split, has the same two factors on both sides of the difference:
+its record (zero difference, positive, empty expansion) is written
+without multiplying anything.  con1 turns each cone element into one
+summed functional per scan and evaluates every element on an array
+through one dict of that array's monomial pfaffians, so each matching's
+pfaffian is built once per array; the recheck in k + 1 variables builds
+its own.  ``expand_in_q_basis`` reads the exponents of each monomial once
+per call.  Every memo lives for one call or one array.
 """
 
 from __future__ import annotations
@@ -284,25 +295,27 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
     """
     coeffs = {}
     rem = dict(f.terms)  # the remainder, updated in place
-    exponents = _x_exponents(k)
+    read = _x_exponents(k)
+    # the exponents of every monomial met so far; the peeled Q-functions hold
+    # only x-monomials, so a monomial that is not one can only come from f
+    exponents = {mono: read(mono) for mono in rem}
+    if None in exponents.values():
+        return QExpansion((), f)
     while rem:
-        vecs = {}
-        for mono in rem:
-            e = exponents(mono)
-            if e is None:
-                return QExpansion(tuple(sorted(coeffs.items())), Poly.from_packed(rem))
-            vecs[e] = mono
-        lead = max(vecs)
+        mono = max(rem, key=exponents.__getitem__)
+        lead = exponents[mono]
         lam = tuple(p for p in lead if p)
         if list(lead) != sorted(lead, reverse=True) or not is_strict(lam):
             return QExpansion(tuple(sorted(coeffs.items())), Poly.from_packed(rem))
-        c = Fraction(rem[vecs[lead]], 2 ** len(lam))
+        c = Fraction(rem[mono], 2 ** len(lam))
         coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
         c = _num(c)  # an integral c keeps the subtraction in int arithmetic
         for mono, q in schur_q(lam, (), k).terms.items():
             v = rem.get(mono, 0) - c * q
             if v:
                 rem[mono] = v if v.__class__ is int else _num(v)
+                if mono not in exponents:
+                    exponents[mono] = read(mono)
             else:
                 del rem[mono]
     return QExpansion(tuple(sorted((l, c) for l, c in coeffs.items() if c)), Poly.zero())
@@ -443,19 +456,30 @@ def scan_cell_transfer(bound: int, k: int = 5, skew: bool = True):
                 join, meet = join_meet(s1, s2)
             except (ValueError, AssertionError):
                 continue
+            instance = {"shape1": _shape_str(s1), "shape2": _shape_str(s2)}
+            if (join, meet) in ((s1, s2), (s2, s1)):
+                yield _zero_record("con2", instance)
+                continue
 
             def diff_at(j):
                 return _skew_q(join, j) * _skew_q(meet, j) - _skew_q(s1, j) * _skew_q(s2, j)
 
-            diff = diff_at(k)
-            verdict, expansion = _classify_with_recheck(diff, k, diff_at)
-            yield {
-                "conjecture": "con2",
-                "instance": {"shape1": _shape_str(s1), "shape2": _shape_str(s2)},
-                "zero_difference": diff.is_zero(),
-                "verdict": verdict,
-                "expansion": _expansion_str(expansion),
-            }
+            yield _difference_record("con2", instance, diff_at, k)
+
+
+def _zero_record(conjecture: str, instance: dict) -> dict:
+    """The record of a difference that vanishes by commutativity: the two
+    products have the same factors, so nothing is multiplied."""
+    return {"conjecture": conjecture, "instance": instance, "zero_difference": True,
+            "verdict": "positive", "expansion": {}}
+
+
+def _difference_record(conjecture: str, instance: dict, diff_at, k: int) -> dict:
+    """The record of the difference ``diff_at(k)``, rechecked at k + 1."""
+    diff = diff_at(k)
+    verdict, expansion = _classify_with_recheck(diff, k, diff_at)
+    return {"conjecture": conjecture, "instance": instance, "zero_difference": diff.is_zero(),
+            "verdict": verdict, "expansion": _expansion_str(expansion)}
 
 
 def _classify_with_recheck(diff, k: int, rebuild=None) -> tuple:
@@ -477,20 +501,16 @@ def scan_sort(bound: int, k: int = 5):
             if sum(lam) + sum(mu) > bound:
                 continue
             s1, s2 = sort_split(lam, mu)
+            instance = {"lam": list(lam), "mu": list(mu)}
+            if (s1, s2) in ((lam, mu), (mu, lam)):
+                yield _zero_record("con3", instance)
+                continue
 
             def diff_at(j):
                 return schur_q(s1, (), j) * schur_q(s2, (), j) \
                     - schur_q(lam, (), j) * schur_q(mu, (), j)
 
-            diff = diff_at(k)
-            verdict, expansion = _classify_with_recheck(diff, k, diff_at)
-            yield {
-                "conjecture": "con3",
-                "instance": {"lam": list(lam), "mu": list(mu)},
-                "zero_difference": diff.is_zero(),
-                "verdict": verdict,
-                "expansion": _expansion_str(expansion),
-            }
+            yield _difference_record("con3", instance, diff_at, k)
 
 
 def weakly_decreasing_parts(total_max: int, length: int):
@@ -558,25 +578,20 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0, combos: int
     realizable by positive planar networks (documented counterexample in
     the test suite), so the positivity statement does not extend to them.
     """
-    from .pfaffinants import ConeElement, diagram_functional, tl_functional
+    from .pfaffinants import ConeElement, diagram_functional
 
-    elements = cone_test_elements(n, seed, combos)
-
-    def evaluate(obj, A):
-        if isinstance(obj, ConeElement):
-            total = Poly.zero()
-            for D, c in obj.tl_coeffs:
-                total = total + c * tl_functional(D).evaluate(A)
-            return total
-        return diagram_functional(obj).evaluate(A)
-
+    # one summed functional per cone element, built once per scan
+    elements = [(label, obj.functional() if isinstance(obj, ConeElement)
+                 else diagram_functional(obj), in_cone)
+                for label, obj, in_cone in cone_test_elements(n, seed, combos)]
     for pi in weakly_decreasing_parts(bound, 2 * n):
         A = q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
-        for label, obj, in_cone in elements:
-            val = evaluate(obj, A)
+        pf = {}  # the monomial pfaffians of A, shared by every element
+        for label, f, in_cone in elements:
+            val = f.evaluate(A, pf)
 
             def rebuild(j):
-                return evaluate(obj, q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
+                return f.evaluate(q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
 
             # only cone elements are rechecked: the conjecture covers no others
             verdict, expansion = _classify_with_recheck(val, k, rebuild if in_cone else None)

@@ -159,6 +159,31 @@ def test_negative_count_is_usage_error(capsys, value):
     assert f"argument --samples: {value!r} is not a non-negative integer" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "con1", "--bound", "2", "--n", "0"],
+    ["scan", "con2", "--bound", "2", "--k", "0"],
+    ["verify", "thm-2.6", "--n", "0"],
+    ["verify", "thm-5.2", "--k", "00"],
+    ["eval", "schur-q", "--lam", "2,1", "--k", "0"],
+    ["eval", "pfaffian", "--n", "0"],
+], ids=["scan-n", "scan-k", "verify-n", "verify-k", "eval-k", "eval-n"])
+def test_zero_size_is_usage_error(capsys, argv):
+    # --n 0 and --k 0 used to fall back to the default size with exit 0
+    option, value = argv[-2:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {option}: {value!r} is not a positive integer" in captured.err
+
+
+def test_zero_bound_and_samples_still_accepted(capsys):
+    code, out = run(capsys, "scan", "con3", "--bound", "0")
+    assert code == 0 and json.loads(out)["instance"] == {"lam": [], "mu": []}
+    code, out = run(capsys, "verify", "thm-2.6", "--n", "1", "--samples", "0")
+    assert code == 0 and out.startswith("PASS thm-2.6")
+
+
 def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "ex-2.5", "--format", "json")
     assert code == 0

@@ -224,6 +224,57 @@ def test_evaluate_matches_poly_oracle():
     assert got.terms and all(type(c) is int for c in got.terms.values())
 
 
+def test_from_dict_keeps_rational_coefficients():
+    from pfaflab.diagrams import enumerate_matchings
+    from pfaflab.pfaffinants import PfaffinantFunctional
+
+    pis = enumerate_matchings(2)
+    raw = {pis[0]: Fraction(1, 2), pis[1]: Fraction(4, 2), pis[2]: Fraction(0)}
+    f = PfaffinantFunctional.from_dict(2, raw)
+    coeffs = dict(f.coefficients)
+    assert coeffs == {pis[0]: Fraction(1, 2), pis[1]: 2} and type(coeffs[pis[1]]) is int
+    for A in [A4] + _fraction_arrays():
+        # the oracle sums the raw coefficients, not the stored ones
+        want = Poly.zero()
+        for pi, c in raw.items():
+            want = want + c * monomial_pfaffian(A, pi)
+        memo = {}
+        assert f.evaluate(A) == want == f.evaluate(A, memo)
+        assert set(memo) == {pis[0], pis[1]}
+
+
+def test_shared_pfaffian_memo_matches_fresh_evaluation():
+    from pfaflab.pfaffinants import diagram_functional, tl_functional
+
+    for n in (2, 3):
+        functionals = [diagram_functional(D) for D in enumerate_sym_tl(n)]
+        functionals += [tl_functional(D) for D in enumerate_sym_tl_even(n)]
+        A = SkewArray.symbolic(2 * n)
+        memo = {}
+        for f in functionals:
+            assert f.evaluate(A, memo) == f.evaluate(A) == _evaluate_oracle(f, A)
+        assert set(memo) == {pi for f in functionals for pi, _ in f.coefficients}
+
+
+def test_cone_element_functional_is_the_tl_combination():
+    import random
+
+    from pfaflab.pfaffinants import cone_elements, tl_functional
+
+    for n in (1, 2, 3):
+        A = SkewArray.symbolic(2 * n)
+        for label, elt in cone_elements(n, random.Random(n), 2):
+            want = Poly.zero()
+            for D, c in elt.tl_coeffs:
+                want = want + c * tl_functional(D).evaluate(A)
+            assert elt.functional().evaluate(A) == want, label
+    half = ConeElement.from_dict(2, {D: Fraction(1, 2) for D in enumerate_sym_tl_even(2)})
+    want = Poly.zero()
+    for D in enumerate_sym_tl_even(2):
+        want = want + Fraction(1, 2) * tl_pfaffinant(D, A4)
+    assert half.functional().evaluate(A4) == want
+
+
 def test_summed_side_matches_per_diagram_sum():
     from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
     from pfaflab.pfaffinants import _summed_side, diagram_functional, tl_functional

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from pfaflab.pfaffian import pfaffian
+from pfaflab.pfaffian import monomial_pfaffian, pfaffian
 from pfaflab.poly import Poly, a, x
 from pfaflab.schurq import (_classify_with_recheck, classify_difference, expand_in_q_basis,
                             join_meet, join_meet_parts, merged_positions, monomial_expand,
@@ -149,6 +149,11 @@ def test_expand_matches_poly_arithmetic():
         got, want = expand_in_q_basis(f, k), _expand_by_poly_arithmetic(f, k)
         assert got == want and got.ok is ok and len(got.coeffs) > 2
     assert not expand_in_q_basis(out_of_span, k).remainder.is_zero()
+    # a monomial in a matrix entry stops the expansion before any peel, with all of f left
+    with_entry = in_span + Poly.var(a(1, 2))
+    got = expand_in_q_basis(with_entry, k)
+    assert got == _expand_by_poly_arithmetic(with_entry, k)
+    assert got.coeffs == () and got.remainder == with_entry
 
 
 def test_monomial_expand():
@@ -239,3 +244,122 @@ def test_recheck_in_one_more_variable():
     assert _classify_with_recheck(lone, 2)[0] == "not-in-q-span"
     assert _classify_with_recheck(schur_q((1,), (), 2), 2, rebuild)[0] == "positive"
     assert asked == [3]
+
+
+# -- the scanners against records rebuilt from first principles ----------------
+
+
+def _oracle_record(conjecture, instance, diff_at, k, recheck=True):
+    """A scan record from the full difference at k, reclassified at k + 1
+    when it is not positive."""
+    diff = diff_at(k)
+    verdict, expansion = classify_difference(diff, k)
+    if verdict != "positive" and recheck:
+        verdict, expansion = classify_difference(diff_at(k + 1), k + 1)
+    return {"conjecture": conjecture, "instance": instance, "zero_difference": diff.is_zero(),
+            "verdict": verdict,
+            "expansion": {str(list(l)): str(c) for l, c in sorted(expansion.items())}}
+
+
+def test_cell_transfer_scan_matches_oracle():
+    bound, k = 6, 4
+    shapes = [(lam, mu) for size in range(bound + 1)
+              for lam in (strict_partitions(size) if size else [()])
+              for mu in strict_subpartitions(lam)]
+    want = []
+    for i, s1 in enumerate(shapes):
+        for s2 in shapes[i:]:
+            if sum(s1[0]) + sum(s2[0]) > bound:
+                continue
+            try:
+                join, meet = join_meet(s1, s2)
+            except (ValueError, AssertionError):
+                continue
+
+            def diff_at(j):
+                return schur_q(*join, j) * schur_q(*meet, j) - schur_q(*s1, j) * schur_q(*s2, j)
+
+            instance = {"shape1": f"{list(s1[0])}/{list(s1[1])}",
+                        "shape2": f"{list(s2[0])}/{list(s2[1])}"}
+            want.append(_oracle_record("con2", instance, diff_at, k))
+    got = list(scan_cell_transfer(bound, k=k))
+    assert got == want
+    # the commutative pairs include distinct shapes, and some pairs are not commutative
+    zeros = [r for r in got if r["zero_difference"]]
+    assert any(r["instance"]["shape1"] != r["instance"]["shape2"] for r in zeros)
+    assert len(zeros) < len(got)
+
+
+def test_sort_scan_matches_oracle():
+    bound, k = 8, 4
+    parts = [()] + [lam for size in range(1, bound + 1) for lam in strict_partitions(size)]
+    want = []
+    for i, lam in enumerate(parts):
+        for mu in parts[i:]:
+            if sum(lam) + sum(mu) > bound:
+                continue
+            s1, s2 = sort_split(lam, mu)
+
+            def diff_at(j):
+                return schur_q(s1, (), j) * schur_q(s2, (), j) \
+                    - schur_q(lam, (), j) * schur_q(mu, (), j)
+
+            want.append(_oracle_record("con3", {"lam": list(lam), "mu": list(mu)}, diff_at, k))
+    got = list(scan_sort(bound, k=k))
+    assert got == want
+    assert 0 < sum(r["zero_difference"] for r in got) < len(got)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 5), (3, 3)])
+def test_q_positivity_scan_matches_oracle(n, bound):
+    from pfaflab.pfaffinants import ConeElement, diagram_functional, tl_functional
+    from pfaflab.schurq import cone_test_elements, weakly_decreasing_parts
+
+    k, seed, combos = 4, 1, 2
+
+    def value(obj, A):
+        if not isinstance(obj, ConeElement):
+            return diagram_functional(obj).evaluate(A)
+        total = Poly.zero()
+        for D, c in obj.tl_coeffs:
+            total = total + c * tl_functional(D).evaluate(A)
+        return total
+
+    want = []
+    for pi in weakly_decreasing_parts(bound, 2 * n):
+        for label, obj, in_cone in cone_test_elements(n, seed, combos):
+            def diff_at(j):
+                return value(obj, q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
+
+            rec = _oracle_record("con1", {"pi": list(pi), "element": label}, diff_at, k, in_cone)
+            want.append({**rec, "in_cone": in_cone})
+    assert list(scan_q_positivity(n, bound, k=k, seed=seed, combos=combos)) == want
+
+
+def test_q_positivity_builds_each_monomial_pfaffian_once(monkeypatch):
+    from collections import Counter
+
+    from pfaflab import pfaffinants, schurq
+
+    tags = {}      # id of each scanned array -> (parts, number of variables)
+    arrays = []    # keeps every tagged array alive, so that no id is reused
+    built = Counter()
+
+    def tagged_q_jt_matrix(lam, mu, k, **kw):
+        A = q_jt_matrix(lam, mu, k, **kw)
+        arrays.append(A)
+        tags[id(A)] = (tuple(lam), k)
+        return A
+
+    def counted_monomial_pfaffian(A, pi):
+        if id(A) in tags:
+            built[tags[id(A)], pi] += 1
+        return monomial_pfaffian(A, pi)
+
+    monkeypatch.setattr(schurq, "q_jt_matrix", tagged_q_jt_matrix)
+    monkeypatch.setattr(pfaffinants, "monomial_pfaffian", counted_monomial_pfaffian)
+    k = 4
+    records = list(scan_q_positivity(2, 5, k=k))
+    at_k = {key: count for key, count in built.items() if key[0][1] == k}
+    assert at_k and max(at_k.values()) == 1
+    assert {parts for (parts, _), _ in at_k} == {tuple(r["instance"]["pi"]) for r in records}
