@@ -49,15 +49,14 @@ class PfaffinantFunctional:
         evaluated on it."""
         if A.size != 2 * self.n:
             raise ValueError(f"array size {A.size} does not match n={self.n}")
+        if pfaffians is None:
+            pfaffians = {}
         acc = {}
         get = acc.get
         for pi, c in self.coefficients:
-            if pfaffians is None:
-                terms = monomial_pfaffian(A, pi).terms
-            else:
-                terms = pfaffians.get(pi)
-                if terms is None:
-                    terms = pfaffians[pi] = monomial_pfaffian(A, pi).terms
+            terms = pfaffians.get(pi)
+            if terms is None:
+                terms = pfaffians[pi] = monomial_pfaffian(A, pi).terms
             for m, v in terms.items():
                 acc[m] = get(m, 0) + c * v
         return Poly.from_packed({m: v if v.__class__ is int else _num(v)
@@ -204,10 +203,10 @@ class ConeElement:
                 out[Dp] = out.get(Dp, Fraction(0)) + c
         return out
 
-    def functional(self, seed: int = 0) -> PfaffinantFunctional:
+    def functional(self) -> PfaffinantFunctional:
         """The combination of TL functionals, as one summed functional."""
         scaled = (PfaffinantFunctional(self.n, tuple((pi, c * t) for pi, t in
-                                                     tl_functional(D, seed).coefficients))
+                                                     tl_functional(D).coefficients))
                   for D, c in self.tl_coeffs)
         return _summed_side(self.n, scaled)
 
