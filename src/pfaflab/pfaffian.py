@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .diagrams import OddSubsetError, enumerate_matchings, matching_sign
+from .diagrams import OddSubsetError
 from .poly import Poly, UsageError, poly_prod
 
 
@@ -62,7 +62,10 @@ def monomial_pfaffian(A: SkewArray, pi) -> Poly:
 
 
 def pfaffian(A: SkewArray, I=None) -> Poly:
-    """Sub-pfaffian over I (order-preserving relabeling); pf over [size] if I is None."""
+    """Sub-pfaffian over I (order-preserving relabeling); pf over [size] if I is None.
+
+    Pf(S) = sum_t (-1)^(t-1) a[s_0, s_t] Pf(S - {s_0, s_t}), memoised within the call.
+    """
     if I is None:
         I = range(1, A.size + 1)
     I = sorted(I)
@@ -70,11 +73,19 @@ def pfaffian(A: SkewArray, I=None) -> Poly:
         raise OddSubsetError(f"pfaffian needs an even index set, got {I}")
     if any(not 1 <= i <= A.size for i in I):
         raise UsageError(f"indices {I} out of range for size {A.size}")
-    total = Poly.zero()
-    for pi in enumerate_matchings(len(I) // 2, bound=max(6, len(I) // 2)):
-        real = frozenset((I[i - 1], I[j - 1]) for i, j in pi)
-        total = total + matching_sign(real) * monomial_pfaffian(A, real)
-    return total
+    memo = {(): Poly.const(1)}
+
+    def pf(S: tuple) -> Poly:
+        if S not in memo:
+            total = Poly.zero()
+            for t, j in enumerate(S[1:], 1):
+                if (S[0], j) in A.entries:
+                    term = A.entries[S[0], j] * pf(S[1:t] + S[t + 1:])
+                    total = total + term if t % 2 else total - term
+            memo[S] = total
+        return memo[S]
+
+    return pf(tuple(I))
 
 
 def complementary_pfaffian(A: SkewArray, I) -> Poly:

@@ -11,10 +11,13 @@ multiplying two monomials adds their ints.  The top bit of every field is
 a guard: exponents stay at most MAX_EXPONENT, adding two keys never
 carries into a neighbouring field, and a product that reaches a guard bit
 raises CapacityError.  A key depends on the order in which the process
-met its variables, so nothing is sorted or printed by key: ``items()``
-gives the tuple view, a sorted tuple of variables with repetition
-encoding powers, and rendering and the linear algebra order monomials by
-that tuple.  ``Poly(dict)`` takes tuple-keyed dicts and packs them.
+met its variables, so nothing is printed by key: ``items()`` gives the
+tuple view (sorted variables, repetition encoding powers), by which
+rendering orders monomials.  ``Poly(dict)`` packs tuple-keyed dicts.
+
+``matrix_rank`` and ``express_in_span`` share one sparse fraction-free
+(Bareiss) echelon engine, whose results do not depend on the key order;
+dense ``Fraction`` elimination survives only as the test oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 # A variable is a plain tuple: ("a", i, j) with i < j, or ("x", k) with
 # k >= 1.  Tuple comparison gives the total order: matrix entries first
@@ -339,84 +343,60 @@ def poly_prod(polys) -> Poly:
 # -- exact linear algebra over the rationals ---------------------------------
 
 
-def _support(polys) -> list:
-    """The monomial keys of ``polys``, ordered by their tuple view."""
-    monos = set()
-    for p in polys:
-        monos.update(p.terms)
-    return sorted(monos, key=_unpack)
+def _echelon(polys, track: bool):
+    """Sparse fraction-free echelon form of ``polys``, reduced in order.
+
+    A row is its poly, cleared of denominators, as a dict of ints.  While
+    its largest key has a pivot p, row <- (a*row - b*p) / gcd, with coprime
+    a, b that cancel that key; a row left nonzero pivots on its largest key.
+    With ``track``, ``comb`` follows the row: row == sum(comb[i] * polys[i]).
+    Returns the pivots and the [row, comb] of the last poly.
+    """
+    pivots, parts = {}, None
+    for i, p in enumerate(polys):
+        den = lcm(1, *(c.denominator for c in p.terms.values() if c.__class__ is not int))
+        row = {m: int(c * den) for m, c in p.terms.items()}
+        parts = [row, {i: den}] if track else [row]
+        while row:
+            key = max(row)
+            pivot = pivots.setdefault(key, parts)
+            if pivot is parts:
+                break
+            g = gcd(pivot[0][key], row[key])
+            a, b = pivot[0][key] // g, row[key] // g
+            for part, sub in zip(parts, pivot):
+                if a != 1:
+                    for m in part:
+                        part[m] *= a
+                for m, c in sub.items():
+                    v = part.get(m, 0) - b * c
+                    if v:
+                        part[m] = v
+                    else:
+                        del part[m]
+            g = gcd(*(v for part in parts for v in part.values()))
+            if g > 1:
+                for part in parts:
+                    for m in part:
+                        part[m] //= g
+    return pivots, parts
 
 
 def express_in_span(target: Poly, generators) -> list | None:
     """Exact coefficients c with sum(c[i]*generators[i]) == target, else None.
 
-    Solves the linear system over the monomial support by exact Gaussian
-    elimination; ``None`` certifies that no rational solution exists.
+    A generator in the span of the ones before it gets coefficient 0, so c
+    is unique; ``None`` certifies that no rational solution exists.
     """
     generators = list(generators)
-    monos = _support(generators + [target])
-    if not monos:
-        return [Fraction(0)] * len(generators)
     ng = len(generators)
-    rows = []
-    for mono in monos:
-        row = [Fraction(g.terms.get(mono, 0)) for g in generators]
-        row.append(Fraction(target.terms.get(mono, 0)))
-        rows.append(row)
-
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(ng):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(rows):
-            break
-    # Inconsistent if any remaining row is (0 ... 0 | nonzero).
-    for i in range(r, len(rows)):
-        if rows[i][ng] != 0:
-            return None
-    coeffs = [Fraction(0)] * ng
-    for row, col in pivots:
-        coeffs[col] = rows[row][ng]
-    return coeffs
+    _, (row, comb) = _echelon(generators + [target], track=True)
+    if row:
+        return None
+    # 0 == comb[ng]*target + sum(comb[i]*generators[i])
+    return [Fraction(comb.get(i, 0), -comb[ng]) for i in range(ng)]
 
 
 def matrix_rank(rows) -> int:
     """Rank over the rationals of the coefficient matrix (monomials as columns)."""
-    rows = [p for p in rows if not p.is_zero()]
-    if not rows:
-        return 0
-    monos = {m: i for i, m in enumerate(_support(rows))}
-    mat = []
-    for p in rows:
-        row = [Fraction(0)] * len(monos)
-        for m, c in p.terms.items():
-            row[monos[m]] = Fraction(c)
-        mat.append(row)
-    rank = 0
-    ncols = len(monos)
-    col = 0
-    for col in range(ncols):
-        pr = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(_echelon(rows, track=False)[0])

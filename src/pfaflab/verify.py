@@ -24,6 +24,15 @@ from . import uncross as ux
 from .pfaffian import (SkewArray, complementary_pfaffian, determinant, min_partition,
                        minor, pfaffian, skew_to_matrix)
 from .pfaffinants import VerificationError
+from .poly import UsageError
+
+
+def _opt(opts, key, default):
+    """Option ``key`` as an int; ``default`` only if it is missing or None."""
+    value = default if opts.get(key) is None else int(opts[key])
+    if key in ("n", "k") and value < 1:
+        raise UsageError(f"option {key} must be a positive integer, got {value}")
+    return value
 
 
 def _run(theorem, params, cases, check, label=repr):
@@ -63,7 +72,7 @@ def _report(theorem, params, total, failures):
 
 
 def verify_counts(opts):
-    nmax = int(opts.get("n") or 8)
+    nmax = _opt(opts, "n", 8)
     failures = []
     for n in range(1, nmax + 1):
         all_n = len(dg.enumerate_sym_tl(n))
@@ -76,8 +85,8 @@ def verify_counts(opts):
 
 
 def verify_seed_independence(opts):
-    nmax = int(opts.get("n") or 3)
-    seeds = (int(opts.get("seed") or 0), int(opts.get("seed") or 0) + 1)
+    nmax = _opt(opts, "n", 3)
+    seeds = (_opt(opts, "seed", 0), _opt(opts, "seed", 0) + 1)
     cases = []
     for n in range(1, nmax + 1):
         cases.extend(("pi", n, pi) for pi in dg.enumerate_matchings(n))
@@ -105,7 +114,7 @@ EXAMPLE_F_TABLE = {
 def verify_example_uncrossing(opts):
     failures = []
     pi = dg.matching([(1, 4), (2, 3)])
-    for seed in (int(opts.get("seed") or 0), int(opts.get("seed") or 0) + 1):
+    for seed in (_opt(opts, "seed", 0), _opt(opts, "seed", 0) + 1):
         cmap = ux.embed_nu_pi(pi, 2, seed)
         if len(ux.enumerate_uncrossings(cmap)) != 16:
             failures.append({"case": f"seed={seed}", "error": "|X(pi)| != 16"})
@@ -138,11 +147,11 @@ def verify_example_diagram_pfaffinants(opts):
 
 
 def _decomposition_cases(opts):
-    nmax = int(opts.get("n") or 3)
-    samples = int(opts.get("samples") or 0)
+    nmax = _opt(opts, "n", 3)
+    samples = _opt(opts, "samples", 0)
     cases = list(_subset_cases(nmax))
     if samples:
-        rng = random.Random(int(opts.get("seed") or 0))
+        rng = random.Random(_opt(opts, "seed", 0))
         big = list(pf.even_subsets(2 * (nmax + 1)))
         cases.extend((nmax + 1, I) for I in rng.sample(big, min(samples, len(big))))
     return cases
@@ -158,7 +167,7 @@ def _decomposition(theorem, identity, opts):
             arrays[n] = SkewArray.symbolic(2 * n)
         identity(arrays[n], I)
 
-    params = {"n": opts.get("n") or 3, "samples": opts.get("samples") or 0}
+    params = {"n": _opt(opts, "n", 3), "samples": _opt(opts, "samples", 0)}
     return _run(theorem, params, _decomposition_cases(opts), check)
 
 
@@ -171,7 +180,7 @@ def verify_tl_decomposition(opts):
 
 
 def verify_closure_power(opts):
-    nmax = int(opts.get("n") or 5)
+    nmax = _opt(opts, "n", 5)
     failures = []
     total = 0
     for n in range(1, nmax + 1):
@@ -185,7 +194,7 @@ def verify_closure_power(opts):
 
 
 def verify_partition_property(opts):
-    nmax = int(opts.get("n") or 4)
+    nmax = _opt(opts, "n", 4)
 
     def check(case):
         n, I = case
@@ -198,7 +207,7 @@ def verify_partition_property(opts):
 
 
 def verify_standard_bijection(opts):
-    nmax = int(opts.get("n") or 5)
+    nmax = _opt(opts, "n", 5)
     failures = []
     total = 0
     for n in range(1, nmax + 1):
@@ -217,7 +226,7 @@ def verify_standard_bijection(opts):
 
 
 def verify_order_compatibility(opts):
-    nmax = int(opts.get("n") or 4)
+    nmax = _opt(opts, "n", 4)
 
     def cases():
         for n in range(1, nmax + 1):
@@ -235,7 +244,7 @@ def verify_order_compatibility(opts):
 
 
 def verify_triangularity(opts):
-    nmax = int(opts.get("n") or 4)
+    nmax = _opt(opts, "n", 4)
 
     def check(n):
         pf.transition_matrix(n)  # raises unless unit upper triangular
@@ -244,7 +253,7 @@ def verify_triangularity(opts):
 
 
 def verify_basis(opts):
-    nmax = int(opts.get("n") or 4)
+    nmax = _opt(opts, "n", 4)
 
     def check(n):
         rep = pf.certify_basis(n)
@@ -260,12 +269,12 @@ def _networks(opts):
 
     The case, ("separator", n, D) or ("fence", 2, seed), labels failures.
     """
-    nmax = int(opts.get("n") or 3)
-    grids = int(opts.get("grids") or 10)
+    nmax = _opt(opts, "n", 3)
+    grids = _opt(opts, "grids", 10)
     for n in range(1, nmax + 1):
         for D in dg.enumerate_sym_tl(n):
             yield ("separator", n, D), n, nw.construct_network_of_diagram(D)
-    rng_seed = int(opts.get("seed") or 0)
+    rng_seed = _opt(opts, "seed", 0)
     for t in range(grids):
         yield ("fence", 2, rng_seed + t), 2, nw.random_fence_network(2, 6, seed=rng_seed + t)
 
@@ -281,7 +290,7 @@ def verify_path_pfaffian(opts):
         if nw.q_i_weight(N, I) != complementary_pfaffian(A, I):
             return "weights differ"
 
-    return _run("cor-3.2", {"n": opts.get("n") or 3}, cases(), check,
+    return _run("cor-3.2", {"n": _opt(opts, "n", 3)}, cases(), check,
                 lambda c: f"{c[0]} I={sorted(c[-1])}")
 
 
@@ -297,12 +306,12 @@ def verify_network_equality(opts):
         if pf.tl_pfaffinant(D, A) != nw.hat_pfaf(N, D, subs):
             return "sides differ"
 
-    return _run("thm-3.6", {"n": opts.get("n") or 3}, cases(), check,
+    return _run("thm-3.6", {"n": _opt(opts, "n", 3)}, cases(), check,
                 lambda c: f"{c[0]} {c[-1].key()}")
 
 
 def verify_separating_type(opts):
-    nmax = int(opts.get("n") or 3)
+    nmax = _opt(opts, "n", 3)
     failures = []
     total = 0
     for n in range(1, nmax + 1):
@@ -324,7 +333,7 @@ def verify_separating_type(opts):
 
 
 def verify_covering_counts(opts):
-    nmax = int(opts.get("n") or 2)
+    nmax = _opt(opts, "n", 2)
 
     def cases():
         for n in range(1, nmax + 1):
@@ -374,7 +383,7 @@ def verify_boolean_cone(opts):
 
 
 def verify_min_partition_monotone(opts):
-    nmax = int(opts.get("n") or 5)
+    nmax = _opt(opts, "n", 5)
 
     def cases():
         yield from ((n, I, "contain") for n, I in _subset_cases(nmax) if len(I) >= n)
@@ -397,8 +406,8 @@ def verify_min_partition_monotone(opts):
 
 
 def verify_cone_restriction(opts):
-    nmax = int(opts.get("n") or 3)
-    rng = random.Random(int(opts.get("seed") or 0))
+    nmax = _opt(opts, "n", 3)
+    rng = random.Random(_opt(opts, "seed", 0))
 
     def cases():
         for n in range(2, nmax + 1):
@@ -417,7 +426,7 @@ def verify_cone_restriction(opts):
 
 
 def verify_imm_decomposition(opts):
-    nmax = int(opts.get("n") or 3)
+    nmax = _opt(opts, "n", 3)
 
     def cases():
         for n in range(1, nmax + 1):
@@ -434,7 +443,7 @@ def verify_imm_decomposition(opts):
 
 
 def verify_block_sign_law(opts):
-    nmax = int(opts.get("n") or 3)
+    nmax = _opt(opts, "n", 3)
 
     def cases():
         for n in range(1, nmax + 1):
@@ -460,7 +469,7 @@ def verify_block_sign_law(opts):
 
 
 def verify_bridge(opts):
-    nmax = int(opts.get("n") or 3)
+    nmax = _opt(opts, "n", 3)
 
     def check(case):
         n, D = case
@@ -471,7 +480,7 @@ def verify_bridge(opts):
 
 
 def verify_pf_squared(opts):
-    nmax = int(opts.get("n") or 3)
+    nmax = _opt(opts, "n", 3)
 
     def check(n):
         A = SkewArray.symbolic(2 * n)
@@ -520,8 +529,8 @@ def verify_non_span_witness(opts):
 
 
 def verify_jacobi_trudi(opts):
-    max_size = int(opts.get("max_size") or 8)
-    k = int(opts.get("k") or 4)
+    max_size = _opt(opts, "max_size", 8)
+    k = _opt(opts, "k", 4)
 
     def cases():
         for tot in range(1, max_size + 1):
@@ -549,8 +558,8 @@ def verify_jacobi_trudi(opts):
 def verify_monomial_positivity(opts):
     """Cone generators evaluate monomial-nonnegatively on plain (non-skew)
     generalized arrays; the skew extension is recorded as false elsewhere."""
-    bound = int(opts.get("bound") or 6)
-    n = int(opts.get("n") or 2)
+    bound = _opt(opts, "bound", 6)
+    n = _opt(opts, "n", 2)
     funcs = {D: pf.tl_functional(D) for D in dg.enumerate_sym_tl_even(n)}
 
     def cases():
@@ -570,8 +579,8 @@ def verify_monomial_positivity(opts):
 
 
 def verify_min_difference_bridge(opts):
-    bound = int(opts.get("bound") or 8)
-    k = int(opts.get("k") or 4)
+    bound = _opt(opts, "bound", 8)
+    k = _opt(opts, "k", 4)
     parts = [()]
     for t in range(1, bound + 1):
         parts.extend(sq.strict_partitions(t))
@@ -585,7 +594,7 @@ def verify_min_difference_bridge(opts):
 
 
 def verify_span_probe(opts):
-    n = int(opts.get("n") or 3)
+    n = _opt(opts, "n", 3)
     rows = pf.check_pfafprime_in_span(n)
     return _report("probe-2.5", {"n": n, "in_span": sum(r["in_span"] for r in rows)},
                    len(rows), [])

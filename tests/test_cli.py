@@ -182,6 +182,8 @@ def test_zero_bound_and_samples_still_accepted(capsys):
     assert code == 0 and json.loads(out)["instance"] == {"lam": [], "mu": []}
     code, out = run(capsys, "verify", "thm-2.6", "--n", "1", "--samples", "0")
     assert code == 0 and out.startswith("PASS thm-2.6")
+    code, out = run(capsys, "verify", "prop-5.6", "--bound", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["params"] == {"bound": 0, "k": 4}
 
 
 def test_verify_json_format(capsys):

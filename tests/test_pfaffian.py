@@ -75,3 +75,40 @@ def test_monomial_pfaffian():
     A = SkewArray.symbolic(4)
     av = lambda i, j: Poly.var(a(i, j))
     assert monomial_pfaffian(A, frozenset({(1, 4), (2, 3)})) == av(1, 4) * av(2, 3)
+
+
+def _matching_pfaffian(A, I):
+    """Oracle: the signed sum over the perfect matchings of I."""
+    from pfaflab.diagrams import enumerate_matchings, matching_sign
+
+    I = sorted(I)
+    total = Poly.zero()
+    for pi in enumerate_matchings(len(I) // 2):
+        real = frozenset((I[i - 1], I[j - 1]) for i, j in pi)
+        total = total + matching_sign(real) * monomial_pfaffian(A, real)
+    return total
+
+
+def _separator_arrays(n):
+    """path_weight_matrix of the separating networks at n, with rational weights."""
+    from fractions import Fraction
+
+    from pfaflab.diagrams import enumerate_sym_tl
+    from pfaflab.networks import construct_network_of_diagram, path_weight_matrix
+
+    weights = [Fraction(k % 7 + 1, k % 4 + 2) for k in range(200)]
+    diagrams = enumerate_sym_tl(n)
+    return [path_weight_matrix(construct_network_of_diagram(D, symbolic=False, weights=weights))
+            for D in diagrams[::max(1, len(diagrams) // 6)]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expansion_matches_matching_sum(n):
+    from pfaflab.pfaffinants import even_subsets
+
+    arrays = [SkewArray.symbolic(2 * n)] + _separator_arrays(n)
+    for A in arrays:
+        for I in even_subsets(2 * n):
+            assert pfaffian(A, I) == _matching_pfaffian(A, I), (n, sorted(I))
+    assert any(c.__class__ is not int for A in arrays[1:]
+               for p in A.entries.values() for c in p.terms.values())

@@ -9,7 +9,7 @@ from pfaflab.pfaffinants import (ConeElement, VerificationError, boolean_cone_ch
                                  diagram_pfaffinant, even_subsets, maximal_diagrams,
                                  min_difference_element, tl_pfaffinant, transition_matrix,
                                  verify_diagram_decomposition, verify_tl_decomposition)
-from pfaflab.poly import Poly, a, express_in_span
+from pfaflab.poly import Poly, a, express_in_span, matrix_rank
 
 D2 = lambda *edges: sym_diagram(2, edges)
 A4 = SkewArray.symbolic(4)
@@ -79,6 +79,14 @@ def test_certify_basis():
     assert rep["tl_rank"] == rep["complementary_rank"] == 3
     rep = certify_basis(3)
     assert rep["tl_rank"] == rep["complementary_rank"] == 10
+
+
+@pytest.mark.slow
+def test_complementary_rank_n5():
+    A = SkewArray.symbolic(10)
+    comp = [complementary_pfaffian(A, I) for I in even_subsets(10)]
+    assert len(comp) == 512
+    assert matrix_rank(comp) == 126
 
 
 def test_z_span_equality():

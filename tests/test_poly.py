@@ -106,6 +106,16 @@ def test_express_in_span_pfaffian_coordinates():
     assert express_in_span(pf2, gens) == [1, -1, 1]
 
 
+def test_express_in_span_free_generators_get_zero():
+    # 2*g1 lies in the span of g1, so it is free: 2*g1 + g2 has the
+    # coefficients (2, 0, 1), not (0, 1, 1) or any other solution
+    g1, g2 = av(1, 2) * av(3, 4), Fraction(1, 3) * av(1, 3) * av(2, 4)
+    coeffs = express_in_span(2 * g1 + g2, [g1, 2 * g1, g2, g1 + g2])
+    assert coeffs == [2, 0, 1, 0]
+    assert all(isinstance(c, Fraction) for c in coeffs)
+    assert express_in_span(g1, [g1 + g2, g1, g2]) == [0, 1, 0]
+
+
 def test_express_in_span_recombination():
     rng = random.Random(3)
     for _ in range(10):

@@ -60,6 +60,30 @@ def test_runner_records_assertion_as_failure(monkeypatch):
     assert report["failures"][0] == {"case": "n=1 I=[]", "error": "closure is not a power of two"}
 
 
+@pytest.mark.parametrize("theorem, opts", [
+    ("thm-2.17", {"n": 0}), ("thm-2.6", {"n": 0}), ("thm-5.4", {"n": -1}),
+    ("prop-5.6", {"k": 0}), ("thm-5.2", {"k": 0}),
+])
+def test_size_below_one_is_usage_error(theorem, opts):
+    from pfaflab.poly import UsageError
+
+    with pytest.raises(UsageError, match="must be a positive integer"):
+        vf.run(theorem, opts)
+
+
+@pytest.mark.parametrize("theorem, opts, params, cases", [
+    # a zero option used to run, and report, that option's default
+    ("prop-5.6", {"bound": 0}, {"bound": 0, "k": 4}, 0),
+    ("thm-5.2", {"max_size": 0, "k": 3}, {"max_size": 0, "k": 3}, 3),
+    ("cor-3.2", {"n": 1, "grids": 0}, {"n": 1}, 4),
+    ("thm-2.6", {"n": 1, "samples": 0, "seed": 0}, {"n": 1, "samples": 0}, 2),
+])
+def test_zero_option_is_not_its_default(theorem, opts, params, cases):
+    report = vf.run(theorem, opts)
+    assert report["params"] == params
+    assert report["cases"] == cases and report["failures"] == []
+
+
 def test_unknown_id():
     with pytest.raises(KeyError):
         vf.run("nope")
