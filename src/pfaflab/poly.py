@@ -334,8 +334,13 @@ class Poly:
 
 
 def poly_prod(polys) -> Poly:
-    total = Poly.const(1)
-    for p in polys:
+    """Product of Polys, ints or Fractions, from the first factor on; a Poly
+    even for no factors (1) or a lone number."""
+    factors = iter(polys)
+    total = next(factors, 1)
+    if not isinstance(total, Poly):
+        total = Poly.const(total)
+    for p in factors:
         total = total * p
     return total
 

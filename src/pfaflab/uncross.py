@@ -7,7 +7,11 @@ cross exactly when their endpoints interleave, and every pair crosses at
 most once, so the crossing census is forced; the geometry only decides
 the order of crossings along each chord.  The placement is exactly
 mirror-symmetric, is re-perturbed deterministically if three chords ever
-meet in a point, and never has tangencies.
+meet in a point, and never has tangencies.  The boundary points of each
+placement (n, seed, retry), and the crossing of each interleaved chord
+pair in it, are computed once per process and shared by every matching
+embedded there; `_segment_crossing` decides on integer cross products
+over a common denominator and builds Fractions only for its result.
 
 Each crossing between a chord and its own mirror image sits on the axis
 and is *unpaired*; all other crossings come in mirror orbits of size two
@@ -27,7 +31,10 @@ so the tuple is canonical as it stands.  Resolving a class joins at most
 8 ends, and partial uncrossings with the same mates merge into one state
 with a summed weight.  The fold needs at most 252 states for any
 matching at n = 5, where enumeration would trace up to 2^25
-uncrossings; it raises CapacityError past its state bound.
+uncrossings; it raises CapacityError past its state bound.  A final
+state's strands (pairs of boundary positions) fix its diagram, which is
+built, and its strands checked, once per (n, strand set): 98 diagrams
+for the 6114 final states of all 124 tables at n <= 4.
 `enumerate_uncrossings` still traces every uncrossing one by one; it
 serves the |X(pi)| census and is the oracle the fold is tested against.
 """
@@ -36,6 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import lcm
 from operator import itemgetter
 
 from .diagrams import SymTLDiagram, TLDiagram, sym_diagram
@@ -71,19 +81,44 @@ def _segment_crossing(A, B, C, D):
     """Exact interior crossing of segments AB and CD, or None.
 
     Returns (point, t, u) with point = A + t(B - A) = C + u(D - C) and
-    0 < t, u < 1.
+    0 < t, u < 1.  The coordinates (ints or Fractions) are scaled to
+    integers over one common denominator, so the test runs on integer
+    cross products and Fractions are built only for the result.
     """
-    r = (B[0] - A[0], B[1] - A[1])
-    s = (D[0] - C[0], D[1] - C[1])
-    denom = r[0] * s[1] - r[1] * s[0]
+    den = lcm(*(c.denominator for P in (A, B, C, D) for c in P))
+    ax, ay, bx, by, cx, cy, dx, dy = (c.numerator * (den // c.denominator)
+                                      for P in (A, B, C, D) for c in P)
+    rx, ry, sx, sy, qx, qy = bx - ax, by - ay, dx - cx, dy - cy, cx - ax, cy - ay
+    denom = rx * sy - ry * sx
     if denom == 0:
         return None
-    q = (C[0] - A[0], C[1] - A[1])
-    t = (q[0] * s[1] - q[1] * s[0]) / denom
-    u = (q[0] * r[1] - q[1] * r[0]) / denom
-    if not (0 < t < 1 and 0 < u < 1):
+    t = qx * sy - qy * sx
+    u = qx * ry - qy * rx
+    if denom < 0:
+        denom, t, u = -denom, -t, -u
+    if not (0 < t < denom and 0 < u < denom):
         return None
-    return (A[0] + t * r[0], A[1] + t * r[1]), t, u
+    scale = den * denom
+    point = (Fraction(ax * denom + t * rx, scale), Fraction(ay * denom + t * ry, scale))
+    return point, Fraction(t, denom), Fraction(u, denom)
+
+
+@lru_cache(maxsize=None)
+def _boundary_points(n: int, seed: int, retry: int) -> dict:
+    """Boundary position -> exact point of the placement; shared, do not change."""
+    coords = {}
+    for i, s in enumerate(_placement(n, seed, retry), 1):
+        xx, yy = circle_point(s)
+        coords[4 * n + 1 - i] = (xx, yy)   # right point i'
+        coords[i] = (-xx, yy)              # left point i
+    return coords
+
+
+@lru_cache(maxsize=None)
+def _chord_crossing(n: int, seed: int, retry: int, c1: tuple, c2: tuple):
+    """_segment_crossing of two chords, given as position pairs, in one placement."""
+    pts = _boundary_points(n, seed, retry)
+    return _segment_crossing(pts[c1[0]], pts[c1[1]], pts[c2[0]], pts[c2[1]])
 
 
 def _interleave(c1, c2) -> bool:
@@ -117,47 +152,32 @@ class ChordMap:
 
     def _build(self, pairs):
         n = self.n
+        # sorted pairs: for side-crossing chords the start is the left
+        # endpoint, which fixes the vertical/horizontal convention
+        chords = list(pairs)
+        index = {c: k for k, c in enumerate(chords)}
+        mirror_chord = {k: index[tuple(sorted((self.mirror_pos(p), self.mirror_pos(q))))]
+                        for k, (p, q) in enumerate(chords)}
+        interleaved = [(i, j) for i, j in combinations(range(len(chords)), 2)
+                       if _interleave(chords[i], chords[j])]
         for retry in range(60):
-            s = _placement(n, self.seed, retry)
-            coords = {}
-            for i in range(1, 2 * n + 1):
-                xx, yy = circle_point(s[i - 1])
-                coords[self.mirror_pos(i)] = (xx, yy)   # right point i'
-                coords[i] = (-xx, yy)                   # left point i
-            # sorted pairs: for side-crossing chords the start is the left
-            # endpoint, which fixes the vertical/horizontal convention
-            chords = list(pairs)
-            mirror_chord = {}
-            index = {c: k for k, c in enumerate(chords)}
-            for k, (p, q) in enumerate(chords):
-                m = tuple(sorted((self.mirror_pos(p), self.mirror_pos(q))))
-                mirror_chord[k] = index[m]
             crossings = []
-            seen_points = {}
-            ok = True
-            for i in range(len(chords)):
-                for j in range(i + 1, len(chords)):
-                    if not _interleave(chords[i], chords[j]):
-                        continue
-                    ci, cj = chords[i], chords[j]
-                    hit = _segment_crossing(coords[ci[0]], coords[ci[1]],
-                                            coords[cj[0]], coords[cj[1]])
-                    if hit is None:
-                        raise AssertionError("interleaved chords failed to cross")
-                    point, t, u = hit
-                    if point in seen_points:
-                        ok = False
-                        break
-                    seen_points[point] = (i, j)
-                    crossings.append([(i, j), point, (t, u)])
-                if not ok:
+            seen_points = set()
+            for i, j in interleaved:
+                hit = _chord_crossing(n, self.seed, retry, chords[i], chords[j])
+                if hit is None:
+                    raise AssertionError("interleaved chords failed to cross")
+                point, t, u = hit
+                if point in seen_points:
                     break
-            if ok:
+                seen_points.add(point)
+                crossings.append([(i, j), point, (t, u)])
+            else:
                 break
         else:
             raise RuntimeError("could not find a concurrency-free placement")
 
-        self.coords = coords
+        self.retry = retry      # how often the placement was re-perturbed
         self.chords = chords
         self.mirror_chord = mirror_chord
         # classify: unpaired iff the two chords are mirror images of each other
@@ -303,23 +323,23 @@ def _union(parent, i, j) -> None:
         parent[ri] = rj
 
 
-def _left_edges(cmap: ChordMap, strands) -> frozenset:
+def _left_edges(n: int, strands) -> frozenset:
     """Check the boundary points of each traced strand; return the left edges.
 
     Every strand must join exactly two boundary points, a strand crossing
     sides must join a point to its mirror, and the right side must mirror
     the left side.
     """
-    n4 = 4 * cmap.n
+    n4 = 4 * n
     left = set()
     right = set()
     for ps in strands:
         if len(ps) != 2:
             raise AssertionError(f"strand component touches {len(ps)} boundary points")
         p, q = sorted(ps)
-        if q <= 2 * cmap.n:
+        if q <= 2 * n:
             left.add((p, q))
-        elif p > 2 * cmap.n:
+        elif p > 2 * n:
             right.add(tuple(sorted((n4 + 1 - p, n4 + 1 - q))))
         elif q != n4 + 1 - p:
             raise AssertionError(f"asymmetric cross-side strand ({p},{q})")
@@ -353,7 +373,7 @@ def _trace(cmap: ChordMap, choices) -> tuple:
     by_root = {}
     for p, piece in cmap.boundary_piece.items():
         by_root.setdefault(_find(parent, piece), []).append(p)
-    left = _left_edges(cmap, by_root.values())
+    left = _left_edges(cmap.n, by_root.values())
 
     boundary_roots = set(by_root)
     comp_pieces = {}
@@ -524,13 +544,20 @@ def _accumulate(cmap: ChordMap, state_bound: int | None = None) -> dict:
         ends += [(start, p, pos[start]), (stop, q, pos[stop])]
     point = {e: p for e, p, _ in ends}
     # a final state pairs every boundary end, so distinct states are
-    # distinct diagrams
+    # distinct diagrams; a strand is keyed by its positions in order
     out = {}
     for state, weight in states.items():
         base = state + extra
-        strands = [(p, point[base[i]]) for e, p, i in ends if e < base[i]]
-        out[sym_diagram(cmap.n, _left_edges(cmap, strands))] = weight
+        strands = frozenset([(p, q) for _, p, i in ends if p < (q := point[base[i]])])
+        out[_final_diagram(cmap.n, strands)] = weight
     return out
+
+
+@lru_cache(maxsize=None)
+def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
+    """The diagram of a set of strands, each a pair of boundary positions;
+    built, and checked by _left_edges, once per (n, strand set)."""
+    return sym_diagram(n, _left_edges(n, strands))
 
 
 def f_coefficient(pi, n: int, seed: int = 0, state_bound: int | None = None) -> dict:

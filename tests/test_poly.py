@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from pfaflab import uncross
-from pfaflab.poly import MAX_EXPONENT, CapacityError, Poly, a, express_in_span, matrix_rank, x
+from pfaflab.poly import (MAX_EXPONENT, CapacityError, Poly, a, express_in_span, matrix_rank,
+                         poly_prod, x)
 
 
 def av(i, j):
@@ -22,6 +23,18 @@ def test_variable_validation():
 
 def test_single_term_product():
     assert (av(1, 2) * av(3, 4)).render() == "a[1,2]*a[3,4]"
+
+
+def test_poly_prod_returns_a_poly():
+    # the empty product and a lone number (a raw edge weight) are Polys too
+    for factors, want in (([], Poly.const(1)), (iter(()), Poly.const(1)), ([3], Poly.const(3)),
+                          ([Fraction(1, 2)], Poly.const(Fraction(1, 2)))):
+        got = poly_prod(factors)
+        assert isinstance(got, Poly) and got == want
+    assert poly_prod([av(1, 2)]) == av(1, 2)
+    assert poly_prod([2, av(1, 2), Fraction(1, 2), av(3, 4)]) == av(1, 2) * av(3, 4)
+    with pytest.raises(TypeError):
+        poly_prod(["w"])
 
 
 def test_additive_identity():

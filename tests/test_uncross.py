@@ -1,8 +1,13 @@
+import hashlib
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pfaflab import uncross
 from pfaflab.diagrams import enumerate_matchings, enumerate_tl, matching, sym_diagram, tl_diagram
+from pfaflab.pfaffinants import f_tables
 from pfaflab.uncross import (DEFAULT_CLASS_BOUND, CapacityError, ChordMap, embed_nu_d, embed_nu_pi,
                              enumerate_uncrossings, f_coefficient, g_coefficient,
                              g_tilde_coefficient, nu_pi_positions, z_count)
@@ -182,3 +187,153 @@ def test_z_count_and_tilde_sign():
 def test_boundary_partition_validation():
     with pytest.raises(ValueError):
         ChordMap(1, [(1, 2), (3, 3)])
+
+
+# -- exact geometry ---------------------------------------------------------------
+
+
+def _fraction_segment_crossing(A, B, C, D):
+    """The all-Fraction segment crossing that the integer helper replaced,
+    kept as its oracle; t and u are made Fractions so int inputs stay exact."""
+    r = (B[0] - A[0], B[1] - A[1])
+    s = (D[0] - C[0], D[1] - C[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    if denom == 0:
+        return None
+    q = (C[0] - A[0], C[1] - A[1])
+    t = Fraction(q[0] * s[1] - q[1] * s[0]) / denom
+    u = Fraction(q[0] * r[1] - q[1] * r[0]) / denom
+    if not (0 < t < 1 and 0 < u < 1):
+        return None
+    return (A[0] + t * r[0], A[1] + t * r[1]), t, u
+
+
+_coords = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6))
+_points = st.tuples(_coords, _coords)
+_ratios = st.fractions(-2, 2, max_denominator=4)
+_inside = st.integers(1, 7).map(lambda k: Fraction(k, 8))   # strictly inside (0, 1)
+
+
+@st.composite
+def _segment_pairs(draw):
+    """Two segments: often crossing, parallel, collinear or touching at an end."""
+    A, B, C, D = (draw(_points) for _ in range(4))
+    r = (B[0] - A[0], B[1] - A[1])
+    d = (D[0] - C[0], D[1] - C[1])
+    along = lambda P, k, v: (P[0] + k * v[0], P[1] + k * v[1])
+    kind = draw(st.sampled_from(("any", "through", "through", "parallel", "collinear",
+                                 "touching", "shared end")))
+    if kind == "through":       # CD along d through a point of AB
+        X = along(A, draw(_inside), r)
+        C, D = along(X, -draw(_inside), d), along(X, draw(_inside), d)
+    elif kind == "parallel":
+        D = along(C, draw(_ratios), r)
+    elif kind == "collinear":
+        C, D = along(A, draw(_ratios), r), along(A, draw(_ratios), r)
+    elif kind == "touching":    # an end of CD on the line AB
+        C = along(A, draw(_ratios), r)
+    elif kind == "shared end":
+        C = draw(st.sampled_from((A, B)))
+    segs = [(A, B), (C, D)]
+    if draw(st.booleans()):
+        segs.reverse()
+    return segs[0] + segs[1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_segment_pairs())
+def test_segment_crossing_matches_fraction_oracle(segments):
+    got = uncross._segment_crossing(*segments)
+    want = _fraction_segment_crossing(*segments)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want
+        assert all(c.__class__ is Fraction for c in (*got[0], got[1], got[2]))
+
+
+def _chord_maps(seed):
+    return [embed_nu_pi(pi, n, seed) for n in (1, 2, 3, 4) for pi in enumerate_matchings(n)] \
+        + [embed_nu_d(d, n, seed) for n in (1, 2, 3) for d in enumerate_tl(n)]
+
+
+def _geometry(cmap):
+    return cmap.retry, cmap.crossings, cmap.cross_along, cmap.classes
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chord_maps_match_fraction_geometry(seed, monkeypatch):
+    fast = [_geometry(cmap) for cmap in _chord_maps(seed)]
+    uncross._chord_crossing.cache_clear()
+    try:
+        monkeypatch.setattr(uncross, "_segment_crossing", _fraction_segment_crossing)
+        slow = [_geometry(cmap) for cmap in _chord_maps(seed)]
+    finally:
+        uncross._chord_crossing.cache_clear()
+    assert fast == slow
+
+
+def test_concurrency_retry():
+    # the unjittered seed-0 placement has three chords through one point in
+    # 19 doubled matchings at n = 4; each map is re-perturbed until none do
+    maps = [embed_nu_pi(pi, 4, 0) for pi in enumerate_matchings(4)]
+    retried = [cmap for cmap in maps if cmap.retry > 0]
+    assert len(retried) == 19
+    for cmap in maps:
+        points = [cr.point for cr in cmap.crossings]
+        assert len(set(points)) == len(points)
+    for cmap, pi in zip(maps, enumerate_matchings(4)):
+        if cmap.retry:
+            assert f_coefficient(pi, 4, 0) == _oracle(cmap), pi
+
+
+def test_final_diagram_checks_each_input():
+    strands = frozenset({(1, 4), (2, 3)})
+    assert uncross._final_diagram(1, strands) == sym_diagram(1, ())
+    # the same strand set is not a valid uncrossing at n = 2
+    with pytest.raises(AssertionError, match="not mirror-symmetric"):
+        uncross._final_diagram(2, strands)
+    with pytest.raises(AssertionError, match=r"asymmetric cross-side strand \(3,8\)"):
+        uncross._final_diagram(2, frozenset({(1, 2), (3, 8), (4, 7), (5, 6)}))
+
+
+# -- the tables ---------------------------------------------------------------------
+
+
+def _render_tables(tables):
+    """One line per matching: its pairs, then each diagram key with its weight."""
+    lines = []
+    for pi in sorted(tables, key=sorted):
+        row = " ".join(f"{key}:{w}" for key, w in sorted((D.key(), w)
+                                                          for D, w in tables[pi].items()))
+        lines.append("".join(f"({i},{j})" for i, j in sorted(pi)) + " " + row)
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the rendered tables, the same at every seed (thm-2.4); recorded
+# with the all-Fraction geometry and one diagram built per final state
+TABLE_DIGESTS = {
+    1: "5be49e1ba7bc50738f62357b9d596a4b4cb5767f41ac68318ecc46a73d6fa332",
+    2: "9f2a8c74ca019c1aa765f6c2b42c42a21b31630c0366144bcbd97f9899c4ce90",
+    3: "c6288f7755ef8de9521d2637b78ca6c17baba9dd69435a62bf200e5a23330eda",
+    4: "4ef30c072785f489e673248019a2e1481f1f8a8b9b97ed1d7d92e831a4501d8c",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_digests(n, seed):
+    text = _render_tables(f_tables(n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reflection_identity(n):
+    # f(rev pi)(rev D) = f(pi)(D) with rev(i) = 2n+1-i: observed, not
+    # proven, so the library computes every table itself
+    rev = lambda i: 2 * n + 1 - i
+    tables = f_tables(n, 0)
+    for pi, table in tables.items():
+        rev_pi = frozenset(tuple(sorted((rev(i), rev(j)))) for i, j in pi)
+        reflected = {sym_diagram(n, [(rev(j), rev(i)) for i, j in D.vertical_left]): w
+                     for D, w in table.items()}
+        assert reflected == tables[rev_pi], sorted(pi)

@@ -1,0 +1,216 @@
+"""Mutation checks: each mutant is one snippet change to the library that
+the tests it names must catch.
+
+    python tools/mutants.py [NAME ...]
+
+With no NAME every mutant runs.  The script works in copies of
+``src/``, ``tests/`` and ``pyproject.toml`` in a fresh temporary
+directory (under ``$TMPDIR`` if set), removed at the end.  It first runs
+the named tests of the selected mutants on an unchanged copy, where they
+must pass.  Then, for each mutant, it replaces the snippet in a new copy
+and runs the mutant's tests there with ``python -m pytest -x``.  A mutant
+is killed when its tests fail.  The checkout itself is never changed.
+
+Exit codes: 0 every mutant killed, 1 a mutant survived, 2 an error: a
+snippet that does not occur exactly once in its file, an unknown NAME,
+tests that fail unmutated, or a pytest run that ends in anything but a
+pass or a test failure (a collection error, no tests, a timeout).
+
+Stdlib only, and not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str       # relative to the checkout
+    old: str        # must occur exactly once in the file
+    new: str
+    tests: tuple    # pytest node ids, relative to the checkout
+
+
+UNCROSS = "src/pfaflab/uncross.py"
+POLY = "src/pfaflab/poly.py"
+T_UNCROSS = "tests/test_uncross.py::"
+
+MUTANTS = (
+    # -- integer geometry and the per-placement and per-strand-set memos
+    Mutant("crossing-memo-without-retry", UNCROSS,
+           '''@lru_cache(maxsize=None)
+def _chord_crossing(n: int, seed: int, retry: int, c1: tuple, c2: tuple):
+    """_segment_crossing of two chords, given as position pairs, in one placement."""
+    pts = _boundary_points(n, seed, retry)
+''',
+           '''_CROSSINGS = {}
+
+
+def _chord_crossing(n: int, seed: int, retry: int, c1: tuple, c2: tuple):
+    if (n, seed, c1, c2) in _CROSSINGS:
+        return _CROSSINGS[n, seed, c1, c2]
+    pts = _boundary_points(n, seed, retry)
+    _CROSSINGS[n, seed, c1, c2] = _segment_crossing(pts[c1[0]], pts[c1[1]], pts[c2[0]], pts[c2[1]])
+''',
+           (T_UNCROSS + "test_concurrency_retry",)),
+    Mutant("diagram-memo-without-n", UNCROSS,
+           '''@lru_cache(maxsize=None)
+def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
+''',
+           '''_DIAGRAMS = {}
+
+
+def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
+    if strands not in _DIAGRAMS:
+        _DIAGRAMS[strands] = sym_diagram(n, _left_edges(n, strands))
+    return _DIAGRAMS[strands]
+''',
+           (T_UNCROSS + "test_final_diagram_checks_each_input",)),
+    Mutant("no-denominator-sign-normalisation", UNCROSS,
+           '''    if denom < 0:
+        denom, t, u = -denom, -t, -u
+''', "",
+           (T_UNCROSS + "test_segment_crossing_matches_fraction_oracle",)),
+    Mutant("unchecked-strands-on-a-memo-miss", UNCROSS,
+           "    return sym_diagram(n, _left_edges(n, strands))\n",
+           "    return sym_diagram(n, [(p, q) for p, q in strands if q <= 2 * n])\n",
+           (T_UNCROSS + "test_final_diagram_checks_each_input",)),
+    Mutant("poly-prod-keeps-a-lone-number", POLY,
+           '''    if not isinstance(total, Poly):
+        total = Poly.const(total)
+''', "",
+           ("tests/test_poly.py::test_poly_prod_returns_a_poly",)),
+    # -- the uncrossing fold
+    Mutant("fold-without-loop-factor", UNCROSS,
+           "nxt[new] = nxt.get(new, 0) + ((s * weight) << loops)",
+           "nxt[new] = nxt.get(new, 0) + (s * weight)",
+           (T_UNCROSS + "test_nested_pair_census_and_table",)),
+    Mutant("fold-drops-zero-weight-states", UNCROSS,
+           "        states = nxt\n",
+           "        states = {k: w for k, w in nxt.items() if w}\n",
+           (T_UNCROSS + "test_nested_pair_census_and_table",)),
+    Mutant("state-bound-off-by-one", UNCROSS,
+           "        if len(nxt) > bound:\n",
+           "        if len(nxt) >= bound:\n",
+           (T_UNCROSS + "test_state_bound_is_the_peak",)),
+    # -- Poly, pfaffians, linear algebra and verify options
+    Mutant("no-exponent-guard-check", POLY,
+           '''                if m & guards:
+                    raise _overflow(_VARS[_lowest_field(m & guards)])
+''', "",
+           ("tests/test_poly.py::test_exponent_overflow_is_capacity_error",)),
+    Mutant("pfaffian-expansion-sign", "src/pfaflab/pfaffian.py",
+           "total = total + term if t % 2 else total - term",
+           "total = total - term if t % 2 else total + term",
+           ("tests/test_pfaffian.py::test_expansion_matches_matching_sum",)),
+    Mutant("echelon-gcd-over-the-row-only", POLY,
+           "            g = gcd(*(v for part in parts for v in part.values()))\n",
+           "            g = gcd(*parts[0].values())\n",
+           ("tests/test_linalg.py::test_engine_matches_dense_oracle",)),
+    Mutant("echelon-denominators-not-cleared", POLY,
+           "        row = {m: int(c * den) for m, c in p.terms.items()}\n",
+           "        row = {m: int(c) for m, c in p.terms.items()}\n",
+           ("tests/test_linalg.py::test_engine_matches_dense_oracle",)),
+    Mutant("zero-option-read-as-default", "src/pfaflab/verify.py",
+           "    value = default if opts.get(key) is None else int(opts[key])\n",
+           "    value = int(opts.get(key) or default)\n",
+           ("tests/test_verify.py::test_zero_option_is_not_its_default",)),
+)
+
+
+class MutantError(Exception):
+    pass
+
+
+def make_copy(dest: Path) -> None:
+    dest.mkdir(parents=True)
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def apply(mutant: Mutant, copy: Path) -> None:
+    path = copy / mutant.path
+    path.write_text(path.read_text().replace(mutant.old, mutant.new))
+
+
+def run_tests(copy: Path, tests) -> int:
+    """pytest's exit code on ``tests`` in ``copy``, importing the copy's library."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return -1
+
+
+def check(mutants, scratch: Path) -> int:
+    for mutant in mutants:      # every snippet must match before anything runs
+        found = (ROOT / mutant.path).read_text().count(mutant.old)
+        if found != 1:
+            raise MutantError(f"{mutant.name}: its snippet occurs {found} times in {mutant.path}")
+    tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+    base = scratch / "unmutated"
+    make_copy(base)
+    code = run_tests(base, tests)
+    shutil.rmtree(base)
+    if code != 0:
+        raise MutantError(f"the named tests do not pass unmutated (pytest exit {code})")
+    survived = 0
+    for mutant in mutants:
+        copy = scratch / mutant.name
+        make_copy(copy)
+        apply(mutant, copy)
+        code = run_tests(copy, mutant.tests)
+        shutil.rmtree(copy)
+        if code == 0:
+            survived += 1
+            print(f"SURVIVED {mutant.name}", flush=True)
+        elif code == 1:
+            print(f"killed   {mutant.name}", flush=True)
+        else:
+            raise MutantError(f"{mutant.name}: pytest exit {code}, not a pass or a test failure")
+    print(f"{len(mutants) - survived} of {len(mutants)} mutants killed")
+    return 1 if survived else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"mutants to run (default: all): {', '.join(m.name for m in MUTANTS)}")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        print(f"error: unknown mutant {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [by_name[n] for n in args.names] or list(MUTANTS)
+    scratch = Path(tempfile.mkdtemp(prefix="mutants-"))
+    try:
+        return check(mutants, scratch)
+    except MutantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
