@@ -60,14 +60,16 @@ def _matchings_cached(n: int) -> tuple:
     return tuple(out)
 
 
+def interleave(e, f) -> bool:
+    """Whether sorted pairs e = (i, j) and f = (k, l) interleave: i < k < j < l
+    or k < i < l < j, so their chords cross."""
+    (i, j), (k, l) = e, f
+    return i < k < j < l or k < i < l < j
+
+
 def crossing_number(pi: Matching) -> int:
-    """Number of interleaved pairs (i,j), (k,l) with i < k < j < l."""
-    edges = sorted(pi)
-    cn = 0
-    for (i, j), (k, l) in combinations(edges, 2):
-        if i < k < j < l or k < i < l < j:
-            cn += 1
-    return cn
+    """Number of interleaved pairs of edges."""
+    return sum(interleave(e, f) for e, f in combinations(pi, 2))
 
 
 def matching_sign(pi: Matching) -> int:
@@ -78,8 +80,8 @@ def matching_sign(pi: Matching) -> int:
 
 
 def _noncrossing_pairs(pairs) -> bool:
-    for (i, j), (k, l) in combinations(pairs, 2):
-        if i < k < j < l or k < i < l < j:
+    for e, f in combinations(pairs, 2):
+        if interleave(e, f):
             return False
     return True
 

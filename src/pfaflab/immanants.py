@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .diagrams import TLDiagram, enumerate_tl, tl_diagram
+from .diagrams import (TLDiagram, enumerate_sym_tl_even, enumerate_tl, removal_closure, sym_diagram,
+                       tl_diagram)
 from .pfaffian import GeneralMatrix, SkewArray, minor, skew_to_matrix
+from .pfaffinants import _require_equal, tl_pfaffinant
 from .poly import Poly, a, express_in_span, poly_prod
+from .uncross import g_tilde_coefficient
 
 
 def inverse_permutation(w) -> tuple:
@@ -138,8 +141,6 @@ def compatible_tl_diagrams(S, n: int) -> list:
 
 def verify_imm_decomposition(B: GeneralMatrix, I, J) -> dict:
     """Product of complementary minors equals the sum of compatible TL immanants."""
-    from .pfaffinants import _require_equal
-
     n = B.nrows
     I, J = sorted(I), sorted(J)
     if len(I) != len(J):
@@ -165,20 +166,16 @@ def block_pair(n: int) -> tuple:
 
 def verify_pfaffinant_immanant_bridge(n: int, diagrams=None, seed: int = 0) -> dict:
     """TL pfaffinants of the block array expand over TL immanants of the block."""
-    from .diagrams import enumerate_sym_tl_even, removal_closure
-    from .pfaffinants import _require_equal, tl_pfaffinant
-    from .uncross import g_tilde_coefficient
-
     A, B = block_pair(n)
     imms = tl_immanants(B)
+    g_tilde = {d: g_tilde_coefficient(d, n, seed) for d in imms}
     checked = []
     for D in diagrams or enumerate_sym_tl_even(n):
         lhs = tl_pfaffinant(D, A, seed)
         rhs = Poly.zero()
         for Dp in removal_closure(D):
             for d, imm in imms.items():
-                coeffs = g_tilde_coefficient(d, n, seed)
-                c = coeffs.get(Dp, 0)
+                c = g_tilde[d].get(Dp, 0)
                 if c:
                     rhs = rhs + c * imm
         _require_equal(lhs, rhs, f"pfaffinant-immanant bridge for {D.key()}")
@@ -209,9 +206,6 @@ def quadratic_relation_table(use_reference: bool = True, seed: int = 0) -> list:
         vals = reference_tl_values_n2()
         L, M, N = vals["V[]"], vals["V[(2,3)(1,4)]"], vals["V[(1,2)(3,4)]"]
     else:
-        from .diagrams import sym_diagram
-        from .pfaffinants import tl_pfaffinant
-
         A4 = SkewArray.symbolic(4)
         L = tl_pfaffinant(sym_diagram(2, []), A4, seed)
         M = tl_pfaffinant(sym_diagram(2, [(2, 3), (1, 4)]), A4, seed)
@@ -232,9 +226,6 @@ def quadratic_relation_table(use_reference: bool = True, seed: int = 0) -> list:
 
 def non_span_witness() -> dict:
     """The 12-point TL immanant that escapes the span of pfaffinant products."""
-    from .diagrams import enumerate_sym_tl_even
-    from .pfaffinants import tl_pfaffinant
-
     n = 3
     d = tl_diagram(6, [(2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (1, 12)])
     A = SkewArray.symbolic(6)

@@ -37,8 +37,9 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 
-from .diagrams import OddSubsetError, SymTLDiagram, sym_diagram
+from .diagrams import OddSubsetError, SymTLDiagram, removal_closure, sym_diagram
 from .pfaffian import SkewArray
+from .pfaffinants import _require_equal, tl_pfaffinant
 from .poly import CapacityError, Poly, UsageError, poly_prod, x
 from .uncross import _find, _segment_crossing, _union
 
@@ -383,8 +384,6 @@ def hat_pfaf_prime(N: Network, D: SymTLDiagram, subnetworks=None) -> Poly:
 
 
 def hat_pfaf(N: Network, D: SymTLDiagram, subnetworks=None) -> Poly:
-    from .diagrams import removal_closure
-
     subs = marked_subnetworks(N) if subnetworks is None else subnetworks
     total = Poly.zero()
     for Dp in removal_closure(D):
@@ -394,8 +393,6 @@ def hat_pfaf(N: Network, D: SymTLDiagram, subnetworks=None) -> Poly:
 
 def verify_network_equality(N: Network, D: SymTLDiagram, seed: int = 0) -> dict:
     """TL pfaffinant of A(N) equals the marked-subnetwork weight sum."""
-    from .pfaffinants import _require_equal, tl_pfaffinant
-
     lhs = tl_pfaffinant(D, path_weight_matrix(N), seed)
     rhs = hat_pfaf(N, D)
     _require_equal(lhs, rhs, f"network equality for {D.key()}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .diagrams import OddSubsetError
-from .poly import Poly, UsageError, poly_prod
+from .poly import Poly, UsageError, a, poly_prod
 
 
 class SkewArray:
@@ -31,8 +31,6 @@ class SkewArray:
     @staticmethod
     def symbolic(size: int) -> "SkewArray":
         """Generic array with entry(i,j) = a[i,j]."""
-        from .poly import a
-
         return SkewArray(size, {(i, j): Poly.var(a(i, j))
                                 for i in range(1, size + 1) for j in range(i + 1, size + 1)})
 
@@ -40,8 +38,6 @@ class SkewArray:
     def block_symbolic(n: int) -> "SkewArray":
         """Zero diagonal blocks; entry(i, n+j) = a[i, n+j] plays the (i,j) entry
         of a generic n x n matrix."""
-        from .poly import a
-
         return SkewArray(2 * n, {(i, n + j): Poly.var(a(i, n + j))
                                  for i in range(1, n + 1) for j in range(1, n + 1)})
 

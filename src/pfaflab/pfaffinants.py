@@ -7,9 +7,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .diagrams import (OddSubsetError, SymTLDiagram, compatible_diagrams, diagram_order_key,
-                       enumerate_matchings, enumerate_sym_tl, enumerate_sym_tl_even,
-                       i_maximal_diagrams, removal_closure, standard_partition)
+from .diagrams import (OddSubsetError, SymTLDiagram, _i_maximal_cached, compatible_diagrams,
+                       diagram_order_key, enumerate_matchings, enumerate_sym_tl,
+                       enumerate_sym_tl_even, i_maximal_diagrams, removal_closure,
+                       standard_partition)
 from .pfaffian import SkewArray, complementary_pfaffian, min_partition, monomial_pfaffian
 from .poly import Poly, UsageError, _num, express_in_span, matrix_rank
 from .uncross import f_coefficient
@@ -271,8 +272,6 @@ def maximal_diagrams(n: int) -> frozenset:
     alternating-compatible (the subset itself has odd size when n is odd,
     which only bars it from pfaffian decompositions, not from maximality).
     """
-    from .diagrams import _i_maximal_cached
-
     return _i_maximal_cached(frozenset(range(1, 2 * n + 1, 2)), n)
 
 

@@ -26,12 +26,17 @@ per call.  Every memo lives for one call or one array.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
-from .pfaffian import SkewArray, pfaffian
-from .poly import Poly, UsageError, _num, exponent_reader, power_key, x
+from .diagrams import enumerate_sym_tl, enumerate_sym_tl_even
+from .pfaffian import SkewArray, complementary_pfaffian, min_partition, pfaffian
+from .pfaffinants import (ConeElement, _require_equal, cone_elements, cone_membership,
+                          diagram_functional, tl_functional)
+from .poly import Poly, UsageError, _num, exponent_reader, express_in_span, power_key, x
 
 
 def is_strict(parts) -> bool:
@@ -323,8 +328,6 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
 
 def monomial_expand(f: Poly, k: int) -> dict | None:
     """Coefficients on monomial symmetric functions, or None if not symmetric."""
-    from itertools import permutations as perms
-
     by_shape = {}
     exponents = _x_exponents(k)
     for mono, c in f.terms.items():
@@ -335,7 +338,7 @@ def monomial_expand(f: Poly, k: int) -> dict | None:
         by_shape.setdefault(shape, {})[e] = c
     out = {}
     for shape, seen in by_shape.items():
-        orbit = set(perms(shape))
+        orbit = set(permutations(shape))
         want = {e: None for e in orbit}
         vals = set(seen.values())
         if len(vals) != 1 or set(seen) != set(want):
@@ -411,9 +414,6 @@ def merged_positions(lam, nu) -> tuple:
 def verify_min_difference_q(lam, nu, k: int = 4) -> dict:
     """Complementary-pfaffian difference at the min partition equals the
     cell-transfer difference of Q-functions."""
-    from .pfaffian import complementary_pfaffian, min_partition
-    from .pfaffinants import _require_equal
-
     parts, I = merged_positions(lam, nu)
     A = q_jt_matrix(list(parts), [], k, allow_nonstrict=True)
     mn = min_partition(I, len(parts))
@@ -436,7 +436,7 @@ def _skew_q(shape, k: int) -> Poly:
 def classify_difference(diff: Poly, k: int) -> tuple:
     """(verdict, expansion dict) for a would-be nonnegative Q-combination."""
     exp = expand_in_q_basis(diff, k)
-    if exp.ok and all(c >= 0 for _, c in exp.coeffs):
+    if exp.nonnegative():
         return "positive", exp.as_dict()
     return ("not-in-q-span" if not exp.ok else "counterexample"), exp.as_dict()
 
@@ -536,11 +536,6 @@ def cone_test_elements(n: int, seed: int, combos: int) -> list:
     reported with ``in_cone`` false since the positivity statement does not
     cover them.
     """
-    import random
-
-    from .diagrams import enumerate_sym_tl
-    from .pfaffinants import cone_elements
-
     # an empty min-difference element evaluates to 0 and is left out
     out = [(label, elt, True) for label, elt in cone_elements(n, random.Random(seed), combos)
            if elt.tl_coeffs or not label.startswith("mindiff:")]
@@ -551,11 +546,6 @@ def cone_test_elements(n: int, seed: int, combos: int) -> list:
 
 def _diagram_in_cone(D, n: int) -> bool:
     """Whether the single-diagram functional has a nonnegative TL presentation."""
-    from .diagrams import enumerate_sym_tl_even, removal_closure
-    from .pfaffian import SkewArray
-    from .pfaffinants import diagram_functional, tl_functional
-    from .poly import express_in_span
-
     A = SkewArray.symbolic(2 * n)
     target = diagram_functional(D).evaluate(A)
     even = enumerate_sym_tl_even(n)
@@ -563,11 +553,7 @@ def _diagram_in_cone(D, n: int) -> bool:
     coeffs = express_in_span(target, gens)
     if coeffs is None:
         return False
-    induced: dict = {}
-    for E, c in zip(even, coeffs):
-        for Ep in removal_closure(E):
-            induced[Ep] = induced.get(Ep, 0) + c
-    return all(v >= 0 for v in induced.values())
+    return cone_membership(ConeElement.from_dict(n, dict(zip(even, coeffs)))).positive
 
 
 def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0, combos: int = 3):
@@ -578,8 +564,6 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0, combos: int
     realizable by positive planar networks (documented counterexample in
     the test suite), so the positivity statement does not extend to them.
     """
-    from .pfaffinants import ConeElement, diagram_functional
-
     # one summed functional per cone element, built once per scan
     elements = [(label, obj.functional() if isinstance(obj, ConeElement)
                  else diagram_functional(obj), in_cone)

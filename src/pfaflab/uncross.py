@@ -7,7 +7,10 @@ cross exactly when their endpoints interleave, and every pair crosses at
 most once, so the crossing census is forced; the geometry only decides
 the order of crossings along each chord.  The placement is exactly
 mirror-symmetric, is re-perturbed deterministically if three chords ever
-meet in a point, and never has tangencies.  The boundary points of each
+meet in a point, and never has tangencies.  Concurrency needs no search
+of its own: chords through one interior point cross there pairwise, so
+three meet exactly when two crossings tie in parameter along one chord,
+which sorting each chord's crossings shows.  The boundary points of each
 placement (n, seed, retry), and the crossing of each interleaved chord
 pair in it, are computed once per process and shared by every matching
 embedded there; `_segment_crossing` decides on integer cross products
@@ -24,13 +27,15 @@ horizontal), with mirror-symmetric loop pairs counted once.
 The weight tables f and g are computed by a fold over the resolution
 classes rather than by tracing all 2^k uncrossings: classes are resolved
 one at a time in order of |x| of their crossing.  Each chord piece has
-two ends, and a partial uncrossing is a set of curves with two ends
-each.  A state is the tuple of mates of the live ends (the other end of
-the curve through each); the list of live ends depends only on the step,
-so the tuple is canonical as it stands.  Resolving a class joins at most
-8 ends, and partial uncrossings with the same mates merge into one state
-with a summed weight.  The fold needs at most 252 states for any
-matching at n = 5, where enumeration would trace up to 2^25
+two ends, end 2*piece + side, and `ChordMap.boundary_end` is the one
+record of which end each boundary position is; tracing and the fold's
+last step both read it.  A partial uncrossing is a set of curves with
+two ends each.  A state is the tuple of mates of the live ends (the
+other end of the curve through each); the list of live ends depends only
+on the step, so the tuple is canonical as it stands.  Resolving a class
+joins at most 8 ends, and partial uncrossings with the same mates merge
+into one state with a summed weight.  The fold needs at most 252 states
+for any matching at n = 5, where enumeration would trace up to 2^25
 uncrossings; it raises CapacityError past its state bound.  A final
 state's strands (pairs of boundary positions) fix its diagram, which is
 built, and its strands checked, once per (n, strand set): 98 diagrams
@@ -48,7 +53,7 @@ from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
-from .diagrams import SymTLDiagram, TLDiagram, sym_diagram
+from .diagrams import SymTLDiagram, TLDiagram, interleave, sym_diagram
 from .poly import CapacityError
 
 DEFAULT_CLASS_BOUND = 24      # resolution classes, for the 2^k enumeration
@@ -121,11 +126,6 @@ def _chord_crossing(n: int, seed: int, retry: int, c1: tuple, c2: tuple):
     return _segment_crossing(pts[c1[0]], pts[c1[1]], pts[c2[0]], pts[c2[1]])
 
 
-def _interleave(c1, c2) -> bool:
-    (a, b), (c, d) = sorted(c1), sorted(c2)
-    return (a < c < b < d) or (c < a < d < b)
-
-
 @dataclass(frozen=True)
 class Crossing:
     chords: tuple       # (chord index, chord index), lower first
@@ -156,101 +156,77 @@ class ChordMap:
         # endpoint, which fixes the vertical/horizontal convention
         chords = list(pairs)
         index = {c: k for k, c in enumerate(chords)}
-        mirror_chord = {k: index[tuple(sorted((self.mirror_pos(p), self.mirror_pos(q))))]
-                        for k, (p, q) in enumerate(chords)}
+        mirror_chord = [index[tuple(sorted((self.mirror_pos(p), self.mirror_pos(q))))]
+                        for p, q in chords]
         interleaved = [(i, j) for i, j in combinations(range(len(chords)), 2)
-                       if _interleave(chords[i], chords[j])]
+                       if interleave(chords[i], chords[j])]
         for retry in range(60):
-            crossings = []
-            seen_points = set()
-            for i, j in interleaved:
+            hits = []
+            along = [[] for _ in chords]   # per chord: (parameter, crossing, side)
+            for k, (i, j) in enumerate(interleaved):
                 hit = _chord_crossing(n, self.seed, retry, chords[i], chords[j])
                 if hit is None:
                     raise AssertionError("interleaved chords failed to cross")
-                point, t, u = hit
-                if point in seen_points:
-                    break
-                seen_points.add(point)
-                crossings.append([(i, j), point, (t, u)])
-            else:
+                hits.append(hit)
+                along[i].append((hit[1], k, 0))
+                along[j].append((hit[2], k, 1))
+            for crossings_on in along:
+                crossings_on.sort(key=itemgetter(0))
+            # a tie on a chord is a third chord through one of its crossings
+            if all(a[0] != b[0] for crossings_on in along
+                   for a, b in zip(crossings_on, crossings_on[1:])):
                 break
         else:
             raise RuntimeError("could not find a concurrency-free placement")
 
         self.retry = retry      # how often the placement was re-perturbed
         self.chords = chords
-        self.mirror_chord = mirror_chord
-        # classify: unpaired iff the two chords are mirror images of each other
-        by_pair = {tuple(c[0]): k for k, c in enumerate(crossings)}
-        classes = []
-        class_kind = []
-        cross_objs = [None] * len(crossings)
-        orbit_of = {}
-        for k, (pair, point, params) in enumerate(crossings):
-            i, j = pair
-            mi, mj = mirror_chord[i], mirror_chord[j]
-            mpair = tuple(sorted((mi, mj)))
-            unpaired = mpair == pair
-            if pair in orbit_of:
-                orbit = orbit_of[pair]
-            else:
-                orbit = len(classes)
-                orbit_of[pair] = orbit
-                if not unpaired:
-                    orbit_of[mpair] = orbit
-                classes.append([])
-                class_kind.append("unpaired" if unpaired else "paired")
-            classes[orbit].append(k)
-            cross_objs[k] = Crossing(pair, point, params, unpaired, orbit)
-        for orbit, members in enumerate(classes):
-            want = 1 if class_kind[orbit] == "unpaired" else 2
-            if len(members) != want:
-                raise AssertionError(f"orbit {orbit} has {len(members)} crossings, wanted {want}")
-        self.crossings = cross_objs
-        self.classes = classes
-        self.class_kind = class_kind
-        self._prepare_pieces()
-
-    def _prepare_pieces(self):
-        # order crossings along each chord by exact parameter from the start
-        nch = len(self.chords)
-        along = [[] for _ in range(nch)]
-        for k, cr in enumerate(self.crossings):
-            i, j = cr.chords
-            along[i].append((cr.params[0], k))
-            along[j].append((cr.params[1], k))
-        self.cross_along = [[k for _, k in sorted(lst)] for lst in along]
-        for c, chord in enumerate(self.chords):
-            if self.cross_along[c] and not (chord[0] <= 2 * self.n < chord[1]):
-                raise AssertionError("only side-crossing chords may carry crossings")
-        self.piece_offset = []
+        self.cross_along = [[k for _, k, _ in crossings_on] for crossings_on in along]
+        # chord c owns the pieces from offset[c], one more than its
+        # crossings; end 2*piece + side is a piece's start (0) or end (1)
+        offset = []
+        before = [[0, 0] for _ in interleaved]   # per crossing: the piece before it on u, v
+        self.boundary_end = {}
         total = 0
-        for c in range(nch):
-            self.piece_offset.append(total)
-            total += len(self.cross_along[c]) + 1
+        for (p, q), crossings_on in zip(chords, along):
+            if crossings_on and not (p <= 2 * n < q):
+                raise AssertionError("only side-crossing chords may carry crossings")
+            for slot, (_, k, side) in enumerate(crossings_on):
+                before[k][side] = total + slot
+            offset.append(total)
+            self.boundary_end[p] = 2 * total
+            total += len(crossings_on) + 1
+            self.boundary_end[q] = 2 * total - 1
         self.n_pieces = total
         # per crossing: (u_before, u_after, v_before, v_after) piece ids
-        self.cross_pieces = []
-        for k, cr in enumerate(self.crossings):
-            i, j = cr.chords
-            ki = self.cross_along[i].index(k)
-            kj = self.cross_along[j].index(k)
-            oi, oj = self.piece_offset[i], self.piece_offset[j]
-            self.cross_pieces.append((oi + ki, oi + ki + 1, oj + kj, oj + kj + 1))
-        # boundary position -> piece
-        self.boundary_piece = {}
-        for c, chord in enumerate(self.chords):
-            self.boundary_piece[chord[0]] = self.piece_offset[c]
-            self.boundary_piece[chord[1]] = self.piece_offset[c] + len(self.cross_along[c])
-        # mirror map on pieces: piece k of c -> piece (m_c - k) of mirror(c)
-        self.mirror_piece = [0] * self.n_pieces
-        for c in range(nch):
-            mc = self.mirror_chord[c]
-            m = len(self.cross_along[c])
-            if len(self.cross_along[mc]) != m:
+        self.cross_pieces = [(u, u + 1, v, v + 1) for u, v in before]
+        # mirror map on pieces: piece s of c -> piece (m - s) of mirror(c)
+        self.mirror_piece = [0] * total
+        for c, mc in enumerate(mirror_chord):
+            m = len(along[c])
+            if len(along[mc]) != m:
                 raise AssertionError("mirror chords disagree on crossing count")
-            for k in range(m + 1):
-                self.mirror_piece[self.piece_offset[c] + k] = self.piece_offset[mc] + (m - k)
+            for s in range(m + 1):
+                self.mirror_piece[offset[c] + s] = offset[mc] + m - s
+        # classify: unpaired iff the two chords are mirror images of each other
+        self.crossings = []
+        self.classes = []
+        self.class_kind = []
+        orbit_of = {}
+        for k, (pair, (point, t, u)) in enumerate(zip(interleaved, hits)):
+            mpair = tuple(sorted(mirror_chord[c] for c in pair))
+            unpaired = mpair == pair
+            if pair not in orbit_of:
+                orbit_of[pair] = orbit_of[mpair] = len(self.classes)
+                self.classes.append([])
+                self.class_kind.append("unpaired" if unpaired else "paired")
+            orbit = orbit_of[pair]
+            self.classes[orbit].append(k)
+            self.crossings.append(Crossing(pair, point, (t, u), unpaired, orbit))
+        for orbit, members in enumerate(self.classes):
+            want = 1 if self.class_kind[orbit] == "unpaired" else 2
+            if len(members) != want:
+                raise AssertionError(f"orbit {orbit} has {len(members)} crossings, wanted {want}")
 
     @property
     def num_classes(self) -> int:
@@ -371,8 +347,8 @@ def _trace(cmap: ChordMap, choices) -> tuple:
                 _union(parent, ua, vb)
 
     by_root = {}
-    for p, piece in cmap.boundary_piece.items():
-        by_root.setdefault(_find(parent, piece), []).append(p)
+    for p, end in cmap.boundary_end.items():
+        by_root.setdefault(_find(parent, end >> 1), []).append(p)
     left = _left_edges(cmap.n, by_root.values())
 
     boundary_roots = set(by_root)
@@ -537,18 +513,15 @@ def _accumulate(cmap: ChordMap, state_bound: int | None = None) -> dict:
             raise CapacityError(f"{len(nxt)} uncrossing fold states exceed the bound {bound}")
         states = nxt
     extra, pos, _ = layouts[-1]
-    ends = []   # (boundary end, its position, its index in a final state plus extra)
-    for c, (p, q) in enumerate(cmap.chords):
-        start = 2 * cmap.piece_offset[c]
-        stop = 2 * (cmap.piece_offset[c] + len(cmap.cross_along[c])) + 1
-        ends += [(start, p, pos[start]), (stop, q, pos[stop])]
-    point = {e: p for e, p, _ in ends}
+    point = {e: p for p, e in cmap.boundary_end.items()}
+    # each boundary position with its end's index in a final state plus extra
+    ends = [(p, pos[e]) for p, e in cmap.boundary_end.items()]
     # a final state pairs every boundary end, so distinct states are
     # distinct diagrams; a strand is keyed by its positions in order
     out = {}
     for state, weight in states.items():
         base = state + extra
-        strands = frozenset([(p, q) for _, p, i in ends if p < (q := point[base[i]])])
+        strands = frozenset([(p, q) for p, i in ends if p < (q := point[base[i]])])
         out[_final_diagram(cmap.n, strands)] = weight
     return out
 

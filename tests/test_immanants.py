@@ -69,6 +69,17 @@ def test_bridge_identity():
     verify_pfaffinant_immanant_bridge(3, diagrams=[D])
 
 
+def test_bridge_builds_each_g_tilde_table_once(monkeypatch):
+    from pfaflab import immanants
+
+    built = []
+    g_tilde = immanants.g_tilde_coefficient
+    monkeypatch.setattr(immanants, "g_tilde_coefficient",
+                        lambda d, n, seed=0: built.append(d) or g_tilde(d, n, seed))
+    verify_pfaffinant_immanant_bridge(2)
+    assert sorted(built, key=lambda d: sorted(d.edges)) == [Q2, P2]
+
+
 def test_squared_pfaffian_vs_principal_minors():
     for n in (1, 2):
         A = SkewArray.symbolic(2 * n)

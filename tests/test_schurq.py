@@ -149,6 +149,10 @@ def test_expand_matches_poly_arithmetic():
         got, want = expand_in_q_basis(f, k), _expand_by_poly_arithmetic(f, k)
         assert got == want and got.ok is ok and len(got.coeffs) > 2
     assert not expand_in_q_basis(out_of_span, k).remainder.is_zero()
+    # peeling Q_(2) off x[1]^2 brings in monomials that f lacks, and stops at x[1]*x[2]
+    lone = Poly.var(x(1)) ** 2
+    got = expand_in_q_basis(lone, k)
+    assert got == _expand_by_poly_arithmetic(lone, k) and got.coeffs == (((2,), Fraction(1, 2)),)
     # a monomial in a matrix entry stops the expansion before any peel, with all of f left
     with_entry = in_span + Poly.var(a(1, 2))
     got = expand_in_q_basis(with_entry, k)
@@ -334,6 +338,37 @@ def test_q_positivity_scan_matches_oracle(n, bound):
             rec = _oracle_record("con1", {"pi": list(pi), "element": label}, diff_at, k, in_cone)
             want.append({**rec, "in_cone": in_cone})
     assert list(scan_q_positivity(n, bound, k=k, seed=seed, combos=combos)) == want
+
+
+def test_diagram_in_cone_reads_the_cone_membership(monkeypatch):
+    from pfaflab import schurq
+    from pfaflab.diagrams import (enumerate_sym_tl, enumerate_sym_tl_even, matching,
+                                  removal_closure, sym_diagram)
+    from pfaflab.pfaffian import SkewArray
+    from pfaflab.pfaffinants import PfaffinantFunctional, diagram_functional, tl_functional
+    from pfaflab.poly import express_in_span
+
+    # oracle: the induced coefficients summed over the removal closures
+    verdicts = []
+    for n in (1, 2, 3):
+        A = SkewArray.symbolic(2 * n)
+        even = enumerate_sym_tl_even(n)
+        gens = [tl_functional(E).evaluate(A) for E in even]
+        for D in enumerate_sym_tl(n):
+            coeffs = express_in_span(diagram_functional(D).evaluate(A), gens)
+            induced = {}
+            for E, c in zip(even, coeffs):
+                for Ep in removal_closure(E):
+                    induced[Ep] = induced.get(Ep, 0) + c
+            verdicts.append(all(v >= 0 for v in induced.values()))
+            assert schurq._diagram_in_cone(D, n) == verdicts[-1], D.key()
+    assert True in verdicts and False in verdicts
+    # a functional with no TL presentation is outside the cone: no single
+    # monomial pfaffian at n = 3 lies in the span of the even TL functionals
+    pi = matching([(1, 2), (3, 4), (5, 6)])
+    monkeypatch.setattr(schurq, "diagram_functional",
+                        lambda D: PfaffinantFunctional.from_dict(3, {pi: 1}))
+    assert schurq._diagram_in_cone(sym_diagram(3, []), 3) is False
 
 
 def test_q_positivity_builds_each_monomial_pfaffian_once(monkeypatch):

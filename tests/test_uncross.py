@@ -286,6 +286,40 @@ def test_concurrency_retry():
             assert f_coefficient(pi, 4, 0) == _oracle(cmap), pi
 
 
+def _concurrency(n, seed, retry, chords):
+    """(two crossings share a point, some chord has two crossings at one
+    parameter) in one placement, both read from the memoised chord crossings.
+    The first is the point-set check that the ties along a chord replaced."""
+    points = []
+    params = [[] for _ in chords]
+    for (i, c1), (j, c2) in combinations(enumerate(chords), 2):
+        hit = uncross._chord_crossing(n, seed, retry, c1, c2)
+        if hit is not None:
+            point, t, u = hit
+            points.append(point)
+            params[i].append(t)
+            params[j].append(u)
+    return len(set(points)) < len(points), any(len(set(ps)) < len(ps) for ps in params)
+
+
+# rejected placements of all those maps: at seed 0 one each for 2 maps at
+# n = 3 and 19 at n = 4, at seed 1 none
+REJECTED_PLACEMENTS = {0: 21, 1: 0}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_concurrency_is_a_tie_along_a_chord(seed):
+    # every placement tried for every map at n <= 4: it is rejected exactly
+    # when two crossings share a point, which is exactly when a chord has a tie
+    rejected = 0
+    for cmap in _chord_maps(seed):
+        for retry in range(cmap.retry + 1):
+            shared_point, tie = _concurrency(cmap.n, seed, retry, cmap.chords)
+            assert shared_point == tie == (retry < cmap.retry), (cmap.chords, retry)
+            rejected += shared_point
+    assert rejected == REJECTED_PLACEMENTS[seed]
+
+
 def test_final_diagram_checks_each_input():
     strands = frozenset({(1, 4), (2, 3)})
     assert uncross._final_diagram(1, strands) == sym_diagram(1, ())

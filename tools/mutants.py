@@ -45,9 +45,28 @@ class Mutant(NamedTuple):
 
 UNCROSS = "src/pfaflab/uncross.py"
 POLY = "src/pfaflab/poly.py"
+SCHURQ = "src/pfaflab/schurq.py"
 T_UNCROSS = "tests/test_uncross.py::"
+T_SCHURQ = "tests/test_schurq.py::"
 
 MUTANTS = (
+    # -- one-pass chord maps: concurrency from ties, one owner for the ends
+    Mutant("tie-check-always-passes", UNCROSS,
+           "            if all(a[0] != b[0] for crossings_on in along\n",
+           "            if True or all(a[0] != b[0] for crossings_on in along\n",
+           (T_UNCROSS + "test_concurrency_is_a_tie_along_a_chord[0]",)),
+    Mutant("boundary-end-side-off-by-one", UNCROSS,
+           "            self.boundary_end[q] = 2 * total - 1\n",
+           "            self.boundary_end[q] = 2 * total - 2\n",
+           (T_UNCROSS + "test_nested_pair_census_and_table",)),
+    Mutant("diagram-without-a-tl-presentation-in-the-cone", SCHURQ,
+           "        return False\n    return cone_membership(",
+           "        return True\n    return cone_membership(",
+           (T_SCHURQ + "test_diagram_in_cone_reads_the_cone_membership",)),
+    Mutant("bridge-rebuilds-g-tilde-per-pair", "src/pfaflab/immanants.py",
+           "                c = g_tilde[d].get(Dp, 0)\n",
+           "                c = g_tilde_coefficient(d, n, seed).get(Dp, 0)\n",
+           ("tests/test_immanants.py::test_bridge_builds_each_g_tilde_table_once",)),
     # -- integer geometry and the per-placement and per-strand-set memos
     Mutant("crossing-memo-without-retry", UNCROSS,
            '''@lru_cache(maxsize=None)
@@ -105,6 +124,38 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "        if len(nxt) > bound:\n",
            "        if len(nxt) >= bound:\n",
            (T_UNCROSS + "test_state_bound_is_the_peak",)),
+    Mutant("fold-counts-each-loop-orbit-twice", UNCROSS,
+           "            seen.update(mirror_of[end] for end in ring)\n", "",
+           (T_UNCROSS + "test_nested_pair_census_and_table",)),
+    Mutant("fold-drops-a-mate-update", UNCROSS,
+           "                        mate[pos[mb]] = ma\n", "",
+           (T_UNCROSS + "test_nested_pair_census_and_table",)),
+    Mutant("fold-swaps-the-resolution-signs", UNCROSS,
+           'sign = -1 if cmap.class_kind[ci] == "unpaired" else 1',
+           'sign = 1 if cmap.class_kind[ci] == "unpaired" else -1',
+           (T_UNCROSS + "test_n1_f_table_consistent_with_decomposition",)),
+    # -- functionals and the Q-scans
+    Mutant("from-dict-truncates-rationals", "src/pfaflab/pfaffinants.py",
+           "c if c.__class__ is int else _num(c)", "int(c)",
+           ("tests/test_pfaffinants.py::test_from_dict_keeps_rational_coefficients",)),
+    Mutant("summed-side-drops-a-functional", "src/pfaflab/pfaffinants.py",
+           "    for f in functionals:\n        for pi, c in f.coefficients:\n",
+           "    for f in list(functionals)[1:]:\n        for pi, c in f.coefficients:\n",
+           ("tests/test_pfaffinants.py::test_summed_side_matches_per_diagram_sum",)),
+    Mutant("con2-shortcut-ignores-inner-shapes", SCHURQ,
+           "            if (join, meet) in ((s1, s2), (s2, s1)):\n",
+           "            if (join[0], meet[0]) in ((s1[0], s2[0]), (s2[0], s1[0])):\n",
+           (T_SCHURQ + "test_cell_transfer_scan_matches_oracle",)),
+    Mutant("q-expansion-never-reads-new-exponents", SCHURQ,
+           "                if mono not in exponents:\n                    exponents[mono] = read(mono)\n",
+           "",
+           (T_SCHURQ + "test_expand_matches_poly_arithmetic",)),
+    Mutant("verify-pool-not-capped", "src/pfaflab/cli.py",
+           "max_workers=min(args.jobs, len(items))", "max_workers=args.jobs",
+           ("tests/test_cli.py::test_verify_pool_is_capped",)),
+    Mutant("no-size-check", "src/pfaflab/verify.py",
+           '    if key in ("n", "k") and value < 1:\n', "    if False:\n",
+           ("tests/test_verify.py::test_size_below_one_is_usage_error",)),
     # -- Poly, pfaffians, linear algebra and verify options
     Mutant("no-exponent-guard-check", POLY,
            '''                if m & guards:
