@@ -17,7 +17,8 @@ from math import comb
 
 from .poly import CapacityError, UsageError
 
-DEFAULT_ENUM_BOUND = 6
+MATCHING_BOUND = 6   # largest n that enumerate_matchings accepts
+DIAGRAM_BOUND = 8    # largest n that enumerate_sym_tl accepts
 
 Matching = frozenset  # of sorted integer pairs
 
@@ -37,10 +38,10 @@ def matching(pairs) -> Matching:
     return frozenset(tuple(sorted(p)) for p in pairs)
 
 
-def enumerate_matchings(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list:
+def enumerate_matchings(n: int) -> list:
     """All (2n-1)!! perfect matchings of [2n], deterministic order."""
-    if n > bound:
-        raise CapacityError(f"matching enumeration bound exceeded: n={n} > {bound}")
+    if n > MATCHING_BOUND:
+        raise CapacityError(f"matching enumeration bound exceeded: n={n} > {MATCHING_BOUND}")
     return list(_matchings_cached(n))
 
 
@@ -197,10 +198,10 @@ def diagram_order_key(D: SymTLDiagram) -> tuple:
     return subset_order_key(i_set(D))
 
 
-def enumerate_sym_tl(n: int, bound: int = 8) -> list:
+def enumerate_sym_tl(n: int) -> list:
     """All C(2n,n) symmetric TL diagrams, sorted by the diagram order."""
-    if n > bound:
-        raise CapacityError(f"diagram enumeration bound exceeded: n={n} > {bound}")
+    if n > DIAGRAM_BOUND:
+        raise CapacityError(f"diagram enumeration bound exceeded: n={n} > {DIAGRAM_BOUND}")
     return list(_sym_tl_cached(n))
 
 
@@ -212,8 +213,8 @@ def _sym_tl_cached(n: int) -> tuple:
     return tuple(sorted(out, key=diagram_order_key))
 
 
-def enumerate_sym_tl_even(n: int, bound: int = 8) -> list:
-    return [D for D in enumerate_sym_tl(n, bound) if D.is_even]
+def enumerate_sym_tl_even(n: int) -> list:
+    return [D for D in enumerate_sym_tl(n) if D.is_even]
 
 
 def subset_bijection(D: SymTLDiagram) -> frozenset:

@@ -5,7 +5,10 @@ diagram crossing by crossing: the horizontal smoothing keeps both wires
 going and contributes a sign, the vertical smoothing closes a cup and
 opens a cap (a closed loop contributes a factor of 2).  Folding the
 reduced word left to right with a dictionary of partial planar matchings
-gives every diagram's coefficient in one sweep.
+gives every diagram's coefficient in one sweep.  One reduced word per
+permutation (bubble sort of its inverse) and one loop over permutations
+(``tl_immanants``) serve every caller; the coefficients do not depend on
+the word, which the tests check against a second word.
 """
 
 from __future__ import annotations
@@ -35,21 +38,6 @@ def reduced_word(w) -> list:
     while changed:
         changed = False
         for i in range(len(v) - 1):
-            if v[i] > v[i + 1]:
-                v[i], v[i + 1] = v[i + 1], v[i]
-                word.append(i + 1)
-                changed = True
-    return word
-
-
-def reduced_word_reversed(w) -> list:
-    """A second reduced word, from bubble sort scanning right to left."""
-    v = list(w)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(v) - 2, -1, -1):
             if v[i] > v[i + 1]:
                 v[i], v[i + 1] = v[i + 1], v[i]
                 word.append(i + 1)
@@ -91,20 +79,18 @@ def _fold_word(word, n: int) -> dict:
     return out
 
 
-def wiring_word(w, variant: str = "forward") -> list:
+def wiring_word(w) -> list:
     """Crossing columns of a wiring diagram sending left point i to w(i).
 
     A column at height s swaps the wires currently at positions s, s+1, so
     the columns sorting the inverse permutation realize w.
     """
-    winv = inverse_permutation(w)
-    return reduced_word(winv) if variant == "forward" else reduced_word_reversed(winv)
+    return reduced_word(inverse_permutation(w))
 
 
-def tl_immanant_coefficients(w, n: int = None, word=None) -> dict:
+def tl_immanant_coefficients(w) -> dict:
     """f_d(w) for every TL diagram d, via one wiring-diagram uncrossing sweep."""
-    n = len(w) if n is None else n
-    return _fold_word(wiring_word(w) if word is None else word, n)
+    return _fold_word(wiring_word(w), len(w))
 
 
 def tl_immanants(B: GeneralMatrix) -> dict:
@@ -117,7 +103,7 @@ def tl_immanants(B: GeneralMatrix) -> dict:
         mono = poly_prod(B.entry(i, w[i - 1]) for i in range(1, n + 1))
         if mono.is_zero():
             continue
-        for d, c in tl_immanant_coefficients(w, n).items():
+        for d, c in tl_immanant_coefficients(w).items():
             out[d] = out[d] + c * mono
     return out
 
@@ -226,19 +212,10 @@ def quadratic_relation_table(use_reference: bool = True, seed: int = 0) -> list:
 
 def non_span_witness() -> dict:
     """The 12-point TL immanant that escapes the span of pfaffinant products."""
-    n = 3
     d = tl_diagram(6, [(2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (1, 12)])
     A = SkewArray.symbolic(6)
-    target = Poly.zero()
-    B = skew_to_matrix(A)
-    for w in permutations(range(1, 7)):
-        mono = poly_prod(B.entry(i, w[i - 1]) for i in range(1, 7))
-        if mono.is_zero():
-            continue
-        c = tl_immanant_coefficients(w, 6).get(d, 0)
-        if c:
-            target = target + c * mono
-    gens = [tl_pfaffinant(D, A) for D in enumerate_sym_tl_even(n)]
+    target = tl_immanants(skew_to_matrix(A))[d]
+    gens = [tl_pfaffinant(D, A) for D in enumerate_sym_tl_even(3)]
     products = [gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))]
     coeffs = express_in_span(target, products)
     return {"diagram": d.key(), "in_span": coeffs is not None}

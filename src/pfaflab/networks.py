@@ -22,9 +22,13 @@ every path of every source with its vertex and edge bitmasks and its
 weight; the family table, built by one depth-first pass over the
 sources, groups the triple-free families by marked subnetwork and counts
 them per meeting mask (which pairs of paths share a vertex).  No edge is
-used three times, so every family of a group weighs the group's weight.  `q_i_weight`,
-`marked_subnetworks` and `path_weight_matrix` all read these tables;
-`_families` and `_triple_free` survive as the exhaustive oracle.
+used three times, so every family of a group weighs the group's weight.
+`i_disjoint_counts` reads from a group's meeting masks how many of its
+families are disjoint on each side of an index set I; `q_i_weight` and
+the lem-3.4 check read those counts, `marked_subnetworks` and
+`path_weight_matrix` read the tables.  The tests enumerate the families
+one by one as the oracle of these tables.  `_find` and `_union` are the
+library's one union-find.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .diagrams import OddSubsetError, SymTLDiagram, removal_closure, sym_diagram
 from .pfaffian import SkewArray
 from .pfaffinants import _require_equal, tl_pfaffinant
 from .poly import CapacityError, Poly, UsageError, poly_prod, x
-from .uncross import _find, _segment_crossing, _union
+from .uncross import _segment_crossing
 
 
 class InvalidNetworkError(ValueError):
@@ -224,6 +228,19 @@ def _bits(mask: int) -> list:
     return out
 
 
+def _find(parent, i):
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _union(parent, i, j) -> None:
+    ri, rj = _find(parent, i), _find(parent, j)
+    if ri != rj:
+        parent[ri] = rj
+
+
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -263,40 +280,9 @@ def path_weight_matrix(N: Network) -> SkewArray:
     return SkewArray(m, entries)
 
 
-def _families(N: Network, compatible):
-    """All path families (one path per source) with pairwise test `compatible`.
-
-    The exhaustive oracle of the family table, with `_triple_free`."""
-    paths = [N.paths_from(u) for u in N.sources]
-    m = len(paths)
-    out = []
-
-    def rec(i, chosen):
-        if i == m:
-            out.append(tuple(chosen))
-            return
-        for p in paths[i]:
-            if all(compatible(i, j, p, chosen[j]) for j in range(i)):
-                chosen.append(p)
-                rec(i + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return out
-
-
-def _triple_free(family) -> bool:
-    use = {}
-    for p in family:
-        for v in p[0]:
-            use[v] = use.get(v, 0) + 1
-            if use[v] > 2:
-                return False
-    return True
-
-
-def q_i_weight(N: Network, I) -> Poly:
-    """Weight sum over families whose paths are disjoint within I and within its complement."""
+def i_disjoint_counts(N: Network, I) -> list:
+    """Per row of the family table, its families whose paths are disjoint
+    within I and within its complement."""
     m = len(N.sources)
     I = set(I)
     if len(I) % 2:
@@ -305,9 +291,14 @@ def q_i_weight(N: Network, I) -> Poly:
     for i, j in combinations(range(m), 2):
         if ((i + 1) in I) == ((j + 1) in I):
             same_side |= 1 << (i * m + j)
+    return [sum(c for meet, c in meets.items() if not meet & same_side)
+            for _, _, _, meets in N._family_table]
+
+
+def q_i_weight(N: Network, I) -> Poly:
+    """Weight sum over families whose paths are disjoint within I and within its complement."""
     total = Poly.zero()
-    for _, _, weight, meets in N._family_table:
-        count = sum(c for meet, c in meets.items() if not meet & same_side)
+    for count, (_, _, weight, _) in zip(i_disjoint_counts(N, I), N._family_table):
         if count:
             total = total + count * weight
     return total

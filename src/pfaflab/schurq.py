@@ -8,9 +8,10 @@ independent and the longer ones vanish identically.
 
 ``schur_q`` computes Q_{lam/mu}(x_1..x_k) by the one-variable branching
 rule, memoised on (lam, mu, k), so every shape reached on the way down to
-one variable is computed once.  ``schur_q_tableaux`` enumerates the
-shifted tableaux one by one; it is the oracle of the tests and of the
-thm-5.2 check, and nothing else calls it.
+one variable is computed once.  It is the one algorithm for Q-functions:
+the branching rule equals the sum over shifted tableaux, which the tests
+enumerate one by one as its oracle, and the thm-5.2 check compares the
+Q-Jacobi-Trudi pfaffian with it.
 
 The scanners do each piece of exact work once.  A con2 pair whose join
 and meet are its two shapes, and a con3 pair that is already its own
@@ -125,8 +126,8 @@ def schur_q(lam, mu, k: int) -> Poly:
     Q_{lam/mu}(x_1..x_k) is the sum over the nu of ``_interlacing`` of
     Q_{nu/mu}(x_1..x_{k-1}) * 2^a(lam/nu) * x_k^(|lam|-|nu|)
     (Macdonald, Symmetric Functions and Hall Polynomials, III.8); with no
-    variables left only nu == mu survives.  ``schur_q_tableaux`` computes
-    the same polynomial from shifted tableaux.
+    variables left only nu == mu survives.  This is the weight generating
+    function of the shifted tableaux of shape lam/mu in 1' < 1 < ... < k' < k.
     """
     if k < 1:
         raise UsageError("need at least one variable")
@@ -151,64 +152,6 @@ def schur_q(lam, mu, k: int) -> Poly:
             m += tail
             terms[m] = terms.get(m, 0) + weight * c
     return Poly.from_packed(terms)
-
-
-def schur_q_tableaux(lam, mu, k: int) -> Poly:
-    """Weight generating function of shifted tableaux in letters 1' < 1 < ... < k.
-
-    Rows and columns weakly increase; each primed letter appears at most
-    once per row and each unprimed letter at most once per column.  The
-    tableaux are enumerated one by one: this is the oracle for ``schur_q``.
-    """
-    if k < 1:
-        raise UsageError("need at least one variable")
-    cells = shifted_cells(lam, mu)
-    if not cells:
-        return Poly.const(1)
-    # letters encoded 1..2k: odd = primed, even = unprimed
-    by_row = {}
-    for r, c in cells:
-        by_row.setdefault(r, []).append(c)
-    order = [(r, c) for r in sorted(by_row) for c in sorted(by_row[r])]
-    weights: dict = {}
-    filling = {}
-
-    def letter_ok(r, c, v):
-        left = filling.get((r, c - 1))
-        up = filling.get((r - 1, c))
-        if left is not None:
-            if v < left:
-                return False
-            if v == left and v % 2 == 1:
-                return False  # repeated primed letter in a row
-        if up is not None:
-            if v < up:
-                return False
-            if v == up and v % 2 == 0:
-                return False  # repeated unprimed letter in a column
-        return True
-
-    def rec(i, wt):
-        if i == len(order):
-            key = tuple(wt)
-            weights[key] = weights.get(key, 0) + 1
-            return
-        r, c = order[i]
-        for v in range(1, 2 * k + 1):
-            if letter_ok(r, c, v):
-                filling[(r, c)] = v
-                lvl = (v + 1) // 2
-                wt[lvl - 1] += 1
-                rec(i + 1, wt)
-                wt[lvl - 1] -= 1
-                del filling[(r, c)]
-
-    rec(0, [0] * k)
-    terms = {}
-    for wt, count in weights.items():
-        mono = tuple(x(i + 1) for i, e in enumerate(wt) for _ in range(e))
-        terms[mono] = count
-    return Poly(terms)
 
 
 def one_row_q(r: int, k: int) -> Poly:
@@ -262,8 +205,8 @@ def q_jt_matrix(lam, mu, k: int, allow_nonstrict: bool = False, reversed_h: bool
     return SkewArray(l + r, entries)
 
 
-def q_from_pfaffian(lam, mu, k: int, allow_nonstrict: bool = False) -> Poly:
-    return pfaffian(q_jt_matrix(lam, mu, k, allow_nonstrict))
+def q_from_pfaffian(lam, mu, k: int) -> Poly:
+    return pfaffian(q_jt_matrix(lam, mu, k))
 
 
 # -- expansions ---------------------------------------------------------------
@@ -539,18 +482,21 @@ def cone_test_elements(n: int, seed: int, combos: int) -> list:
     # an empty min-difference element evaluates to 0 and is left out
     out = [(label, elt, True) for label, elt in cone_elements(n, random.Random(seed), combos)
            if elt.tl_coeffs or not label.startswith("mindiff:")]
+    # the even TL functionals on the symbolic array, evaluated once for every diagram
+    A = SkewArray.symbolic(2 * n)
+    even = enumerate_sym_tl_even(n)
+    gens = [tl_functional(E).evaluate(A) for E in even]
     for D in enumerate_sym_tl(n):
-        out.append((f"diagram:{D.key()}", D, _diagram_in_cone(D, n)))
+        in_cone = _in_cone(diagram_functional(D).evaluate(A), n, even, gens)
+        out.append((f"diagram:{D.key()}", D, in_cone))
     return out
 
 
-def _diagram_in_cone(D, n: int) -> bool:
-    """Whether the single-diagram functional has a nonnegative TL presentation."""
-    A = SkewArray.symbolic(2 * n)
-    target = diagram_functional(D).evaluate(A)
-    even = enumerate_sym_tl_even(n)
-    gens = [tl_functional(E).evaluate(A) for E in even]
-    coeffs = express_in_span(target, gens)
+def _in_cone(value: Poly, n: int, even, gens) -> bool:
+    """Whether a functional with this value on the symbolic array has a
+    nonnegative TL presentation; gens are the values of the even TL
+    functionals there."""
+    coeffs = express_in_span(value, gens)
     if coeffs is None:
         return False
     return cone_membership(ConeElement.from_dict(n, dict(zip(even, coeffs)))).positive

@@ -28,8 +28,8 @@ The weight tables f and g are computed by a fold over the resolution
 classes rather than by tracing all 2^k uncrossings: classes are resolved
 one at a time in order of |x| of their crossing.  Each chord piece has
 two ends, end 2*piece + side, and `ChordMap.boundary_end` is the one
-record of which end each boundary position is; tracing and the fold's
-last step both read it.  A partial uncrossing is a set of curves with
+record of which end each boundary position is; the fold's last step
+reads it.  A partial uncrossing is a set of curves with
 two ends each.  A state is the tuple of mates of the live ends (the
 other end of the curve through each); the list of live ends depends only
 on the step, so the tuple is canonical as it stands.  Resolving a class
@@ -39,9 +39,9 @@ for any matching at n = 5, where enumeration would trace up to 2^25
 uncrossings; it raises CapacityError past its state bound.  A final
 state's strands (pairs of boundary positions) fix its diagram, which is
 built, and its strands checked, once per (n, strand set): 98 diagrams
-for the 6114 final states of all 124 tables at n <= 4.
-`enumerate_uncrossings` still traces every uncrossing one by one; it
-serves the |X(pi)| census and is the oracle the fold is tested against.
+for the 6114 final states of all 124 tables at n <= 4.  The fold is the
+one algorithm for these weights: there are 2^k uncrossings for k classes,
+and the tests trace them one by one as the fold's oracle.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from operator import itemgetter
 from .diagrams import SymTLDiagram, TLDiagram, interleave, sym_diagram
 from .poly import CapacityError
 
-DEFAULT_CLASS_BOUND = 24      # resolution classes, for the 2^k enumeration
 DEFAULT_STATE_BOUND = 2500    # fold states; n = 5 needs at most 252
 
 
@@ -283,20 +282,7 @@ def embed_nu_d(d: TLDiagram, n: int, seed: int = 0) -> ChordMap:
     return ChordMap(n, nu_d_positions(d, n), seed)
 
 
-# -- strand tracing ------------------------------------------------------------
-
-
-def _find(parent, i):
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _union(parent, i, j) -> None:
-    ri, rj = _find(parent, i), _find(parent, j)
-    if ri != rj:
-        parent[ri] = rj
+# -- strands -------------------------------------------------------------------
 
 
 def _left_edges(n: int, strands) -> frozenset:
@@ -322,78 +308,6 @@ def _left_edges(n: int, strands) -> frozenset:
     if left != right:
         raise AssertionError("uncrossing is not mirror-symmetric")
     return frozenset(left)
-
-
-def _trace(cmap: ChordMap, choices) -> tuple:
-    """Resolve all classes (choice True = vertical) and trace the strands.
-
-    Returns (left_edge_fset, loop_orbits, uv, ph).
-    """
-    parent = list(range(cmap.n_pieces))
-    uv = ph = 0
-    for ci, members in enumerate(cmap.classes):
-        vertical = choices[ci]
-        if cmap.class_kind[ci] == "unpaired":
-            uv += 1 if vertical else 0
-        else:
-            ph += 0 if vertical else 1
-        for k in members:
-            ub, ua, vb, va = cmap.cross_pieces[k]
-            if vertical:
-                _union(parent, ub, vb)
-                _union(parent, ua, va)
-            else:
-                _union(parent, ub, va)
-                _union(parent, ua, vb)
-
-    by_root = {}
-    for p, end in cmap.boundary_end.items():
-        by_root.setdefault(_find(parent, end >> 1), []).append(p)
-    left = _left_edges(cmap.n, by_root.values())
-
-    boundary_roots = set(by_root)
-    comp_pieces = {}
-    for piece in range(cmap.n_pieces):
-        r = _find(parent, piece)
-        if r not in boundary_roots:
-            comp_pieces.setdefault(r, piece)
-    loop_orbits = 0
-    seen = set()
-    for r, piece in comp_pieces.items():
-        if r in seen:
-            continue
-        m = _find(parent, cmap.mirror_piece[piece])
-        seen.add(r)
-        seen.add(m)
-        loop_orbits += 1
-    return left, loop_orbits, uv, ph
-
-
-@dataclass(frozen=True)
-class Uncrossing:
-    choices: tuple      # per class, True = vertical
-    diagram: SymTLDiagram
-    loops: int          # mirror orbits of closed loops
-    uv: int
-    ph: int
-    weight: int
-
-
-def enumerate_uncrossings(cmap: ChordMap, class_bound: int = DEFAULT_CLASS_BOUND) -> list:
-    """Every one of the 2^k uncrossings, traced one by one (the test oracle)."""
-    k = cmap.num_classes
-    if k > class_bound:
-        raise CapacityError(f"{k} resolution classes exceed the bound {class_bound}")
-    out = []
-    diagrams = {}   # left edges -> diagram, built once each
-    for mask in range(1 << k):
-        choices = tuple((mask >> i) & 1 == 1 for i in range(k))
-        left, loops, uv, ph = _trace(cmap, choices)
-        if left not in diagrams:
-            diagrams[left] = sym_diagram(cmap.n, left)
-        weight = (2 ** loops) * (-1 if (uv + ph) % 2 else 1)
-        out.append(Uncrossing(choices, diagrams[left], loops, uv, ph, weight))
-    return out
 
 
 # -- the fold over resolution classes --------------------------------------------

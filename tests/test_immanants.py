@@ -3,10 +3,9 @@ from itertools import combinations, permutations
 import pytest
 
 from pfaflab.diagrams import enumerate_sym_tl_even, tl_diagram
-from pfaflab.immanants import (block_pair, inverse_permutation, non_span_witness,
-                               quadratic_relation_table, reduced_word, reduced_word_reversed,
-                               symbolic_square, tl_immanant,
-                               tl_immanant_coefficients, tl_immanants,
+from pfaflab.immanants import (_fold_word, block_pair, inverse_permutation, non_span_witness,
+                               quadratic_relation_table, reduced_word, symbolic_square,
+                               tl_immanant, tl_immanant_coefficients, tl_immanants,
                                verify_imm_decomposition, verify_pfaffinant_immanant_bridge,
                                wiring_word)
 from pfaflab.pfaffian import (SkewArray, complementary_pfaffian, determinant, minor,
@@ -22,6 +21,21 @@ def test_identity_and_single_crossing_coefficients():
     assert tl_immanant_coefficients((2, 1)) == {P2: -1, Q2: 1}
 
 
+def reduced_word_reversed(w) -> list:
+    """A second reduced word, from bubble sort scanning right to left."""
+    v = list(w)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(v) - 2, -1, -1):
+            if v[i] > v[i + 1]:
+                v[i], v[i + 1] = v[i + 1], v[i]
+                word.append(i + 1)
+                changed = True
+    return word
+
+
 def test_reduced_words():
     w = (3, 1, 2)
     assert inverse_permutation(w) == (2, 3, 1)
@@ -32,9 +46,11 @@ def test_reduced_words():
 def test_word_independence():
     for n in (2, 3):
         for w in permutations(range(1, n + 1)):
-            a = tl_immanant_coefficients(w, n, word=wiring_word(w, "forward"))
-            b = tl_immanant_coefficients(w, n, word=wiring_word(w, "reverse"))
-            assert a == b
+            winv = inverse_permutation(w)
+            assert wiring_word(w) == reduced_word(winv)
+            a = _fold_word(reduced_word(winv), n)
+            b = _fold_word(reduced_word_reversed(winv), n)
+            assert a == b == tl_immanant_coefficients(w)
 
 
 def test_block_example_values():

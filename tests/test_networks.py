@@ -7,15 +7,39 @@ import pytest
 
 from pfaflab.diagrams import (enumerate_sym_tl, enumerate_sym_tl_even, is_compatible,
                               removal_closure, sym_diagram)
-from pfaflab.networks import (InvalidNetworkError, Network, _families, _segments_touch, _triple_free,
+from pfaflab.networks import (InvalidNetworkError, Network, _find, _segments_touch, _union,
                               construct_network_of_diagram, hat_pfaf, hat_pfaf_prime,
-                              marked_subnetworks, network_from_json, network_to_json,
-                              path_weight_matrix, q_i_weight, random_fence_network,
-                              verify_network_equality)
+                              i_disjoint_counts, marked_subnetworks, network_from_json,
+                              network_to_json, path_weight_matrix, q_i_weight,
+                              random_fence_network, verify_network_equality)
 from pfaflab.pfaffian import complementary_pfaffian
 from pfaflab.pfaffinants import even_subsets, tl_pfaffinant
 from pfaflab.poly import Poly, poly_prod
-from pfaflab.uncross import _find, _union
+
+
+def _families(N, compatible):
+    """All path families (one path per source) with pairwise test `compatible`:
+    the exhaustive oracle of the family table, with `_triple_free`."""
+    paths = [N.paths_from(u) for u in N.sources]
+    out = []
+
+    def rec(i, chosen):
+        if i == len(paths):
+            out.append(tuple(chosen))
+            return
+        for p in paths[i]:
+            if all(compatible(i, j, p, chosen[j]) for j in range(i)):
+                chosen.append(p)
+                rec(i + 1, chosen)
+                chosen.pop()
+
+    rec(0, [])
+    return out
+
+
+def _triple_free(family) -> bool:
+    use = Counter(v for p in family for v in p[0])
+    return all(c <= 2 for c in use.values())
 
 
 def test_validation_rejects_bad_networks():
@@ -91,12 +115,13 @@ def test_separator_isolates_its_diagram():
 
 
 def test_covering_family_counts():
-    # |families covering a marked subnetwork that are I-compatible| is mult or 0
+    # |families covering a marked subnetwork that are I-compatible| is mult
+    # or 0, and i_disjoint_counts reads it from the family table
     for D in enumerate_sym_tl(2):
         N = construct_network_of_diagram(D)
         subs = marked_subnetworks(N)
         fams = [f for f in _families(N, lambda *a: True) if _triple_free(f)]
-        for s in subs:
+        for row, s in enumerate(subs):
             for I in even_subsets(4):
                 count = 0
                 for fam in fams:
@@ -113,6 +138,7 @@ def test_covering_family_counts():
                              if ((i + 1) in I) == ((j + 1) in I))
                     count += ok
                 assert count == (s.mult if is_compatible(s.type, I) else 0)
+                assert i_disjoint_counts(N, I)[row] == count
 
 
 def test_network_equality_n2():

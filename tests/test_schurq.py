@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -8,9 +9,50 @@ from pfaflab.poly import Poly, a, x
 from pfaflab.schurq import (_classify_with_recheck, classify_difference, expand_in_q_basis,
                             join_meet, join_meet_parts, merged_positions, monomial_expand,
                             one_row_q, q_from_pfaffian, q_jt_matrix, scan_cell_transfer,
-                            scan_q_positivity, scan_sort, schur_q, schur_q_tableaux, shifted_cells,
+                            scan_q_positivity, scan_sort, schur_q, shifted_cells,
                             sort_split, strict_partitions, strict_subpartitions, two_row_q,
                             verify_min_difference_q)
+
+
+def schur_q_tableaux(lam, mu, k: int) -> Poly:
+    """Weight generating function of shifted tableaux in letters 1' < 1 < ... < k.
+
+    Rows and columns weakly increase; each primed letter appears at most
+    once per row and each unprimed letter at most once per column.  The
+    tableaux are enumerated one by one: this is the oracle for ``schur_q``.
+    """
+    if k < 1:
+        raise ValueError("need at least one variable")
+    cells = shifted_cells(lam, mu)
+    # letters encoded 1..2k: odd = primed, even = unprimed
+    filling = {}
+    weights = Counter()
+
+    def letter_ok(r, c, v):
+        left = filling.get((r, c - 1))
+        up = filling.get((r - 1, c))
+        if left is not None and (v < left or v == left and v % 2 == 1):
+            return False  # a decrease, or a repeated primed letter in a row
+        if up is not None and (v < up or v == up and v % 2 == 0):
+            return False  # a decrease, or a repeated unprimed letter in a column
+        return True
+
+    def rec(i, wt):
+        if i == len(cells):
+            weights[tuple(wt)] += 1
+            return
+        r, c = cells[i]
+        for v in range(1, 2 * k + 1):
+            if letter_ok(r, c, v):
+                filling[(r, c)] = v
+                wt[(v - 1) // 2] += 1
+                rec(i + 1, wt)
+                wt[(v - 1) // 2] -= 1
+                del filling[(r, c)]
+
+    rec(0, [0] * k)
+    return Poly({tuple(x(i + 1) for i, e in enumerate(wt) for _ in range(e)): count
+                 for wt, count in weights.items()})
 
 
 def test_one_row_values():
@@ -340,10 +382,10 @@ def test_q_positivity_scan_matches_oracle(n, bound):
     assert list(scan_q_positivity(n, bound, k=k, seed=seed, combos=combos)) == want
 
 
-def test_diagram_in_cone_reads_the_cone_membership(monkeypatch):
+def test_diagram_in_cone_reads_the_cone_membership():
     from pfaflab import schurq
     from pfaflab.diagrams import (enumerate_sym_tl, enumerate_sym_tl_even, matching,
-                                  removal_closure, sym_diagram)
+                                  removal_closure)
     from pfaflab.pfaffian import SkewArray
     from pfaflab.pfaffinants import PfaffinantFunctional, diagram_functional, tl_functional
     from pfaflab.poly import express_in_span
@@ -354,6 +396,7 @@ def test_diagram_in_cone_reads_the_cone_membership(monkeypatch):
         A = SkewArray.symbolic(2 * n)
         even = enumerate_sym_tl_even(n)
         gens = [tl_functional(E).evaluate(A) for E in even]
+        in_cone = {label: flag for label, _, flag in schurq.cone_test_elements(n, 0, 0)}
         for D in enumerate_sym_tl(n):
             coeffs = express_in_span(diagram_functional(D).evaluate(A), gens)
             induced = {}
@@ -361,14 +404,24 @@ def test_diagram_in_cone_reads_the_cone_membership(monkeypatch):
                 for Ep in removal_closure(E):
                     induced[Ep] = induced.get(Ep, 0) + c
             verdicts.append(all(v >= 0 for v in induced.values()))
-            assert schurq._diagram_in_cone(D, n) == verdicts[-1], D.key()
+            assert in_cone[f"diagram:{D.key()}"] == verdicts[-1], D.key()
     assert True in verdicts and False in verdicts
     # a functional with no TL presentation is outside the cone: no single
     # monomial pfaffian at n = 3 lies in the span of the even TL functionals
-    pi = matching([(1, 2), (3, 4), (5, 6)])
-    monkeypatch.setattr(schurq, "diagram_functional",
-                        lambda D: PfaffinantFunctional.from_dict(3, {pi: 1}))
-    assert schurq._diagram_in_cone(sym_diagram(3, []), 3) is False
+    value = PfaffinantFunctional.from_dict(3, {matching([(1, 2), (3, 4), (5, 6)]): 1}).evaluate(A)
+    assert schurq._in_cone(value, 3, even, gens) is False
+
+
+def test_cone_test_elements_evaluate_the_generators_once(monkeypatch):
+    from pfaflab import pfaffinants, schurq
+
+    calls = []
+    evaluate = pfaffinants.PfaffinantFunctional.evaluate
+    monkeypatch.setattr(pfaffinants.PfaffinantFunctional, "evaluate",
+                        lambda self, A, *rest: calls.append(A) or evaluate(self, A, *rest))
+    schurq.cone_test_elements(3, 0, 3)
+    # 20 diagrams and 10 even TL generators, all on one symbolic array
+    assert len(calls) == 30 and len({id(A) for A in calls}) == 1
 
 
 def test_q_positivity_builds_each_monomial_pfaffian_once(monkeypatch):

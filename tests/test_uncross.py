@@ -7,20 +7,51 @@ from hypothesis import given, settings, strategies as st
 
 from pfaflab import uncross
 from pfaflab.diagrams import enumerate_matchings, enumerate_tl, matching, sym_diagram, tl_diagram
+from pfaflab.networks import _find, _union
 from pfaflab.pfaffinants import f_tables
-from pfaflab.uncross import (DEFAULT_CLASS_BOUND, CapacityError, ChordMap, embed_nu_d, embed_nu_pi,
-                             enumerate_uncrossings, f_coefficient, g_coefficient,
-                             g_tilde_coefficient, nu_pi_positions, z_count)
+from pfaflab.uncross import (CapacityError, ChordMap, embed_nu_d, embed_nu_pi, f_coefficient,
+                             g_coefficient, g_tilde_coefficient, nu_pi_positions, z_count)
 
 D2 = lambda *edges: sym_diagram(2, edges)
+
+
+def _uncrossings(cmap):
+    """(diagram, weight) of each of the 2^k uncrossings, traced one by one.
+
+    Each class resolves vertically or horizontally at all its crossings;
+    the strands and loops are read from a union-find over the chord
+    pieces.  The weight is 2^(mirror orbits of loops) times -1 per
+    unpaired vertical and per paired horizontal resolution.
+    """
+    diagrams = {}   # left edges -> diagram, built once each
+    for mask in range(1 << cmap.num_classes):
+        parent = list(range(cmap.n_pieces))
+        flips = 0
+        for ci, members in enumerate(cmap.classes):
+            vertical = (mask >> ci) & 1 == 1
+            flips += vertical == (cmap.class_kind[ci] == "unpaired")
+            for k in members:
+                ub, ua, vb, va = cmap.cross_pieces[k]
+                _union(parent, ub, vb if vertical else va)
+                _union(parent, ua, va if vertical else vb)
+        by_root = {}
+        for p, end in cmap.boundary_end.items():
+            by_root.setdefault(_find(parent, end >> 1), []).append(p)
+        loops = {_find(parent, piece) for piece in range(cmap.n_pieces)} - set(by_root)
+        # a loop and its mirror image count once
+        orbits = {frozenset((r, _find(parent, cmap.mirror_piece[r]))) for r in loops}
+        left = uncross._left_edges(cmap.n, by_root.values())
+        if left not in diagrams:
+            diagrams[left] = sym_diagram(cmap.n, left)
+        yield diagrams[left], 2 ** len(orbits) * (-1) ** flips
 
 
 def test_single_edge_census():
     cmap = embed_nu_pi(matching([(1, 2)]), 1)
     assert cmap.census() == {"crossings": 1, "unpaired": 1, "paired_orbits": 0}
-    uns = enumerate_uncrossings(cmap)
+    uns = list(_uncrossings(cmap))
     assert len(uns) == 2
-    assert {u.diagram.key(): u.weight for u in uns} == {"V[]": 1, "V[(1,2)]": -1}
+    assert {D.key(): w for D, w in uns} == {"V[]": 1, "V[(1,2)]": -1}
 
 
 def test_nested_pair_census_and_table():
@@ -28,7 +59,7 @@ def test_nested_pair_census_and_table():
     for seed in (0, 1):
         cmap = embed_nu_pi(pi, 2, seed)
         assert cmap.census() == {"crossings": 6, "unpaired": 2, "paired_orbits": 2}
-        assert len(enumerate_uncrossings(cmap)) == 16
+        assert len(list(_uncrossings(cmap))) == 16
         table = {D.key(): w for D, w in f_coefficient(pi, 2, seed).items()}
         assert table == {"V[]": 1, "V[(1,2)]": -1, "V[(3,4)]": -1,
                          "V[(1,2)(3,4)]": 2, "V[(2,3)]": 0, "V[(1,4)(2,3)]": -1}
@@ -80,8 +111,7 @@ def test_weight_multiset_seed_invariant():
     pi = matching([(1, 4), (2, 3)])
     multisets = []
     for seed in (0, 1):
-        uns = enumerate_uncrossings(embed_nu_pi(pi, 2, seed))
-        multisets.append(sorted(u.weight for u in uns))
+        multisets.append(sorted(w for _, w in _uncrossings(embed_nu_pi(pi, 2, seed))))
     assert multisets[0] == multisets[1]
 
 
@@ -107,8 +137,6 @@ def test_class_bound():
         f_coefficient(pi, 2, state_bound=2)
     assert info.type is CapacityError
     assert str(info.value) == "4 uncrossing fold states exceed the bound 2"
-    with pytest.raises(CapacityError, match=r"^4 resolution classes exceed the bound 3$"):
-        enumerate_uncrossings(embed_nu_pi(pi, 2), class_bound=3)
 
 
 # peak fold state counts, recorded from the union-find fold that the
@@ -129,8 +157,8 @@ def test_state_bound_is_the_peak():
 def _oracle(cmap):
     """Weights summed per diagram over the enumerated uncrossings."""
     acc = {}
-    for u in enumerate_uncrossings(cmap):
-        acc[u.diagram] = acc.get(u.diagram, 0) + u.weight
+    for D, w in _uncrossings(cmap):
+        acc[D] = acc.get(D, 0) + w
     return acc
 
 
@@ -165,7 +193,7 @@ def test_fold_matches_enumeration():
 
 def test_fold_reaches_n5():
     pi = matching([(1, 10), (2, 9), (3, 8), (4, 7), (5, 6)])
-    assert embed_nu_pi(pi, 5).num_classes == 25 > DEFAULT_CLASS_BOUND
+    assert embed_nu_pi(pi, 5).num_classes == 25
     tables = [f_coefficient(pi, 5, seed) for seed in (0, 1)]
     assert tables[0] and tables[0] == tables[1]
 

@@ -134,6 +134,12 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            'sign = -1 if cmap.class_kind[ci] == "unpaired" else 1',
            'sign = 1 if cmap.class_kind[ci] == "unpaired" else -1',
            (T_UNCROSS + "test_n1_f_table_consistent_with_decomposition",)),
+    # -- network path families
+    Mutant("family-counts-ignore-the-same-side-mask", "src/pfaflab/networks.py",
+           "sum(c for meet, c in meets.items() if not meet & same_side)",
+           "sum(c for meet, c in meets.items())",
+           ("tests/test_verify.py::test_registry_smoke[lem-3.4]",
+            "tests/test_verify.py::test_registry_smoke[cor-3.2]")),
     # -- functionals and the Q-scans
     Mutant("from-dict-truncates-rationals", "src/pfaflab/pfaffinants.py",
            "c if c.__class__ is int else _num(c)", "int(c)",
@@ -146,6 +152,10 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "            if (join, meet) in ((s1, s2), (s2, s1)):\n",
            "            if (join[0], meet[0]) in ((s1[0], s2[0]), (s2[0], s1[0])):\n",
            (T_SCHURQ + "test_cell_transfer_scan_matches_oracle",)),
+    Mutant("schur-q-strip-weight-per-row", SCHURQ,
+           "        weight = 2 ** _strip_components(lam, nu)\n",
+           "        weight = 2 ** sum(1 for p, q in zip(lam, nu + (0,) * len(lam)) if q < p)\n",
+           (T_SCHURQ + "test_branching_matches_tableaux",)),
     Mutant("q-expansion-never-reads-new-exponents", SCHURQ,
            "                if mono not in exponents:\n                    exponents[mono] = read(mono)\n",
            "",
