@@ -229,7 +229,7 @@ def cmd_table(args) -> int:
     else:
         labels = ("L^2", "L*M", "L*N", "M^2", "M*N", "N^2")
         rows = [("diagram", "in_span", *labels)]
-        for r in im.quadratic_relation_table(seed=args.seed):
+        for r in im.quadratic_relation_table():
             coeffs = r["coefficients"] or {}
             rows.append((r["diagram"], str(r["in_span"]),
                          *(str(coeffs.get(lbl, "")) for lbl in labels)))

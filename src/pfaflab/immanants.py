@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .diagrams import (TLDiagram, enumerate_sym_tl_even, enumerate_tl, removal_closure, sym_diagram,
-                       tl_diagram)
+from .diagrams import TLDiagram, enumerate_sym_tl_even, enumerate_tl, removal_closure, tl_diagram
 from .pfaffian import GeneralMatrix, SkewArray, minor, skew_to_matrix
 from .pfaffinants import _require_equal, tl_pfaffinant
-from .poly import Poly, a, express_in_span, poly_prod
+from .poly import Poly, a, express_in_span, poly_prod, poly_sum
 from .uncross import g_tilde_coefficient
 
 
@@ -98,24 +97,23 @@ def tl_immanants(B: GeneralMatrix) -> dict:
     n = B.nrows
     if n != B.ncols:
         raise ValueError("TL immanants need a square matrix")
-    out = {d: Poly.zero() for d in enumerate_tl(n)}
+    pairs = {d: [] for d in enumerate_tl(n)}
     for w in permutations(range(1, n + 1)):
         mono = poly_prod(B.entry(i, w[i - 1]) for i in range(1, n + 1))
         if mono.is_zero():
             continue
         for d, c in tl_immanant_coefficients(w).items():
-            out[d] = out[d] + c * mono
-    return out
+            pairs[d].append((c, mono))
+    return {d: poly_sum(ps) for d, ps in pairs.items()}
 
 
 def tl_immanant(d: TLDiagram, B: GeneralMatrix) -> Poly:
     return tl_immanants(B).get(d, Poly.zero())
 
 
-def symbolic_square(n: int, offset: int = 0) -> GeneralMatrix:
-    """Generic n x n matrix with entry (i,j) the variable a[i, offset+j]."""
-    off = offset or n
-    return GeneralMatrix([[Poly.var(a(i, off + j)) for j in range(1, n + 1)]
+def symbolic_square(n: int) -> GeneralMatrix:
+    """Generic n x n matrix with entry (i,j) the variable a[i, n+j]."""
+    return GeneralMatrix([[Poly.var(a(i, n + j)) for j in range(1, n + 1)]
                           for i in range(1, n + 1)])
 
 
@@ -136,9 +134,7 @@ def verify_imm_decomposition(B: GeneralMatrix, I, J) -> dict:
     S = set(J) | {2 * n + 1 - i for i in range(1, n + 1) if i not in set(I)}
     lhs = minor(B, I, J) * minor(B, Ibar, Jbar)
     imms = tl_immanants(B)
-    rhs = Poly.zero()
-    for d in compatible_tl_diagrams(S, n):
-        rhs = rhs + imms[d]
+    rhs = poly_sum((1, imms[d]) for d in compatible_tl_diagrams(S, n))
     _require_equal(lhs, rhs, f"minor decomposition at I={I}, J={J}")
     return {"identity": "imm-decomposition", "I": I, "J": J, "ok": True}
 
@@ -150,20 +146,16 @@ def block_pair(n: int) -> tuple:
     return A, B
 
 
-def verify_pfaffinant_immanant_bridge(n: int, diagrams=None, seed: int = 0) -> dict:
+def verify_pfaffinant_immanant_bridge(n: int, diagrams=None) -> dict:
     """TL pfaffinants of the block array expand over TL immanants of the block."""
     A, B = block_pair(n)
     imms = tl_immanants(B)
-    g_tilde = {d: g_tilde_coefficient(d, n, seed) for d in imms}
+    g_tilde = {d: g_tilde_coefficient(d, n) for d in imms}
     checked = []
     for D in diagrams or enumerate_sym_tl_even(n):
-        lhs = tl_pfaffinant(D, A, seed)
-        rhs = Poly.zero()
-        for Dp in removal_closure(D):
-            for d, imm in imms.items():
-                c = g_tilde[d].get(Dp, 0)
-                if c:
-                    rhs = rhs + c * imm
+        lhs = tl_pfaffinant(D, A)
+        rhs = poly_sum((g_tilde[d].get(Dp, 0), imm)
+                       for Dp in removal_closure(D) for d, imm in imms.items())
         _require_equal(lhs, rhs, f"pfaffinant-immanant bridge for {D.key()}")
         checked.append(D.key())
     return {"identity": "pfaffinant-immanant-bridge", "n": n, "diagrams": checked, "ok": True}
@@ -185,17 +177,12 @@ def reference_tl_values_n2() -> dict:
     }
 
 
-def quadratic_relation_table(use_reference: bool = True, seed: int = 0) -> list:
+def quadratic_relation_table() -> list:
     """Expand each TL immanant of a generic skew 4x4 array over the degree-two
-    products of the three n=2 TL functionals (L, M, N)."""
-    if use_reference:
-        vals = reference_tl_values_n2()
-        L, M, N = vals["V[]"], vals["V[(2,3)(1,4)]"], vals["V[(1,2)(3,4)]"]
-    else:
-        A4 = SkewArray.symbolic(4)
-        L = tl_pfaffinant(sym_diagram(2, []), A4, seed)
-        M = tl_pfaffinant(sym_diagram(2, [(2, 3), (1, 4)]), A4, seed)
-        N = tl_pfaffinant(sym_diagram(2, [(1, 2), (3, 4)]), A4, seed)
+    products of the three n=2 TL functionals (L, M, N) of
+    ``reference_tl_values_n2``."""
+    vals = reference_tl_values_n2()
+    L, M, N = vals["V[]"], vals["V[(2,3)(1,4)]"], vals["V[(1,2)(3,4)]"]
     products = [L * L, L * M, L * N, M * M, M * N, N * N]
     labels = ["L^2", "L*M", "L*N", "M^2", "M*N", "N^2"]
     imms = tl_immanants(skew_to_matrix(SkewArray.symbolic(4)))

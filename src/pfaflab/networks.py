@@ -43,8 +43,7 @@ from math import lcm
 
 from .diagrams import OddSubsetError, SymTLDiagram, removal_closure, sym_diagram
 from .pfaffian import SkewArray
-from .pfaffinants import _require_equal, tl_pfaffinant
-from .poly import CapacityError, Poly, UsageError, poly_prod, x
+from .poly import CapacityError, Poly, UsageError, poly_prod, poly_sum, x
 from .uncross import _segment_crossing
 
 
@@ -268,15 +267,9 @@ def path_weight_matrix(N: Network) -> SkewArray:
     entries = {}
     for i in range(m):
         for j in range(i + 1, m):
-            total = Poly.zero()
-            for pv, _, wp in paths[i]:
-                partners = Poly.zero()
-                for qv, _, wq in paths[j]:
-                    if not pv & qv:
-                        partners = partners + wq
-                if partners:
-                    total = total + wp * partners
-            entries[(i + 1, j + 1)] = total
+            entries[(i + 1, j + 1)] = poly_sum(
+                (1, wp * poly_sum((1, wq) for qv, _, wq in paths[j] if not pv & qv))
+                for pv, _, wp in paths[i])
     return SkewArray(m, entries)
 
 
@@ -297,11 +290,8 @@ def i_disjoint_counts(N: Network, I) -> list:
 
 def q_i_weight(N: Network, I) -> Poly:
     """Weight sum over families whose paths are disjoint within I and within its complement."""
-    total = Poly.zero()
-    for count, (_, _, weight, _) in zip(i_disjoint_counts(N, I), N._family_table):
-        if count:
-            total = total + count * weight
-    return total
+    return poly_sum((count, weight) for count, (_, _, weight, _)
+                    in zip(i_disjoint_counts(N, I), N._family_table))
 
 
 # -- marked subnetworks ----------------------------------------------------------
@@ -364,42 +354,30 @@ def marked_subnetworks(N: Network) -> list:
     return out
 
 
-def hat_pfaf_prime(N: Network, D: SymTLDiagram, subnetworks=None) -> Poly:
-    """Mult-weighted sum over marked subnetworks of the given type."""
-    subs = marked_subnetworks(N) if subnetworks is None else subnetworks
-    total = Poly.zero()
-    for s in subs:
-        if s.type == D:
-            total = total + s.mult * s.weight
-    return total
+def hat_pfaf_prime(N: Network, D: SymTLDiagram, subnetworks) -> Poly:
+    """Mult-weighted sum over the marked subnetworks of N (``subnetworks``,
+    as from ``marked_subnetworks(N)``) of the given type."""
+    return poly_sum((s.mult, s.weight) for s in subnetworks if s.type == D)
 
 
-def hat_pfaf(N: Network, D: SymTLDiagram, subnetworks=None) -> Poly:
-    subs = marked_subnetworks(N) if subnetworks is None else subnetworks
-    total = Poly.zero()
-    for Dp in removal_closure(D):
-        total = total + hat_pfaf_prime(N, Dp, subs)
-    return total
-
-
-def verify_network_equality(N: Network, D: SymTLDiagram, seed: int = 0) -> dict:
-    """TL pfaffinant of A(N) equals the marked-subnetwork weight sum."""
-    lhs = tl_pfaffinant(D, path_weight_matrix(N), seed)
-    rhs = hat_pfaf(N, D)
-    _require_equal(lhs, rhs, f"network equality for {D.key()}")
-    return {"identity": "network-equality", "diagram": D.key(), "ok": True}
+def hat_pfaf(N: Network, D: SymTLDiagram, subnetworks) -> Poly:
+    """Mult-weighted sum over the marked subnetworks of N (``subnetworks``,
+    as from ``marked_subnetworks(N)``) whose type is in S(D)."""
+    closure = removal_closure(D)
+    return poly_sum((s.mult, s.weight) for s in subnetworks if s.type in closure)
 
 
 # -- the separating network of a diagram -----------------------------------------
 
 
-def construct_network_of_diagram(D: SymTLDiagram, symbolic: bool = True, weights=None) -> Network:
+def construct_network_of_diagram(D: SymTLDiagram) -> Network:
     """Straight-line network whose unique triple-free marked subnetwork has type D.
 
     Sources u_i sit at (0, 2n-i).  Every vertex i that is not the larger
     end of a vertical edge gets a sink w_i at (1, 2n-i) and a straight
     rail; the k-th smallest larger end is joined to the sink of the k-th
-    smallest smaller end.  Interior intersections become vertices.
+    smallest smaller end.  Interior intersections become vertices.  The
+    k-th edge built weighs x[k].
     """
     n2 = 2 * D.n
     outgoing = sorted(i for i, _ in D.vertical_left)
@@ -429,14 +407,6 @@ def construct_network_of_diagram(D: SymTLDiagram, symbolic: bool = True, weights
 
     vertices = {}
     edges = []
-    wcount = [0]
-
-    def next_weight():
-        wcount[0] += 1
-        if symbolic:
-            return Poly.var(x(wcount[0]))
-        return weights[wcount[0] - 1] if weights is not None else 1
-
     for s, (A, B, la, lb) in enumerate(segs):
         ida = vid(A, f"{la[0]}{la[1]}")
         idb = vid(B, f"{lb[0]}{lb[1]}")
@@ -446,7 +416,7 @@ def construct_network_of_diagram(D: SymTLDiagram, symbolic: bool = True, weights
         for P, Q in zip(stops, stops[1:]):
             vertices[vid(P)] = P
             vertices[vid(Q)] = Q
-            edges.append((points[P], points[Q], next_weight()))
+            edges.append((points[P], points[Q], Poly.var(x(len(edges) + 1))))
 
     sources = [f"u{i}" for i in range(1, n2 + 1)]
     sinks = [f"w{i}" for i in range(1, n2 + 1) if i not in ingoing]
@@ -456,7 +426,7 @@ def construct_network_of_diagram(D: SymTLDiagram, symbolic: bool = True, weights
 # -- random planar fence networks -------------------------------------------------
 
 
-def random_fence_network(n: int, crossings: int, seed: int, symbolic: bool = False) -> Network:
+def random_fence_network(n: int, crossings: int, seed: int) -> Network:
     """2n horizontal rails with random adjacent-rail crossings, random weights."""
     rng = random.Random(seed)
     n2 = 2 * n
@@ -464,12 +434,8 @@ def random_fence_network(n: int, crossings: int, seed: int, symbolic: bool = Fal
     vertices = {}
     edges = []
     head = {}
-    wcount = [0]
 
     def weight():
-        wcount[0] += 1
-        if symbolic:
-            return Poly.var(x(wcount[0]))
         return Fraction(rng.randrange(1, 6))
 
     for r in range(1, n2 + 1):
@@ -532,12 +498,8 @@ def network_from_json(text: str) -> Network:
 
 def parse_weight(text: str) -> Poly:
     """Parse weights as rendered by Poly: products of x[k] and rational constants."""
-    text = text.strip()
-    total = Poly.zero()
-    if text == "0":
-        return total
-    text = text.replace(" - ", " + -")
-    for term in text.split(" + "):
+    terms = {}
+    for term in text.strip().replace(" - ", " + -").split(" + "):
         term = term.strip()
         neg = term.startswith("-")
         if neg:
@@ -553,7 +515,6 @@ def parse_weight(text: str) -> Poly:
                 mono.extend([x(k)] * (int(exp) if exp else 1))
             else:
                 coeff *= Fraction(f)
-        if neg:
-            coeff = -coeff
-        total = total + Poly({tuple(mono): coeff})
-    return total
+        key = tuple(mono)
+        terms[key] = terms.get(key, 0) + (-coeff if neg else coeff)
+    return Poly(terms)

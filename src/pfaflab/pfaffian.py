@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .diagrams import OddSubsetError
-from .poly import Poly, UsageError, a, poly_prod
+from .poly import Poly, UsageError, a, poly_prod, poly_sum
 
 
 class SkewArray:
@@ -73,12 +73,8 @@ def pfaffian(A: SkewArray, I=None) -> Poly:
 
     def pf(S: tuple) -> Poly:
         if S not in memo:
-            total = Poly.zero()
-            for t, j in enumerate(S[1:], 1):
-                if (S[0], j) in A.entries:
-                    term = A.entries[S[0], j] * pf(S[1:t] + S[t + 1:])
-                    total = total + term if t % 2 else total - term
-            memo[S] = total
+            memo[S] = poly_sum((1 if t % 2 else -1, A.entries[S[0], j] * pf(S[1:t] + S[t + 1:]))
+                               for t, j in enumerate(S[1:], 1) if (S[0], j) in A.entries)
         return memo[S]
 
     return pf(tuple(I))
@@ -117,11 +113,8 @@ def determinant(M: GeneralMatrix) -> Poly:
     if M.nrows != M.ncols:
         raise ValueError(f"determinant of a {M.nrows}x{M.ncols} matrix")
     n = M.nrows
-    total = Poly.zero()
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        total = total + sign * poly_prod(M.rows[i][perm[i]] for i in range(n))
-    return total
+    return poly_sum((_perm_sign(perm), poly_prod(M.rows[i][perm[i]] for i in range(n)))
+                    for perm in permutations(range(n)))
 
 
 def _perm_sign(perm) -> int:

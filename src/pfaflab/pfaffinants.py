@@ -12,7 +12,7 @@ from .diagrams import (OddSubsetError, SymTLDiagram, _i_maximal_cached, compatib
                        enumerate_sym_tl_even, i_maximal_diagrams, removal_closure,
                        standard_partition)
 from .pfaffian import SkewArray, complementary_pfaffian, min_partition, monomial_pfaffian
-from .poly import Poly, UsageError, _num, express_in_span, matrix_rank
+from .poly import Poly, UsageError, _num, express_in_span, matrix_rank, poly_sum
 from .uncross import f_coefficient
 
 
@@ -43,25 +43,19 @@ class PfaffinantFunctional:
         return PfaffinantFunctional(n, items)
 
     def evaluate(self, A: SkewArray, pfaffians: dict | None = None) -> Poly:
-        """The sum of c * pf_pi(A) over the support, added up in one dict.
+        """The ``poly_sum`` of c * pf_pi(A) over the support.
 
-        ``pfaffians``, if given, memoises the terms of pf_pi(A) by pi; the
-        caller keeps one such dict per array, shared by every functional
-        evaluated on it."""
+        ``pfaffians``, if given, memoises pf_pi(A) by pi; the caller keeps
+        one such dict per array, shared by every functional evaluated on
+        it."""
         if A.size != 2 * self.n:
             raise ValueError(f"array size {A.size} does not match n={self.n}")
         if pfaffians is None:
             pfaffians = {}
-        acc = {}
-        get = acc.get
-        for pi, c in self.coefficients:
-            terms = pfaffians.get(pi)
-            if terms is None:
-                terms = pfaffians[pi] = monomial_pfaffian(A, pi).terms
-            for m, v in terms.items():
-                acc[m] = get(m, 0) + c * v
-        return Poly.from_packed({m: v if v.__class__ is int else _num(v)
-                                 for m, v in acc.items() if v})
+        for pi, _ in self.coefficients:
+            if pi not in pfaffians:
+                pfaffians[pi] = monomial_pfaffian(A, pi)
+        return poly_sum((c, pfaffians[pi]) for pi, c in self.coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +293,13 @@ def boolean_cone_check(s: int, parity: str, t) -> bool:
     return True
 
 
-def check_pfafprime_in_span(n: int, seed: int = 0) -> list:
+def check_pfafprime_in_span(n: int) -> list:
     """Probe whether each diagram pfaffinant lies in the complementary-pfaffian span."""
     A = SkewArray.symbolic(2 * n)
     gens = [complementary_pfaffian(A, I) for I in even_subsets(2 * n)]
     out = []
     for D in enumerate_sym_tl(n):
-        coeffs = express_in_span(diagram_pfaffinant(D, A, seed), gens)
+        coeffs = express_in_span(diagram_pfaffinant(D, A), gens)
         out.append({
             "diagram": D.key(),
             "in_span": coeffs is not None,

@@ -15,6 +15,9 @@ met its variables, so nothing is printed by key: ``items()`` gives the
 tuple view (sorted variables, repetition encoding powers), by which
 rendering orders monomials.  ``Poly(dict)`` packs tuple-keyed dicts.
 
+A linear combination of polynomials is one n-ary ``poly_sum``, added up
+in one dict and normalised once; ``+`` and ``-`` are the binary forms.
+
 ``matrix_rank`` and ``express_in_span`` share one sparse fraction-free
 (Bareiss) echelon engine, whose results do not depend on the key order;
 dense ``Fraction`` elimination survives only as the test oracle.
@@ -331,6 +334,18 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
+
+
+def poly_sum(pairs) -> Poly:
+    """Sum of c * p over (c, Poly) pairs, c an int or a Fraction, added up
+    in one dict; zero coefficients are dropped, integral ones kept as ints."""
+    acc = {}
+    get = acc.get
+    for c, p in pairs:
+        for m, v in p.terms.items():
+            acc[m] = get(m, 0) + c * v
+    return Poly.from_packed({m: v if v.__class__ is int else _num(v)
+                             for m, v in acc.items() if v})
 
 
 def poly_prod(polys) -> Poly:

@@ -384,13 +384,12 @@ def classify_difference(diff: Poly, k: int) -> tuple:
     return ("not-in-q-span" if not exp.ok else "counterexample"), exp.as_dict()
 
 
-def scan_cell_transfer(bound: int, k: int = 5, skew: bool = True):
-    """Cell-transfer difference scan over pairs of (skew) shifted shapes."""
+def scan_cell_transfer(bound: int, k: int = 5):
+    """Cell-transfer difference scan over pairs of skew shifted shapes."""
     shapes1 = []
     for a_ in range(0, bound + 1):
         for lam in strict_partitions(a_) if a_ else [()]:
-            mus = strict_subpartitions(lam) if skew else [()]
-            shapes1.extend((lam, mu) for mu in mus)
+            shapes1.extend((lam, mu) for mu in strict_subpartitions(lam))
     for i, s1 in enumerate(shapes1):
         for s2 in shapes1[i:]:
             if sum(s1[0]) + sum(s2[0]) > bound:

@@ -375,7 +375,7 @@ def _loop_orbits(partner, mirror_of, base, pos) -> int:
     return loops
 
 
-def _accumulate(cmap: ChordMap, state_bound: int | None = None) -> dict:
+def _accumulate(cmap: ChordMap) -> dict:
     """Total uncrossing weight per diagram, one resolution class at a time.
 
     A state is a tuple with the mate of each live end: the other end of
@@ -385,8 +385,8 @@ def _accumulate(cmap: ChordMap, state_bound: int | None = None) -> dict:
     they are mates already; since the step is one mirror orbit, the mirror
     loop closes at the same step and the pair counts once.  Zero-weight
     states are kept, so diagrams whose weights cancel stay in the table.
+    More than DEFAULT_STATE_BOUND states after a step raise CapacityError.
     """
-    bound = DEFAULT_STATE_BOUND if state_bound is None else state_bound
     order = sorted(range(cmap.num_classes),
                    key=lambda ci: (abs(cmap.crossings[cmap.classes[ci][0]].point[0]), ci))
     ports, layouts = _fold_steps(cmap, order)
@@ -423,8 +423,9 @@ def _accumulate(cmap: ChordMap, state_bound: int | None = None) -> dict:
                 loops = _loop_orbits(partner, mirror_of, base, pos) if closed else 0
                 new = take(mate)
                 nxt[new] = nxt.get(new, 0) + ((s * weight) << loops)
-        if len(nxt) > bound:
-            raise CapacityError(f"{len(nxt)} uncrossing fold states exceed the bound {bound}")
+        if len(nxt) > DEFAULT_STATE_BOUND:
+            raise CapacityError(f"{len(nxt)} uncrossing fold states exceed the bound "
+                                f"{DEFAULT_STATE_BOUND}")
         states = nxt
     extra, pos, _ = layouts[-1]
     point = {e: p for p, e in cmap.boundary_end.items()}
@@ -447,17 +448,17 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
     return sym_diagram(n, _left_edges(n, strands))
 
 
-def f_coefficient(pi, n: int, seed: int = 0, state_bound: int | None = None) -> dict:
+def f_coefficient(pi, n: int, seed: int = 0) -> dict:
     """Total uncrossing weight per resulting diagram for the doubled matching.
 
-    Raises CapacityError if the fold needs more than ``state_bound``
-    (default DEFAULT_STATE_BOUND) states."""
-    return _accumulate(embed_nu_pi(pi, n, seed), state_bound)
+    Raises CapacityError if the fold needs more than DEFAULT_STATE_BOUND
+    states."""
+    return _accumulate(embed_nu_pi(pi, n, seed))
 
 
-def g_coefficient(d: TLDiagram, n: int, seed: int = 0, state_bound: int | None = None) -> dict:
+def g_coefficient(d: TLDiagram, n: int, seed: int = 0) -> dict:
     """Total uncrossing weight per diagram for the doubled TL diagram."""
-    return _accumulate(embed_nu_d(d, n, seed), state_bound)
+    return _accumulate(embed_nu_d(d, n, seed))
 
 
 def z_count(d: TLDiagram, n: int) -> int:

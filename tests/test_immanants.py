@@ -2,7 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from pfaflab.diagrams import enumerate_sym_tl_even, tl_diagram
+from pfaflab.diagrams import enumerate_sym_tl_even, sym_diagram, tl_diagram
 from pfaflab.immanants import (_fold_word, block_pair, inverse_permutation, non_span_witness,
                                quadratic_relation_table, reduced_word, symbolic_square,
                                tl_immanant, tl_immanant_coefficients, tl_immanants,
@@ -10,7 +10,8 @@ from pfaflab.immanants import (_fold_word, block_pair, inverse_permutation, non_
                                wiring_word)
 from pfaflab.pfaffian import (SkewArray, complementary_pfaffian, determinant, minor,
                               skew_to_matrix)
-from pfaflab.pfaffinants import even_subsets
+from pfaflab.pfaffinants import even_subsets, tl_pfaffinant
+from pfaflab.poly import express_in_span
 
 P2 = tl_diagram(2, [(1, 4), (2, 3)])
 Q2 = tl_diagram(2, [(1, 2), (3, 4)])
@@ -148,8 +149,13 @@ def test_quadratic_relation_table():
 def test_quadratic_table_convention_binding():
     # with the iterated-closure TL values the immanants still lie in the
     # span of products (same span, different coordinates)
-    rows = quadratic_relation_table(use_reference=False)
-    assert all(r["in_span"] for r in rows)
+    A4 = SkewArray.symbolic(4)
+    L, M, N = (tl_pfaffinant(sym_diagram(2, edges), A4)
+               for edges in ([], [(2, 3), (1, 4)], [(1, 2), (3, 4)]))
+    products = [L * L, L * M, L * N, M * M, M * N, N * N]
+    imms = tl_immanants(skew_to_matrix(A4))
+    assert len(imms) == 14
+    assert all(express_in_span(imm, products) is not None for imm in imms.values())
 
 
 @pytest.mark.slow

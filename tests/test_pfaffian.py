@@ -95,10 +95,11 @@ def _separator_arrays(n):
 
     from pfaflab.diagrams import enumerate_sym_tl
     from pfaflab.networks import construct_network_of_diagram, path_weight_matrix
+    from test_networks import reweighted
 
     weights = [Fraction(k % 7 + 1, k % 4 + 2) for k in range(200)]
     diagrams = enumerate_sym_tl(n)
-    return [path_weight_matrix(construct_network_of_diagram(D, symbolic=False, weights=weights))
+    return [path_weight_matrix(reweighted(construct_network_of_diagram(D), weights))
             for D in diagrams[::max(1, len(diagrams) // 6)]]
 
 

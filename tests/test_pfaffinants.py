@@ -190,15 +190,15 @@ def _evaluate_oracle(f, A):
 
 def _fraction_arrays():
     """n = 2 arrays whose entries are multi-term polynomials with Fraction coefficients."""
-    from pfaflab.networks import Network, path_weight_matrix, random_fence_network
+    from pfaflab.networks import path_weight_matrix, random_fence_network
     from pfaflab.schurq import q_jt_matrix
+    from test_networks import reweighted
 
     def scaled(A, c):
         return SkewArray(A.size, {ij: c * v for ij, v in A.entries.items()})
 
-    fence = random_fence_network(2, 4, seed=1, symbolic=True)
-    edges = [(e.tail, e.head, Fraction(1, t + 2) * e.weight) for t, e in enumerate(fence.edges)]
-    N = Network(fence.vertices, edges, fence.sources, fence.sinks)
+    fence = reweighted(random_fence_network(2, 4, seed=1))
+    N = reweighted(fence, [Fraction(1, t + 2) * e.weight for t, e in enumerate(fence.edges)])
     return [scaled(q_jt_matrix([3, 2, 1, 0], [], 2, allow_nonstrict=True), Fraction(1, 3)),
             scaled(q_jt_matrix([2, 2, 1, 1], [], 3, allow_nonstrict=True), Fraction(2, 3)),
             path_weight_matrix(N)]

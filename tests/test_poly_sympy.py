@@ -8,7 +8,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pfaflab.poly import Poly, a, x  # noqa: E402
+from pfaflab.poly import Poly, a, poly_sum, x  # noqa: E402
 
 VARIABLES = [a(1, 2), a(1, 3), a(2, 4), a(3, 5), x(1), x(2), x(5)]
 A, X = sympy.IndexedBase("a"), sympy.IndexedBase("x")
@@ -18,6 +18,7 @@ coefficients = st.one_of(st.integers(-5, 5),
 # monomials in any variable order, so that packing has to merge them
 monomials = st.lists(st.sampled_from(VARIABLES), max_size=4).map(tuple)
 term_dicts = st.dictionaries(monomials, coefficients, max_size=4)
+scaled_dicts = st.lists(st.tuples(coefficients, term_dicts), max_size=4)
 
 
 def _symbol(v):
@@ -40,8 +41,8 @@ def _agrees(p: Poly, want) -> bool:
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(term_dicts, term_dicts, st.integers(0, 3))
-def test_arithmetic_and_render_match_sympy(d1, d2, e):
+@given(term_dicts, term_dicts, st.integers(0, 3), scaled_dicts)
+def test_arithmetic_and_render_match_sympy(d1, d2, e, pairs):
     p, q = Poly(d1), Poly(d2)
     sp, sq = _to_sympy(d1), _to_sympy(d2)
     assert _agrees(p, sp) and _agrees(q, sq)
@@ -49,6 +50,16 @@ def test_arithmetic_and_render_match_sympy(d1, d2, e):
     assert _agrees(p - q, sp - sq)
     assert _agrees(p * q, sp * sq)
     assert _agrees(p ** e, sp ** e)
-    # products keep integral coefficients as ints
-    assert all(isinstance(c, int) or c.denominator != 1
-               for r in (p * q, p ** e) for _, c in r.items())
+    # poly_sum is the + and * fold; no pairs give zero, p - p cancels fully
+    fold = Poly.zero()
+    for c, d in pairs:
+        fold = fold + c * Poly(d)
+    total = poly_sum((c, Poly(d)) for c, d in pairs)
+    cancelled = poly_sum([(1, p), (-1, p)])
+    halves = poly_sum([(Fraction(1, 2), p), (Fraction(1, 2), p)])
+    assert total == fold and poly_sum([]) == Poly.zero()
+    assert cancelled.terms == {} and halves.terms == p.terms
+    # products and sums drop zero coefficients and keep integral ones as ints
+    # (Poly equality cannot tell Fraction(2, 1) from 2)
+    assert all(c != 0 and (isinstance(c, int) or c.denominator != 1)
+               for r in (p * q, p ** e, total, halves) for _, c in r.items())

@@ -131,10 +131,11 @@ def test_paired_orbit_inequality_clause():
                 assert (q < s) == (r < p), (pi, c1, c2)
 
 
-def test_class_bound():
+def test_class_bound(monkeypatch):
     pi = matching([(1, 4), (2, 3)])
+    monkeypatch.setattr(uncross, "DEFAULT_STATE_BOUND", 2)
     with pytest.raises(ValueError) as info:
-        f_coefficient(pi, 2, state_bound=2)
+        f_coefficient(pi, 2)
     assert info.type is CapacityError
     assert str(info.value) == "4 uncrossing fold states exceed the bound 2"
 
@@ -145,13 +146,17 @@ N3_PEAKS = {((1, 2), (3, 4), (5, 6)): 8, ((1, 3), (2, 4), (5, 6)): 12,
             ((1, 3), (2, 5), (4, 6)): 18, ((1, 6), (2, 5), (3, 4)): 20}
 
 
-def test_state_bound_is_the_peak():
+def test_state_bound_is_the_peak(monkeypatch):
     for edges, peak in N3_PEAKS.items():
         pi = matching(edges)
-        assert f_coefficient(pi, 3, state_bound=peak) == f_coefficient(pi, 3)
+        want = f_coefficient(pi, 3)
+        monkeypatch.setattr(uncross, "DEFAULT_STATE_BOUND", peak)
+        assert f_coefficient(pi, 3) == want
+        monkeypatch.setattr(uncross, "DEFAULT_STATE_BOUND", peak - 1)
         with pytest.raises(CapacityError, match=rf"^{peak} uncrossing fold states exceed "
                                                 rf"the bound {peak - 1}$"):
-            f_coefficient(pi, 3, state_bound=peak - 1)
+            f_coefficient(pi, 3)
+        monkeypatch.undo()
 
 
 def _oracle(cmap):

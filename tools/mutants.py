@@ -64,8 +64,8 @@ MUTANTS = (
            "        return True\n    return cone_membership(",
            (T_SCHURQ + "test_diagram_in_cone_reads_the_cone_membership",)),
     Mutant("bridge-rebuilds-g-tilde-per-pair", "src/pfaflab/immanants.py",
-           "                c = g_tilde[d].get(Dp, 0)\n",
-           "                c = g_tilde_coefficient(d, n, seed).get(Dp, 0)\n",
+           "g_tilde[d].get(Dp, 0)",
+           "g_tilde_coefficient(d, n).get(Dp, 0)",
            ("tests/test_immanants.py::test_bridge_builds_each_g_tilde_table_once",)),
     # -- integer geometry and the per-placement and per-strand-set memos
     Mutant("crossing-memo-without-retry", UNCROSS,
@@ -121,8 +121,8 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "        states = {k: w for k, w in nxt.items() if w}\n",
            (T_UNCROSS + "test_nested_pair_census_and_table",)),
     Mutant("state-bound-off-by-one", UNCROSS,
-           "        if len(nxt) > bound:\n",
-           "        if len(nxt) >= bound:\n",
+           "        if len(nxt) > DEFAULT_STATE_BOUND:\n",
+           "        if len(nxt) >= DEFAULT_STATE_BOUND:\n",
            (T_UNCROSS + "test_state_bound_is_the_peak",)),
     Mutant("fold-counts-each-loop-orbit-twice", UNCROSS,
            "            seen.update(mirror_of[end] for end in ring)\n", "",
@@ -140,6 +140,11 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "sum(c for meet, c in meets.items())",
            ("tests/test_verify.py::test_registry_smoke[lem-3.4]",
             "tests/test_verify.py::test_registry_smoke[cor-3.2]")),
+    Mutant("hat-pfaf-reads-only-D", "src/pfaflab/networks.py",
+           "if s.type in closure)", "if s.type == D)",
+           ("tests/test_networks.py::test_network_equality_n2",
+            "tests/test_networks.py::test_network_equality_on_fences",
+            "tests/test_verify.py::test_registry_smoke[thm-3.6]")),
     # -- functionals and the Q-scans
     Mutant("from-dict-truncates-rationals", "src/pfaflab/pfaffinants.py",
            "c if c.__class__ is int else _num(c)", "int(c)",
@@ -173,9 +178,17 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
 ''', "",
            ("tests/test_poly.py::test_exponent_overflow_is_capacity_error",)),
     Mutant("pfaffian-expansion-sign", "src/pfaflab/pfaffian.py",
-           "total = total + term if t % 2 else total - term",
-           "total = total - term if t % 2 else total + term",
+           "poly_sum((1 if t % 2 else -1,", "poly_sum((-1 if t % 2 else 1,",
            ("tests/test_pfaffian.py::test_expansion_matches_matching_sum",)),
+    Mutant("poly-sum-keeps-zero-terms", POLY,
+           "for m, v in acc.items() if v})", "for m, v in acc.items()})",
+           ("tests/test_poly_sympy.py::test_arithmetic_and_render_match_sympy",
+            "tests/test_pfaffinants.py::test_evaluate_matches_poly_oracle")),
+    Mutant("poly-sum-keeps-integral-fractions", POLY,
+           "Poly.from_packed({m: v if v.__class__ is int else _num(v)\n",
+           "Poly.from_packed({m: v\n",
+           ("tests/test_poly_sympy.py::test_arithmetic_and_render_match_sympy",
+            "tests/test_pfaffinants.py::test_evaluate_matches_poly_oracle")),
     Mutant("echelon-gcd-over-the-row-only", POLY,
            "            g = gcd(*(v for part in parts for v in part.values()))\n",
            "            g = gcd(*parts[0].values())\n",
