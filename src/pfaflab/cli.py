@@ -192,7 +192,7 @@ def cmd_eval(args) -> int:
         sys.stderr.write("--diagram is required\n")
         return 2
     d = dg.parse_tl_key(args.diagram, n)
-    B = im.symbolic_square(n)
+    _, B = im.block_pair(n)
     _emit(im.tl_immanant(d, B).render() + "\n", args.out)
     return 0
 

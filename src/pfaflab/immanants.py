@@ -13,6 +13,7 @@ the word, which the tests check against a second word.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 from .diagrams import TLDiagram, enumerate_sym_tl_even, enumerate_tl, removal_closure, tl_diagram
@@ -111,21 +112,16 @@ def tl_immanant(d: TLDiagram, B: GeneralMatrix) -> Poly:
     return tl_immanants(B).get(d, Poly.zero())
 
 
-def symbolic_square(n: int) -> GeneralMatrix:
-    """Generic n x n matrix with entry (i,j) the variable a[i, n+j]."""
-    return GeneralMatrix([[Poly.var(a(i, n + j)) for j in range(1, n + 1)]
-                          for i in range(1, n + 1)])
-
-
 def compatible_tl_diagrams(S, n: int) -> list:
     """TL diagrams whose every edge joins an S-point to a non-S-point."""
     S = set(S)
     return [d for d in enumerate_tl(n) if all((u in S) != (v in S) for u, v in d.edges)]
 
 
-def verify_imm_decomposition(B: GeneralMatrix, I, J) -> dict:
-    """Product of complementary minors equals the sum of compatible TL immanants."""
-    n = B.nrows
+def verify_imm_decomposition(n: int, I, J) -> dict:
+    """Product of complementary minors of the generic n x n matrix equals the
+    sum of compatible TL immanants."""
+    _, B, imms = block_immanants(n)
     I, J = sorted(I), sorted(J)
     if len(I) != len(J):
         raise ValueError("minor index sets must have equal size")
@@ -133,24 +129,37 @@ def verify_imm_decomposition(B: GeneralMatrix, I, J) -> dict:
     Jbar = [p for p in range(1, n + 1) if p not in set(J)]
     S = set(J) | {2 * n + 1 - i for i in range(1, n + 1) if i not in set(I)}
     lhs = minor(B, I, J) * minor(B, Ibar, Jbar)
-    imms = tl_immanants(B)
     rhs = poly_sum((1, imms[d]) for d in compatible_tl_diagrams(S, n))
     _require_equal(lhs, rhs, f"minor decomposition at I={I}, J={J}")
     return {"identity": "imm-decomposition", "I": I, "J": J, "ok": True}
 
 
 def block_pair(n: int) -> tuple:
-    """The skew array with zero diagonal blocks and its upper-right block."""
+    """The skew array with zero diagonal blocks and its upper-right block B,
+    the generic n x n matrix with entry (i, j) the variable a[i, n+j]."""
     A = SkewArray.block_symbolic(n)
     B = GeneralMatrix([[A.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)])
     return A, B
 
 
+@lru_cache(maxsize=None)
+def block_immanants(n: int) -> tuple:
+    """(A, B, tl_immanants(B)) for ``block_pair(n)``, built once per n per
+    process; every caller shares them and must not change them."""
+    A, B = block_pair(n)
+    return A, B, tl_immanants(B)
+
+
+@lru_cache(maxsize=None)
+def _g_tilde_tables(n: int) -> dict:
+    """g-tilde table of every TL diagram of [2n], built once per n per process."""
+    return {d: g_tilde_coefficient(d, n) for d in enumerate_tl(n)}
+
+
 def verify_pfaffinant_immanant_bridge(n: int, diagrams=None) -> dict:
     """TL pfaffinants of the block array expand over TL immanants of the block."""
-    A, B = block_pair(n)
-    imms = tl_immanants(B)
-    g_tilde = {d: g_tilde_coefficient(d, n) for d in imms}
+    A, _, imms = block_immanants(n)
+    g_tilde = _g_tilde_tables(n)
     checked = []
     for D in diagrams or enumerate_sym_tl_even(n):
         lhs = tl_pfaffinant(D, A)

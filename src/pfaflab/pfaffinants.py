@@ -1,4 +1,15 @@
-"""Diagram and TL pfaffinants, decomposition identities, and the positivity cone."""
+"""Diagram and TL pfaffinants, decomposition identities, and the positivity cone.
+
+A pfaffinant is a ``PfaffinantFunctional``: a coefficient per matching pi
+of [2n], evaluated on an array as the sum of c * pf_pi.  On the generic
+array ``SkewArray.symbolic(2n)`` every monomial pfaffian pf_pi is its own
+monomial, so two functionals evaluate to the same polynomial exactly when
+their coefficients agree.  The decomposition identities (thm-2.6,
+thm-2.12) are therefore checked matching by matching: the summed side's
+coefficients against those of ``complementary_functional(n, I)``, the
+functional of pf_I * pf_Ibar, with no polynomial built unless they
+differ.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +22,7 @@ from .diagrams import (OddSubsetError, SymTLDiagram, _i_maximal_cached, compatib
                        diagram_order_key, enumerate_matchings, enumerate_sym_tl,
                        enumerate_sym_tl_even, i_maximal_diagrams, removal_closure,
                        standard_partition)
-from .pfaffian import SkewArray, complementary_pfaffian, min_partition, monomial_pfaffian
+from .pfaffian import SkewArray, min_partition, monomial_pfaffian
 from .poly import Poly, UsageError, _num, express_in_span, matrix_rank, poly_sum
 from .uncross import f_coefficient
 
@@ -114,21 +125,79 @@ def _summed_side(n: int, functionals) -> PfaffinantFunctional:
     return PfaffinantFunctional.from_dict(n, coeffs)
 
 
+def complementary_functional(n: int, I) -> PfaffinantFunctional:
+    """pf_I * pf_Ibar as a functional on the matchings of [2n].
+
+    A matching whose every pair lies inside I or inside Ibar has the
+    coefficient (-1)^(cr(pi|I) + cr(pi|Ibar)); every other one has 0.  The
+    signs come from the first-row expansion of ``pfaffian``, run on both
+    sides at once: pairing the first remaining point with the t-th
+    remaining point of its own side contributes (-1)^(t-1)."""
+    I = frozenset(I)
+    if len(I) % 2:
+        raise OddSubsetError(f"complementary pfaffian needs an even subset, got {sorted(I)}")
+    if any(not 1 <= i <= 2 * n for i in I):
+        raise UsageError(f"indices {sorted(I)} out of range for size {2 * n}")
+    signed = _signed_matchings(tuple(range(1, 2 * n + 1)), I, {(): [((), 1)]})
+    index = _matching_index(n)
+    return PfaffinantFunctional.from_dict(n, {index[pairs]: c for pairs, c in signed})
+
+
+@lru_cache(maxsize=None)
+def _matching_index(n: int) -> dict:
+    """The shared matching objects of [2n], keyed by their pairs in sorted order."""
+    return {tuple(sorted(pi)): pi for pi in enumerate_matchings(n)}
+
+
+def _signed_matchings(S: tuple, I: frozenset, memo: dict) -> list:
+    """(pairs, sign) per matching of the sorted points S in which every
+    pair lies inside I or outside it, memoised in ``memo`` by S."""
+    if S not in memo:
+        side = S[0] in I
+        own = [j for j in S[1:] if (j in I) == side]
+        memo[S] = [(((S[0], j),) + pairs, c if t % 2 else -c)
+                   for t, j in enumerate(own, 1)
+                   for pairs, c in _signed_matchings(tuple(p for p in S[1:] if p != j), I, memo)]
+    return memo[S]
+
+
+@lru_cache(maxsize=None)
+def _symbolic_entries(size: int) -> dict:
+    return SkewArray.symbolic(size).entries
+
+
+def _require_symbolic(A: SkewArray) -> None:
+    """Coefficients decide an identity only on the generic array, where
+    distinct matchings give distinct monomials."""
+    if A.entries != _symbolic_entries(A.size):
+        raise UsageError(f"the identity is checked on SkewArray.symbolic({A.size}) only")
+
+
+def _require_same(lhs: PfaffinantFunctional, rhs: PfaffinantFunctional, A: SkewArray,
+                  what: str) -> None:
+    """Compare two functionals matching by matching on the generic array A;
+    a mismatch is reported as ``_require_equal`` reports their evaluations."""
+    if lhs.coefficients != rhs.coefficients:
+        _require_equal(lhs.evaluate(A), rhs.evaluate(A), what)
+
+
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible diagrams."""
+    _require_symbolic(A)
     n = A.size // 2
-    lhs = complementary_pfaffian(A, I)
+    lhs = complementary_functional(n, I)
     rhs = _summed_side(n, (diagram_functional(D, seed) for D in compatible_diagrams(I, n)))
-    _require_equal(lhs, rhs.evaluate(A), f"diagram decomposition at I={sorted(I)}")
+    _require_same(lhs, rhs, A, f"diagram decomposition at I={sorted(I)}")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
 def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal diagrams."""
+    _require_symbolic(A)
     n = A.size // 2
-    lhs = complementary_pfaffian(A, I)
+    lhs = complementary_functional(n, I)
     rhs = _summed_side(n, (tl_functional(D, seed) for D in i_maximal_diagrams(I, n)))
-    _require_equal(lhs, rhs.evaluate(A), f"TL decomposition at I={sorted(I)}")
+    _require_same(lhs, rhs, A, f"TL decomposition at I={sorted(I)}")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
 
@@ -156,10 +225,14 @@ def transition_matrix(n: int) -> tuple:
 
 
 def certify_basis(n: int, seed: int = 0) -> dict:
-    """Ranks of the TL pfaffinants and of all complementary pfaffians."""
+    """Ranks of the TL pfaffinants and of all complementary pfaffians.
+
+    Both families are functionals evaluated on the generic array through
+    one memo, so each monomial pfaffian is built once."""
     A = SkewArray.symbolic(2 * n)
-    tl = [tl_pfaffinant(D, A, seed) for D in enumerate_sym_tl_even(n)]
-    comp = [complementary_pfaffian(A, I) for I in even_subsets(2 * n)]
+    pfaffians = {}
+    tl = [tl_functional(D, seed).evaluate(A, pfaffians) for D in enumerate_sym_tl_even(n)]
+    comp = [complementary_functional(n, I).evaluate(A, pfaffians) for I in even_subsets(2 * n)]
     return {
         "n": n,
         "tl_count": len(tl),
@@ -296,10 +369,11 @@ def boolean_cone_check(s: int, parity: str, t) -> bool:
 def check_pfafprime_in_span(n: int) -> list:
     """Probe whether each diagram pfaffinant lies in the complementary-pfaffian span."""
     A = SkewArray.symbolic(2 * n)
-    gens = [complementary_pfaffian(A, I) for I in even_subsets(2 * n)]
+    pfaffians = {}
+    gens = [complementary_functional(n, I).evaluate(A, pfaffians) for I in even_subsets(2 * n)]
     out = []
     for D in enumerate_sym_tl(n):
-        coeffs = express_in_span(diagram_pfaffinant(D, A), gens)
+        coeffs = express_in_span(diagram_functional(D).evaluate(A, pfaffians), gens)
         out.append({
             "diagram": D.key(),
             "in_span": coeffs is not None,

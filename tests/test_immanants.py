@@ -4,8 +4,8 @@ import pytest
 
 from pfaflab.diagrams import enumerate_sym_tl_even, sym_diagram, tl_diagram
 from pfaflab.immanants import (_fold_word, block_pair, inverse_permutation, non_span_witness,
-                               quadratic_relation_table, reduced_word, symbolic_square,
-                               tl_immanant, tl_immanant_coefficients, tl_immanants,
+                               quadratic_relation_table, reduced_word, tl_immanant,
+                               tl_immanant_coefficients, tl_immanants,
                                verify_imm_decomposition, verify_pfaffinant_immanant_bridge,
                                wiring_word)
 from pfaflab.pfaffian import (SkewArray, complementary_pfaffian, determinant, minor,
@@ -63,15 +63,14 @@ def test_block_example_values():
 
 
 def test_minor_decomposition_n2():
-    B = symbolic_square(2)
     for k in range(0, 3):
         for I in combinations((1, 2), k):
             for J in combinations((1, 2), k):
-                verify_imm_decomposition(B, I, J)
+                verify_imm_decomposition(2, I, J)
 
 
 def test_minor_decomposition_diagonal_example():
-    B = symbolic_square(2)
+    _, B = block_pair(2)
     # I = J = {1}: product of diagonal minors equals the sum over both diagrams
     imms = tl_immanants(B)
     assert minor(B, [1], [1]) * minor(B, [2], [2]) == imms[P2] + imms[Q2]
@@ -93,8 +92,39 @@ def test_bridge_builds_each_g_tilde_table_once(monkeypatch):
     g_tilde = immanants.g_tilde_coefficient
     monkeypatch.setattr(immanants, "g_tilde_coefficient",
                         lambda d, n, seed=0: built.append(d) or g_tilde(d, n, seed))
+    immanants._g_tilde_tables.cache_clear()
     verify_pfaffinant_immanant_bridge(2)
     assert sorted(built, key=lambda d: sorted(d.edges)) == [Q2, P2]
+
+
+def test_verify_builds_the_block_tables_once_per_n(monkeypatch):
+    from collections import Counter
+
+    from pfaflab import immanants, verify
+
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(immanants, name)
+        monkeypatch.setattr(immanants, name, lambda *args: calls.update([name]) or fn(*args))
+
+    for name in ("block_pair", "tl_immanants", "g_tilde_coefficient"):
+        counted(name)
+    for run in ("thm-4.1", "thm-4.3"):
+        immanants.block_immanants.cache_clear()
+        immanants._g_tilde_tables.cache_clear()
+        calls.clear()
+        assert verify.run(run)["failures"] == []
+        # one block array and one set of immanants per n = 1..3; g-tilde
+        # tables for the 1 + 2 + 5 TL diagrams, which thm-4.1 does not read
+        want = {"block_pair": 3, "tl_immanants": 3}
+        if run == "thm-4.3":
+            want["g_tilde_coefficient"] = 8
+        assert calls == want, run
+    calls.clear()
+    verify.run("thm-4.1")
+    verify.run("thm-4.3")
+    assert not calls
 
 
 def test_squared_pfaffian_vs_principal_minors():

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from pfaflab.diagrams import enumerate_sym_tl, enumerate_sym_tl_even, sym_diagram
+from pfaflab.diagrams import OddSubsetError, enumerate_sym_tl, enumerate_sym_tl_even, sym_diagram
 from pfaflab.pfaffian import SkewArray, complementary_pfaffian, monomial_pfaffian
-from pfaflab.pfaffinants import (ConeElement, VerificationError, boolean_cone_check, certify_basis,
-                                 check_pfafprime_in_span, cone_membership, decomposition_cone_element,
-                                 diagram_pfaffinant, even_subsets, maximal_diagrams,
-                                 min_difference_element, tl_pfaffinant, transition_matrix,
-                                 verify_diagram_decomposition, verify_tl_decomposition)
-from pfaflab.poly import Poly, a, express_in_span, matrix_rank
+from pfaflab.pfaffinants import (ConeElement, VerificationError, _require_equal, boolean_cone_check,
+                                 certify_basis, check_pfafprime_in_span, cone_membership,
+                                 decomposition_cone_element, diagram_pfaffinant, even_subsets,
+                                 maximal_diagrams, min_difference_element, tl_pfaffinant,
+                                 transition_matrix, verify_diagram_decomposition,
+                                 verify_tl_decomposition)
+from pfaflab.poly import Poly, UsageError, a, express_in_span, matrix_rank
 
 D2 = lambda *edges: sym_diagram(2, edges)
 A4 = SkewArray.symbolic(4)
@@ -56,7 +57,6 @@ def test_tl_decomposition_examples():
 
 
 def test_identity_failure_reports_monomial():
-    from pfaflab.pfaffinants import _require_equal
     p = Poly.var(a(1, 2))
     with pytest.raises(VerificationError, match=r"a\[1,2\]"):
         _require_equal(p, 2 * p, "probe")
@@ -79,6 +79,105 @@ def test_certify_basis():
     assert rep["tl_rank"] == rep["complementary_rank"] == 3
     rep = certify_basis(3)
     assert rep["tl_rank"] == rep["complementary_rank"] == 10
+    # the Poly oracle: ranks of the pfaffinants and pfaffians built one by one
+    for n in (1, 2, 3):
+        A = SkewArray.symbolic(2 * n)
+        rep = certify_basis(n)
+        assert rep["tl_rank"] == \
+            matrix_rank([tl_pfaffinant(D, A) for D in enumerate_sym_tl_even(n)])
+        assert rep["complementary_rank"] == \
+            matrix_rank([complementary_pfaffian(A, I) for I in even_subsets(2 * n)])
+
+
+def test_complementary_functional_matches_complementary_pfaffian():
+    from pfaflab.pfaffinants import complementary_functional
+
+    for n in (1, 2, 3, 4):
+        A = SkewArray.symbolic(2 * n)
+        for I in even_subsets(2 * n):
+            f = complementary_functional(n, I)
+            assert f.evaluate(A) == complementary_pfaffian(A, I), (n, sorted(I))
+            assert all(c in (1, -1) for _, c in f.coefficients)
+    # pf_I * pf_Ibar is this functional on any array, not only the generic one
+    for A in _fraction_arrays():
+        for I in even_subsets(4):
+            assert complementary_functional(2, I).evaluate(A) == complementary_pfaffian(A, I)
+    with pytest.raises(OddSubsetError):
+        complementary_functional(2, {1})
+    with pytest.raises(UsageError):
+        complementary_functional(2, {1, 5})
+
+
+def _message(check, *args):
+    """None if check(*args) passes, else the VerificationError text."""
+    try:
+        check(*args)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def _poly_oracle(A, I, functionals, what):
+    """The identity as a Poly comparison: complementary_pfaffian against the
+    sum of the evaluated functionals."""
+    rhs = Poly.zero()
+    for f in functionals:
+        rhs = rhs + f.evaluate(A)
+    return _message(_require_equal, complementary_pfaffian(A, I), rhs, what)
+
+
+def _corrupted(functional, D0):
+    """``functional`` with the first coefficient of D0's functional negated."""
+    from pfaflab.pfaffinants import PfaffinantFunctional
+
+    def wrapped(D, seed=0):
+        f = functional(D, seed)
+        if D != D0 or not f.coefficients:
+            return f
+        (pi, c), *rest = f.coefficients
+        return PfaffinantFunctional(f.n, ((pi, -c), *rest))
+
+    return wrapped
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_identities_agree_with_poly_oracle(monkeypatch, corrupt):
+    from pfaflab import pfaffinants
+    from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
+
+    failures = 0
+    for n in (1, 2, 3):
+        if corrupt:
+            even = enumerate_sym_tl_even(n)
+            monkeypatch.setattr(pfaffinants, "diagram_functional",
+                                _corrupted(pfaffinants._diagram_functional, even[-1]))
+            monkeypatch.setattr(pfaffinants, "tl_functional",
+                                _corrupted(pfaffinants._tl_functional, even[0]))
+        A = SkewArray.symbolic(2 * n)
+        for I in even_subsets(2 * n):
+            for check, functional, diagrams, what in (
+                    (verify_diagram_decomposition, pfaffinants.diagram_functional,
+                     compatible_diagrams(I, n), "diagram decomposition"),
+                    (verify_tl_decomposition, pfaffinants.tl_functional,
+                     i_maximal_diagrams(I, n), "TL decomposition")):
+                want = _poly_oracle(A, I, [functional(D) for D in diagrams],
+                                    f"{what} at I={sorted(I)}")
+                assert _message(check, A, I) == want, (n, sorted(I), what)
+                failures += want is not None
+    if corrupt:
+        assert failures > 0
+    else:
+        assert failures == 0
+
+
+def test_identities_need_the_generic_array():
+    A = SkewArray.symbolic(4)
+    scaled = SkewArray(4, {ij: (2 if ij == (1, 3) else 1) * v for ij, v in A.entries.items()})
+    missing = SkewArray(4, {ij: v for ij, v in A.entries.items() if ij != (2, 4)})
+    for bad in (scaled, missing, SkewArray.block_symbolic(2), *_fraction_arrays()):
+        for check in (verify_diagram_decomposition, verify_tl_decomposition):
+            with pytest.raises(UsageError, match="SkewArray.symbolic"):
+                check(bad, frozenset({1, 2}))
 
 
 @pytest.mark.slow

@@ -149,6 +149,26 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
     Mutant("from-dict-truncates-rationals", "src/pfaflab/pfaffinants.py",
            "c if c.__class__ is int else _num(c)", "int(c)",
            ("tests/test_pfaffinants.py::test_from_dict_keeps_rational_coefficients",)),
+    Mutant("complementary-recursion-sign-flipped", "src/pfaflab/pfaffinants.py",
+           "memo[S] = [(((S[0], j),) + pairs, c if t % 2 else -c)",
+           "memo[S] = [(((S[0], j),) + pairs, -c if t % 2 else c)",
+           ("tests/test_pfaffinants.py::test_complementary_functional_matches_complementary_pfaffian",)),
+    Mutant("complementary-pair-straddles-i-and-ibar", "src/pfaflab/pfaffinants.py",
+           "        own = [j for j in S[1:] if (j in I) == side]\n",
+           "        own = list(S[1:])\n",
+           ("tests/test_pfaffinants.py::test_complementary_functional_matches_complementary_pfaffian",)),
+    Mutant("identity-compares-supports-only", "src/pfaflab/pfaffinants.py",
+           "    if lhs.coefficients != rhs.coefficients:\n",
+           "    if [pi for pi, _ in lhs.coefficients] != [pi for pi, _ in rhs.coefficients]:\n",
+           ("tests/test_pfaffinants.py::test_identities_agree_with_poly_oracle[True]",)),
+    Mutant("generic-array-check-disabled", "src/pfaflab/pfaffinants.py",
+           "    if A.entries != _symbolic_entries(A.size):\n",
+           "    if False:\n",
+           ("tests/test_pfaffinants.py::test_identities_need_the_generic_array",)),
+    Mutant("block-immanants-rebuilt-per-call", "src/pfaflab/immanants.py",
+           "@lru_cache(maxsize=None)\ndef block_immanants(",
+           "def block_immanants(",
+           ("tests/test_immanants.py::test_verify_builds_the_block_tables_once_per_n",)),
     Mutant("summed-side-drops-a-functional", "src/pfaflab/pfaffinants.py",
            "    for f in functionals:\n        for pi, c in f.coefficients:\n",
            "    for f in list(functionals)[1:]:\n        for pi, c in f.coefficients:\n",
