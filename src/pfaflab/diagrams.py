@@ -310,15 +310,10 @@ def i_maximal_diagrams(I, n: int) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _i_maximal_cached(I: frozenset, n: int) -> frozenset:
+    # one pass over the closures: a diagram in S(D2) - {D2} lies inside another
     comp = _compatible_cached(I, n)
-    out = set()
-    for D in comp:
-        if not D.is_even:
-            continue
-        if any(D2 != D and D in removal_closure(D2) for D2 in comp):
-            continue
-        out.add(D)
-    return frozenset(out)
+    inside = set().union(*(removal_closure(D2) - {D2} for D2 in comp))
+    return frozenset(D for D in comp if D.is_even and D not in inside)
 
 
 # -- standard partitions ------------------------------------------------------

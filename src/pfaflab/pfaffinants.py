@@ -9,6 +9,12 @@ thm-2.12) are therefore checked matching by matching: the summed side's
 coefficients against those of ``complementary_functional(n, I)``, the
 functional of pf_I * pf_Ibar, with no polynomial built unless they
 differ.
+
+A functional's ``coefficients`` (matching -> nonzero coefficient) and a
+cone element's ``tl_coeffs`` (even diagram -> nonzero Fraction) are plain
+dicts, ordered only where a witness is picked.  ``_summed_side`` builds
+every summed functional: the decomposition sides, each TL functional
+(over its removal closure) and each cone element.
 """
 
 from __future__ import annotations
@@ -44,14 +50,13 @@ class PfaffinantFunctional:
     """A finitely supported coefficient function on matchings of [2n]."""
 
     n: int
-    coefficients: tuple  # tuple of (Matching, int or Fraction), canonical order
+    coefficients: dict  # Matching -> nonzero int or Fraction
 
     @staticmethod
     def from_dict(n, coeffs) -> "PfaffinantFunctional":
         # _num keeps a rational coefficient exact, so a nonzero one stays nonzero
-        items = tuple(sorted(((frozenset(pi), c if c.__class__ is int else _num(c))
-                              for pi, c in coeffs.items() if c), key=lambda kv: sorted(kv[0])))
-        return PfaffinantFunctional(n, items)
+        return PfaffinantFunctional(n, {frozenset(pi): c if c.__class__ is int else _num(c)
+                                        for pi, c in coeffs.items() if c})
 
     def evaluate(self, A: SkewArray, pfaffians: dict | None = None) -> Poly:
         """The ``poly_sum`` of c * pf_pi(A) over the support.
@@ -63,10 +68,10 @@ class PfaffinantFunctional:
             raise ValueError(f"array size {A.size} does not match n={self.n}")
         if pfaffians is None:
             pfaffians = {}
-        for pi, _ in self.coefficients:
+        for pi in self.coefficients:
             if pi not in pfaffians:
                 pfaffians[pi] = monomial_pfaffian(A, pi)
-        return poly_sum((c, pfaffians[pi]) for pi, c in self.coefficients)
+        return poly_sum((c, pfaffians[pi]) for pi, c in self.coefficients.items())
 
 
 @lru_cache(maxsize=None)
@@ -102,12 +107,7 @@ def _tl_functional(D: SymTLDiagram, seed: int) -> PfaffinantFunctional:
     # memoised behind a wrapper, as _diagram_functional is
     if not D.is_even:
         raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
-    tables = f_tables(D.n, seed)
-    closure = removal_closure(D)
-    coeffs = {}
-    for pi, t in tables.items():
-        coeffs[pi] = sum(t.get(Dp, 0) for Dp in closure)
-    return PfaffinantFunctional.from_dict(D.n, coeffs)
+    return _summed_side(D.n, (_diagram_functional(Dp, seed) for Dp in removal_closure(D)))
 
 
 def tl_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
@@ -120,7 +120,7 @@ def _summed_side(n: int, functionals) -> PfaffinantFunctional:
     builds each monomial pfaffian of a sum of pfaffinants once."""
     coeffs: dict = {}
     for f in functionals:
-        for pi, c in f.coefficients:
+        for pi, c in f.coefficients.items():
             coeffs[pi] = coeffs.get(pi, 0) + c
     return PfaffinantFunctional.from_dict(n, coeffs)
 
@@ -139,14 +139,7 @@ def complementary_functional(n: int, I) -> PfaffinantFunctional:
     if any(not 1 <= i <= 2 * n for i in I):
         raise UsageError(f"indices {sorted(I)} out of range for size {2 * n}")
     signed = _signed_matchings(tuple(range(1, 2 * n + 1)), I, {(): [((), 1)]})
-    index = _matching_index(n)
-    return PfaffinantFunctional.from_dict(n, {index[pairs]: c for pairs, c in signed})
-
-
-@lru_cache(maxsize=None)
-def _matching_index(n: int) -> dict:
-    """The shared matching objects of [2n], keyed by their pairs in sorted order."""
-    return {tuple(sorted(pi)): pi for pi in enumerate_matchings(n)}
+    return PfaffinantFunctional.from_dict(n, dict(signed))
 
 
 def _signed_matchings(S: tuple, I: frozenset, memo: dict) -> list:
@@ -249,38 +242,33 @@ class ConeElement:
     """A rational combination of TL pfaffinants (even diagrams only)."""
 
     n: int
-    tl_coeffs: tuple  # tuple of (SymTLDiagram, Fraction)
+    tl_coeffs: dict  # even SymTLDiagram -> nonzero Fraction
 
     @staticmethod
     def from_dict(n: int, coeffs) -> "ConeElement":
-        items = []
-        for D, c in coeffs.items():
-            if not D.is_even:
-                raise ValueError(f"cone elements use even diagrams only, got {D}")
-            c = Fraction(c)
-            if c:
-                items.append((D, c))
-        items.sort(key=lambda kv: diagram_order_key(kv[0]))
-        return ConeElement(n, tuple(items))
+        odd = [D for D in coeffs if not D.is_even]
+        if odd:
+            raise ValueError(f"cone elements use even diagrams only, got {odd[0]}")
+        return ConeElement(n, {D: Fraction(c) for D, c in coeffs.items() if c})
 
     def diagram_coeffs(self) -> dict:
         """Induced coefficients on all diagrams: c'(D') = sum over D with D' in S(D)."""
         out = {}
-        for D, c in self.tl_coeffs:
+        for D, c in self.tl_coeffs.items():
             for Dp in removal_closure(D):
                 out[Dp] = out.get(Dp, Fraction(0)) + c
         return out
 
     def functional(self) -> PfaffinantFunctional:
         """The combination of TL functionals, as one summed functional."""
-        scaled = (PfaffinantFunctional(self.n, tuple((pi, c * t) for pi, t in
-                                                     tl_functional(D).coefficients))
-                  for D, c in self.tl_coeffs)
+        scaled = (PfaffinantFunctional(self.n, {pi: c * t for pi, t in
+                                                tl_functional(D).coefficients.items()})
+                  for D, c in self.tl_coeffs.items())
         return _summed_side(self.n, scaled)
 
     def restrict(self, keep) -> "ConeElement":
         keep = set(keep)
-        return ConeElement.from_dict(self.n, {D: c for D, c in self.tl_coeffs if D in keep})
+        return ConeElement.from_dict(self.n, {D: c for D, c in self.tl_coeffs.items() if D in keep})
 
 
 @dataclass(frozen=True)

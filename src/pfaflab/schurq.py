@@ -22,7 +22,9 @@ summed functional per scan and evaluates every element on an array
 through one dict of that array's monomial pfaffians, so each matching's
 pfaffian is built once per array; the recheck in k + 1 variables builds
 its own.  ``expand_in_q_basis`` reads the exponents of each monomial once
-per call.  Every memo lives for one call or one array.
+per call.  Every memo lives for one call or one array.  A ``QExpansion``'s
+``coeffs`` are a plain dict, strict partition -> Fraction, ordered only
+by ``_expansion_str`` when a record is written.
 """
 
 from __future__ import annotations
@@ -220,18 +222,15 @@ def _x_exponents(k: int):
 
 @dataclass(frozen=True)
 class QExpansion:
-    coeffs: tuple       # ((strict partition, Fraction), ...)
+    coeffs: dict        # strict partition -> Fraction
     remainder: Poly
 
     @property
     def ok(self) -> bool:
         return self.remainder.is_zero()
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def nonnegative(self) -> bool:
-        return self.ok and all(c >= 0 for _, c in self.coeffs)
+        return self.ok and all(c >= 0 for c in self.coeffs.values())
 
 
 def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
@@ -248,13 +247,13 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
     # only x-monomials, so a monomial that is not one can only come from f
     exponents = {mono: read(mono) for mono in rem}
     if None in exponents.values():
-        return QExpansion((), f)
+        return QExpansion({}, f)
     while rem:
         mono = max(rem, key=exponents.__getitem__)
         lead = exponents[mono]
         lam = tuple(p for p in lead if p)
         if list(lead) != sorted(lead, reverse=True) or not is_strict(lam):
-            return QExpansion(tuple(sorted(coeffs.items())), Poly.from_packed(rem))
+            return QExpansion(coeffs, Poly.from_packed(rem))
         c = Fraction(rem[mono], 2 ** len(lam))
         coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
         c = _num(c)  # an integral c keeps the subtraction in int arithmetic
@@ -266,7 +265,7 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
                     exponents[mono] = read(mono)
             else:
                 del rem[mono]
-    return QExpansion(tuple(sorted((l, c) for l, c in coeffs.items() if c)), Poly.zero())
+    return QExpansion({l: c for l, c in coeffs.items() if c}, Poly.zero())
 
 
 def monomial_expand(f: Poly, k: int) -> dict | None:
@@ -380,8 +379,8 @@ def classify_difference(diff: Poly, k: int) -> tuple:
     """(verdict, expansion dict) for a would-be nonnegative Q-combination."""
     exp = expand_in_q_basis(diff, k)
     if exp.nonnegative():
-        return "positive", exp.as_dict()
-    return ("not-in-q-span" if not exp.ok else "counterexample"), exp.as_dict()
+        return "positive", exp.coeffs
+    return ("not-in-q-span" if not exp.ok else "counterexample"), exp.coeffs
 
 
 def scan_cell_transfer(bound: int, k: int = 5):
@@ -467,19 +466,24 @@ def weakly_decreasing_parts(total_max: int, length: int):
     yield from rec(total_max, total_max, [])
 
 
-def cone_test_elements(n: int, seed: int, combos: int) -> list:
+# random nonnegative TL combinations among the con1 cone elements
+RANDOM_COMBOS = 3
+
+
+def cone_test_elements(n: int, seed: int) -> list:
     """(label, ConeElement-or-functional, in_cone) triples to evaluate.
 
     Covers the TL-pfaffinant unit vectors and min-difference elements (all
     inside the network-positive cone), seeded random nonnegative TL
-    combinations, and the raw single-diagram functionals.  A single-diagram
-    functional lies in the cone only when its induced coefficients are
-    nonnegative, which fails for odd diagrams; those evaluations are
-    reported with ``in_cone`` false since the positivity statement does not
-    cover them.
+    combinations (``RANDOM_COMBOS`` of them), and the raw single-diagram
+    functionals.  A single-diagram functional lies in the cone only when its
+    induced coefficients are nonnegative, which fails for odd diagrams;
+    those evaluations are reported with ``in_cone`` false since the
+    positivity statement does not cover them.
     """
     # an empty min-difference element evaluates to 0 and is left out
-    out = [(label, elt, True) for label, elt in cone_elements(n, random.Random(seed), combos)
+    out = [(label, elt, True)
+           for label, elt in cone_elements(n, random.Random(seed), RANDOM_COMBOS)
            if elt.tl_coeffs or not label.startswith("mindiff:")]
     # the even TL functionals on the symbolic array, evaluated once for every diagram
     A = SkewArray.symbolic(2 * n)
@@ -501,7 +505,7 @@ def _in_cone(value: Poly, n: int, even, gens) -> bool:
     return cone_membership(ConeElement.from_dict(n, dict(zip(even, coeffs)))).positive
 
 
-def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0, combos: int = 3):
+def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0):
     """Cone-element evaluations on generalized (non-skew) Q-Jacobi-Trudi arrays.
 
     Instances are weakly decreasing part vectors pi with 2n entries >= 0.
@@ -512,7 +516,7 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0, combos: int
     # one summed functional per cone element, built once per scan
     elements = [(label, obj.functional() if isinstance(obj, ConeElement)
                  else diagram_functional(obj), in_cone)
-                for label, obj, in_cone in cone_test_elements(n, seed, combos)]
+                for label, obj, in_cone in cone_test_elements(n, seed)]
     for pi in weakly_decreasing_parts(bound, 2 * n):
         A = q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
         pf = {}  # the monomial pfaffians of A, shared by every element

@@ -466,6 +466,6 @@ def z_count(d: TLDiagram, n: int) -> int:
     return sum(1 for u, v in d.edges if max(u, v) <= n)
 
 
-def g_tilde_coefficient(d: TLDiagram, n: int, seed: int = 0) -> dict:
+def g_tilde_coefficient(d: TLDiagram, n: int) -> dict:
     sign = -1 if (z_count(d, n) * n) % 2 else 1
-    return {D: sign * w for D, w in g_coefficient(d, n, seed).items()}
+    return {D: sign * w for D, w in g_coefficient(d, n).items()}

@@ -181,16 +181,15 @@ def verify_tl_decomposition(opts):
 
 def verify_closure_power(opts):
     nmax = _opt(opts, "n", 5)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        for D in dg.enumerate_sym_tl(n):
-            total += 1
-            S = dg.removal_closure(D)  # raises if not a power of two
-            for D1 in S:
-                if not dg.removal_closure(D1) <= S:
-                    failures.append({"case": D.key(), "error": f"S({D1.key()}) escapes"})
-    return _report("lem-2.8", {"n": nmax}, total, failures)
+
+    def check(D):
+        S = dg.removal_closure(D)  # raises AssertionError if not a power of two
+        escapes = [f"S({D1.key()}) escapes" for D1 in sorted(S, key=dg.diagram_order_key)
+                   if not dg.removal_closure(D1) <= S]
+        return "; ".join(escapes) or None
+
+    cases = (D for n in range(1, nmax + 1) for D in dg.enumerate_sym_tl(n))
+    return _run("lem-2.8", {"n": nmax}, cases, check, lambda D: D.key())
 
 
 def verify_partition_property(opts):
@@ -458,7 +457,7 @@ def verify_bridge(opts):
 
     def check(case):
         n, D = case
-        im.verify_pfaffinant_immanant_bridge(n, diagrams=[D])
+        im.verify_pfaffinant_immanant_bridge(n, D)
 
     cases = ((n, D) for n in range(1, nmax + 1) for D in dg.enumerate_sym_tl_even(n))
     return _run("thm-4.3", {"n": nmax}, cases, check, lambda c: f"n={c[0]} {c[1].key()}")

@@ -109,6 +109,23 @@ def test_i_maximal_examples():
         D2((1, 2), (3, 4)), D2((1, 4), (2, 3))}
 
 
+def test_i_maximal_matches_quadratic_definition():
+    from itertools import combinations
+
+    from pfaflab.diagrams import _i_maximal_cached, is_compatible
+
+    # oracle: even compatible diagrams inside no other compatible diagram's
+    # closure, for every even I and the alternating set of maximal_diagrams
+    for n in (1, 2, 3, 4):
+        points = range(1, 2 * n + 1)
+        subsets = [frozenset(c) for r in range(0, 2 * n + 1, 2) for c in combinations(points, r)]
+        for I in subsets + [frozenset(range(1, 2 * n + 1, 2))]:
+            comp = [D for D in enumerate_sym_tl(n) if is_compatible(D, I)]
+            want = {D for D in comp if D.is_even
+                    and not any(D2 != D and D in removal_closure(D2) for D2 in comp)}
+            assert _i_maximal_cached(I, n) == want, (n, sorted(I))
+
+
 def test_every_diagram_is_maximal_for_its_own_subset():
     for n in (1, 2, 3):
         for D in enumerate_sym_tl(n):

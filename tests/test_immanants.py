@@ -78,11 +78,12 @@ def test_minor_decomposition_diagonal_example():
 
 
 def test_bridge_identity():
-    verify_pfaffinant_immanant_bridge(1)
-    verify_pfaffinant_immanant_bridge(2)
+    for n in (1, 2):
+        for D in enumerate_sym_tl_even(n):
+            assert verify_pfaffinant_immanant_bridge(n, D)["ok"]
     # one n=3 diagram as a spot check (the full set runs in acceptance)
     D = enumerate_sym_tl_even(3)[4]
-    verify_pfaffinant_immanant_bridge(3, diagrams=[D])
+    assert verify_pfaffinant_immanant_bridge(3, D)["diagram"] == D.key()
 
 
 def test_bridge_builds_each_g_tilde_table_once(monkeypatch):
@@ -91,9 +92,10 @@ def test_bridge_builds_each_g_tilde_table_once(monkeypatch):
     built = []
     g_tilde = immanants.g_tilde_coefficient
     monkeypatch.setattr(immanants, "g_tilde_coefficient",
-                        lambda d, n, seed=0: built.append(d) or g_tilde(d, n, seed))
+                        lambda d, n: built.append(d) or g_tilde(d, n))
     immanants._g_tilde_tables.cache_clear()
-    verify_pfaffinant_immanant_bridge(2)
+    for D in enumerate_sym_tl_even(2):
+        verify_pfaffinant_immanant_bridge(2, D)
     assert sorted(built, key=lambda d: sorted(d.edges)) == [Q2, P2]
 
 

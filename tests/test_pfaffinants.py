@@ -97,7 +97,7 @@ def test_complementary_functional_matches_complementary_pfaffian():
         for I in even_subsets(2 * n):
             f = complementary_functional(n, I)
             assert f.evaluate(A) == complementary_pfaffian(A, I), (n, sorted(I))
-            assert all(c in (1, -1) for _, c in f.coefficients)
+            assert all(c in (1, -1) for c in f.coefficients.values())
     # pf_I * pf_Ibar is this functional on any array, not only the generic one
     for A in _fraction_arrays():
         for I in even_subsets(4):
@@ -134,8 +134,8 @@ def _corrupted(functional, D0):
         f = functional(D, seed)
         if D != D0 or not f.coefficients:
             return f
-        (pi, c), *rest = f.coefficients
-        return PfaffinantFunctional(f.n, ((pi, -c), *rest))
+        pi = next(iter(f.coefficients))
+        return PfaffinantFunctional(f.n, {**f.coefficients, pi: -f.coefficients[pi]})
 
     return wrapped
 
@@ -206,12 +206,16 @@ def test_cone_membership():
     bad = ConeElement.from_dict(2, {D2(): -1})
     verdict = cone_membership(bad)
     assert not verdict.positive and verdict.witness == D2()
+    with pytest.raises(ValueError, match="even diagrams only"):
+        ConeElement.from_dict(2, {D2(): 1, D2((1, 2)): 1})
+    assert ConeElement.from_dict(2, {D2(): 0, D2((1, 4), (2, 3)): 2}).tl_coeffs == \
+        {D2((1, 4), (2, 3)): Fraction(2)}
 
 
 def test_min_difference_cone_examples():
     elt = min_difference_element(frozenset({2, 3}), 2)
     assert cone_membership(elt).positive
-    assert dict(elt.tl_coeffs) == {D2((1, 4), (2, 3)): Fraction(1)}
+    assert elt.tl_coeffs == {D2((1, 4), (2, 3)): Fraction(1)}
     for n in (2, 3):
         for I in even_subsets(2 * n):
             if len(I) >= n and I:
@@ -220,7 +224,7 @@ def test_min_difference_cone_examples():
 
 def test_decomposition_cone_element_matches_theorem():
     elt = decomposition_cone_element(frozenset({1, 2}), 2)
-    assert dict(elt.tl_coeffs) == {D2(): Fraction(1), D2((1, 4), (2, 3)): Fraction(1)}
+    assert elt.tl_coeffs == {D2(): Fraction(1), D2((1, 4), (2, 3)): Fraction(1)}
 
 
 def test_maximal_diagrams_no_addable_odd_edge():
@@ -282,7 +286,7 @@ def test_f_tables_memo():
 def _evaluate_oracle(f, A):
     """Sum of c * pf_pi(A) in plain Poly arithmetic."""
     total = Poly.zero()
-    for pi, c in f.coefficients:
+    for pi, c in f.coefficients.items():
         total = total + c * monomial_pfaffian(A, pi)
     return total
 
@@ -338,8 +342,8 @@ def test_from_dict_keeps_rational_coefficients():
     pis = enumerate_matchings(2)
     raw = {pis[0]: Fraction(1, 2), pis[1]: Fraction(4, 2), pis[2]: Fraction(0)}
     f = PfaffinantFunctional.from_dict(2, raw)
-    coeffs = dict(f.coefficients)
-    assert coeffs == {pis[0]: Fraction(1, 2), pis[1]: 2} and type(coeffs[pis[1]]) is int
+    assert f.coefficients == {pis[0]: Fraction(1, 2), pis[1]: 2}
+    assert type(f.coefficients[pis[1]]) is int
     for A in [A4] + _fraction_arrays():
         # the oracle sums the raw coefficients, not the stored ones
         want = Poly.zero()
@@ -360,7 +364,7 @@ def test_shared_pfaffian_memo_matches_fresh_evaluation():
         memo = {}
         for f in functionals:
             assert f.evaluate(A, memo) == f.evaluate(A) == _evaluate_oracle(f, A)
-        assert set(memo) == {pi for f in functionals for pi, _ in f.coefficients}
+        assert set(memo) == {pi for f in functionals for pi in f.coefficients}
 
 
 def test_cone_element_functional_is_the_tl_combination():
@@ -372,7 +376,7 @@ def test_cone_element_functional_is_the_tl_combination():
         A = SkewArray.symbolic(2 * n)
         for label, elt in cone_elements(n, random.Random(n), 2):
             want = Poly.zero()
-            for D, c in elt.tl_coeffs:
+            for D, c in elt.tl_coeffs.items():
                 want = want + c * tl_functional(D).evaluate(A)
             assert elt.functional().evaluate(A) == want, label
     half = ConeElement.from_dict(2, {D: Fraction(1, 2) for D in enumerate_sym_tl_even(2)})
@@ -398,6 +402,20 @@ def test_summed_side_matches_per_diagram_sum():
             for D in maximal:
                 want = want + tl_pfaffinant(D, A)
             assert _summed_side(n, map(tl_functional, maximal)).evaluate(A) == want
+
+
+def test_tl_functional_matches_closure_sum_over_tables():
+    from pfaflab.diagrams import removal_closure
+    from pfaflab.pfaffinants import f_tables, tl_functional
+
+    # oracle: per matching, the table weights summed over the removal closure
+    for n in (1, 2, 3, 4):
+        tables = f_tables(n)
+        for D in enumerate_sym_tl_even(n):
+            closure = removal_closure(D)
+            want = {pi: sum(t.get(Dp, 0) for Dp in closure) for pi, t in tables.items()}
+            assert tl_functional(D).coefficients == {pi: c for pi, c in want.items() if c}, \
+                D.key()
 
 
 def test_functional_memo_keys_are_canonical():

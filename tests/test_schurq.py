@@ -140,13 +140,13 @@ def test_generalized_matrix_allows_nonstrict():
 
 
 def test_expand_in_q_basis():
-    assert expand_in_q_basis(schur_q((2, 1), (), 3), 3).as_dict() == {(2, 1): Fraction(1)}
+    assert expand_in_q_basis(schur_q((2, 1), (), 3), 3).coeffs == {(2, 1): Fraction(1)}
     sq1 = schur_q((1,), (), 3)
     exp = expand_in_q_basis(sq1 * sq1, 3)
-    assert exp.ok and exp.as_dict() == {(2,): Fraction(2)}
+    assert exp.ok and exp.coeffs == {(2,): Fraction(2)}
     # recombination reproduces the input
     back = Poly.zero()
-    for lam, c in exp.coeffs:
+    for lam, c in exp.coeffs.items():
         back = back + c * schur_q(lam, (), 3)
     assert back == sq1 * sq1
 
@@ -170,16 +170,16 @@ def _expand_by_poly_arithmetic(f, k):
         vecs = {}
         for mono, c in rem.items():
             if any(v[0] != "x" or v[1] > k for v in mono):
-                return QExpansion(tuple(sorted(coeffs.items())), rem)
+                return QExpansion(coeffs, rem)
             vecs[tuple(mono.count(x(i)) for i in range(1, k + 1))] = c
         lead = max(vecs)
         lam = tuple(p for p in lead if p)
         if list(lead) != sorted(lead, reverse=True) or not is_strict(lam):
-            return QExpansion(tuple(sorted(coeffs.items())), rem)
+            return QExpansion(coeffs, rem)
         c = Fraction(vecs[lead], 2 ** len(lam))
         coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
         rem = rem - c * schur_q(lam, (), k)
-    return QExpansion(tuple(sorted((l, c) for l, c in coeffs.items() if c)), Poly.zero())
+    return QExpansion({l: c for l, c in coeffs.items() if c}, Poly.zero())
 
 
 def test_expand_matches_poly_arithmetic():
@@ -194,12 +194,12 @@ def test_expand_matches_poly_arithmetic():
     # peeling Q_(2) off x[1]^2 brings in monomials that f lacks, and stops at x[1]*x[2]
     lone = Poly.var(x(1)) ** 2
     got = expand_in_q_basis(lone, k)
-    assert got == _expand_by_poly_arithmetic(lone, k) and got.coeffs == (((2,), Fraction(1, 2)),)
+    assert got == _expand_by_poly_arithmetic(lone, k) and got.coeffs == {(2,): Fraction(1, 2)}
     # a monomial in a matrix entry stops the expansion before any peel, with all of f left
     with_entry = in_span + Poly.var(a(1, 2))
     got = expand_in_q_basis(with_entry, k)
     assert got == _expand_by_poly_arithmetic(with_entry, k)
-    assert got.coeffs == () and got.remainder == with_entry
+    assert got.coeffs == {} and got.remainder == with_entry
 
 
 def test_monomial_expand():
@@ -262,7 +262,7 @@ def test_scan_cell_transfer_trivialities():
 
 
 def test_scan_q_positivity_classification():
-    recs = list(scan_q_positivity(2, 4, k=4, combos=1))
+    recs = list(scan_q_positivity(2, 4, k=4))
     assert all(r["verdict"] == "positive" for r in recs if r["in_cone"])
     # the odd-diagram functionals are flagged as outside the cone
     flags = {r["instance"]["element"]: r["in_cone"] for r in recs}
@@ -361,25 +361,25 @@ def test_q_positivity_scan_matches_oracle(n, bound):
     from pfaflab.pfaffinants import ConeElement, diagram_functional, tl_functional
     from pfaflab.schurq import cone_test_elements, weakly_decreasing_parts
 
-    k, seed, combos = 4, 1, 2
+    k, seed = 4, 1
 
     def value(obj, A):
         if not isinstance(obj, ConeElement):
             return diagram_functional(obj).evaluate(A)
         total = Poly.zero()
-        for D, c in obj.tl_coeffs:
+        for D, c in obj.tl_coeffs.items():
             total = total + c * tl_functional(D).evaluate(A)
         return total
 
     want = []
     for pi in weakly_decreasing_parts(bound, 2 * n):
-        for label, obj, in_cone in cone_test_elements(n, seed, combos):
+        for label, obj, in_cone in cone_test_elements(n, seed):
             def diff_at(j):
                 return value(obj, q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
 
             rec = _oracle_record("con1", {"pi": list(pi), "element": label}, diff_at, k, in_cone)
             want.append({**rec, "in_cone": in_cone})
-    assert list(scan_q_positivity(n, bound, k=k, seed=seed, combos=combos)) == want
+    assert list(scan_q_positivity(n, bound, k=k, seed=seed)) == want
 
 
 def test_diagram_in_cone_reads_the_cone_membership():
@@ -396,7 +396,7 @@ def test_diagram_in_cone_reads_the_cone_membership():
         A = SkewArray.symbolic(2 * n)
         even = enumerate_sym_tl_even(n)
         gens = [tl_functional(E).evaluate(A) for E in even]
-        in_cone = {label: flag for label, _, flag in schurq.cone_test_elements(n, 0, 0)}
+        in_cone = {label: flag for label, _, flag in schurq.cone_test_elements(n, 0)}
         for D in enumerate_sym_tl(n):
             coeffs = express_in_span(diagram_functional(D).evaluate(A), gens)
             induced = {}
@@ -419,7 +419,7 @@ def test_cone_test_elements_evaluate_the_generators_once(monkeypatch):
     evaluate = pfaffinants.PfaffinantFunctional.evaluate
     monkeypatch.setattr(pfaffinants.PfaffinantFunctional, "evaluate",
                         lambda self, A, *rest: calls.append(A) or evaluate(self, A, *rest))
-    schurq.cone_test_elements(3, 0, 3)
+    schurq.cone_test_elements(3, 0)
     # 20 diagrams and 10 even TL generators, all on one symbolic array
     assert len(calls) == 30 and len({id(A) for A in calls}) == 1
 

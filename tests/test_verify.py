@@ -54,10 +54,32 @@ def test_runner_records_assertion_as_failure(monkeypatch):
         raise AssertionError("closure is not a power of two")
 
     monkeypatch.setattr(diagrams, "removal_closure", broken)
-    report = vf.run("lem-2.9", {"n": 2})
-    assert report["cases"] == 10
-    assert len(report["failures"]) == report["cases"]
-    assert report["failures"][0] == {"case": "n=1 I=[]", "error": "closure is not a power of two"}
+    for theorem, cases, first in (("lem-2.8", 8, "V[]"), ("lem-2.9", 10, "n=1 I=[]")):
+        report = vf.run(theorem, {"n": 2})
+        assert report["cases"] == cases
+        assert len(report["failures"]) == report["cases"]
+        assert report["failures"][0] == {"case": first, "error": "closure is not a power of two"}
+
+
+def test_closure_escapes_are_one_failure_per_diagram(monkeypatch):
+    from pfaflab import diagrams
+
+    # at n = 2, S(D) holds D and the next two diagrams of the order, whose
+    # own closures reach one and two diagrams further
+    order = diagrams.enumerate_sym_tl(2)
+
+    def shifted(D):
+        if D.n != 2:
+            return frozenset({D})
+        i = order.index(D)
+        return frozenset(order[(i + t) % len(order)] for t in range(3))
+
+    monkeypatch.setattr(diagrams, "removal_closure", shifted)
+    report = vf.run("lem-2.8", {"n": 2})
+    assert report["cases"] == 2 + len(order)
+    assert [f["case"] for f in report["failures"]] == [D.key() for D in order]
+    assert report["failures"][0]["error"] == \
+        f"S({order[1].key()}) escapes; S({order[2].key()}) escapes"
 
 
 @pytest.mark.parametrize("theorem, opts", [

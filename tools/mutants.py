@@ -159,7 +159,7 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            ("tests/test_pfaffinants.py::test_complementary_functional_matches_complementary_pfaffian",)),
     Mutant("identity-compares-supports-only", "src/pfaflab/pfaffinants.py",
            "    if lhs.coefficients != rhs.coefficients:\n",
-           "    if [pi for pi, _ in lhs.coefficients] != [pi for pi, _ in rhs.coefficients]:\n",
+           "    if lhs.coefficients.keys() != rhs.coefficients.keys():\n",
            ("tests/test_pfaffinants.py::test_identities_agree_with_poly_oracle[True]",)),
     Mutant("generic-array-check-disabled", "src/pfaflab/pfaffinants.py",
            "    if A.entries != _symbolic_entries(A.size):\n",
@@ -170,9 +170,18 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "def block_immanants(",
            ("tests/test_immanants.py::test_verify_builds_the_block_tables_once_per_n",)),
     Mutant("summed-side-drops-a-functional", "src/pfaflab/pfaffinants.py",
-           "    for f in functionals:\n        for pi, c in f.coefficients:\n",
-           "    for f in list(functionals)[1:]:\n        for pi, c in f.coefficients:\n",
+           "    for f in functionals:\n        for pi, c in f.coefficients.items():\n",
+           "    for f in list(functionals)[1:]:\n        for pi, c in f.coefficients.items():\n",
            ("tests/test_pfaffinants.py::test_summed_side_matches_per_diagram_sum",)),
+    Mutant("tl-functional-drops-a-closure-diagram", "src/pfaflab/pfaffinants.py",
+           "for Dp in removal_closure(D)))", "for Dp in list(removal_closure(D))[1:]))",
+           ("tests/test_pfaffinants.py::test_tl_functional_matches_closure_sum_over_tables",)),
+    Mutant("i-maximal-counts-a-diagram-inside-itself", "src/pfaflab/diagrams.py",
+           "removal_closure(D2) - {D2}", "removal_closure(D2)",
+           ("tests/test_diagrams.py::test_i_maximal_matches_quadratic_definition",)),
+    Mutant("closure-escapes-never-fail", "src/pfaflab/verify.py",
+           '        return "; ".join(escapes) or None\n', "        return None\n",
+           ("tests/test_verify.py::test_closure_escapes_are_one_failure_per_diagram",)),
     Mutant("con2-shortcut-ignores-inner-shapes", SCHURQ,
            "            if (join, meet) in ((s1, s2), (s2, s1)):\n",
            "            if (join[0], meet[0]) in ((s1[0], s2[0]), (s2[0], s1[0])):\n",
