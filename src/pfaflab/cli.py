@@ -1,5 +1,12 @@
 """Command-line workbench: verify, scan, eval, table, network.
 
+`scan`, `eval`, `table` and `network` take their choice (`scan con1`,
+`network build`) as a sub-command.  Each command and sub-command
+registers, from the one table `FLAGS`, only the options it reads, so an
+option it does not read is a usage error.  `verify` takes one option set
+for every identity, since `verify all` applies it to all of them; it
+alone takes `--jobs` and `--format` (text or json).
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed or the
 library failed internally (an assertion, or any error but the ones for 2
 and 3), 2 usage error (UsageError for bad options, keys, subsets, shapes
@@ -44,13 +51,34 @@ def _positive(text: str) -> int:
     return int(text)
 
 
-def _common(parser):
-    parser.add_argument("--n", type=_positive, default=None, help="size bound")
-    parser.add_argument("--k", type=_positive, default=None, help="number of variables")
-    parser.add_argument("--bound", type=_count, default=None, help="size bound for scans")
-    parser.add_argument("--seed", type=int, default=0, help="placement/scan seed")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=None)
-    parser.add_argument("--out", default=None, help="write output to a file")
+# every option of every command: each leaf command registers the ones it reads
+FLAGS = {
+    "--n": dict(type=_positive, help="size bound"),
+    "--k": dict(type=_positive, help="number of variables"),
+    "--bound": dict(type=_count, help="size bound for scans"),
+    "--seed": dict(type=int, default=0, help="placement/scan seed"),
+    "--samples": dict(type=_count),
+    "--max-size": dict(type=_count),
+    "--grids": dict(type=_count),
+    "--jobs": dict(type=int, default=1,
+                   help="worker processes for independent verification targets"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--diagram": dict(help="diagram key, e.g. V[(2,3)] or T[(1,2)(3,4)]"),
+    "--subset": dict(help="comma separated indices, e.g. 1,3"),
+    "--lam": dict(help="comma separated outer parts"),
+    "--mu": dict(default="", help="comma separated inner parts"),
+    "--file": dict(help="network JSON file"),
+    "--out": dict(help="write output to a file"),
+}
+
+
+def _leaf(sub, name, run, *flags, required=(), **kwargs):
+    """A command (or sub-command) ``name`` that takes ``flags`` and --out."""
+    parser = sub.add_parser(name, **kwargs)
+    for flag in (*flags, *required, "--out"):
+        parser.add_argument(flag, required=flag in required, **FLAGS[flag])
+    parser.set_defaults(run=run)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,38 +86,35 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Exact pfaffinant workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run a registered identity check")
+    p = _leaf(sub, "verify", cmd_verify, "--samples", "--max-size", "--grids", "--jobs", "--n",
+              "--k", "--bound", "--seed", "--format", help="run a registered identity check")
     p.add_argument("theorem", help="identity id (or 'all'); see 'verify list'")
-    p.add_argument("--samples", type=_count, default=None)
-    p.add_argument("--max-size", type=_count, default=None)
-    p.add_argument("--grids", type=_count, default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent verification targets")
-    _common(p)
 
-    p = sub.add_parser("scan", help="run a conjecture scanner, emitting JSONL verdicts")
-    p.add_argument("conjecture", choices=("con1", "con2", "con3"))
-    _common(p)
+    def group(name, dest, what):
+        return sub.add_parser(name, help=what).add_subparsers(dest=dest, required=True)
 
-    p = sub.add_parser("eval", help="evaluate an object and print the polynomial")
-    p.add_argument("object", choices=("pfaffinant", "tl-pfaffinant", "pfaffian",
-                                      "schur-q", "immanant"))
-    p.add_argument("--diagram", default=None, help="diagram key, e.g. V[(2,3)] or T[(1,2)(3,4)]")
-    p.add_argument("--subset", default=None, help="comma separated indices, e.g. 1,3")
-    p.add_argument("--lam", default=None, help="comma separated outer parts")
-    p.add_argument("--mu", default="", help="comma separated inner parts")
-    _common(p)
+    scan = group("scan", "conjecture", "run a conjecture scanner, emitting JSONL verdicts")
+    _leaf(scan, "con1", cmd_scan, "--n", "--k", "--bound", "--seed")
+    for name in ("con2", "con3"):
+        _leaf(scan, name, cmd_scan, "--k", "--bound")
 
-    p = sub.add_parser("table", help="print a golden table as CSV")
-    p.add_argument("table", choices=("ex-2.5", "ex-2.7", "ex-2.11", "transition-n2",
-                                     "quadratic-n2"))
-    _common(p)
+    ev = group("eval", "object", "evaluate an object and print the polynomial")
+    for name in ("pfaffinant", "tl-pfaffinant"):
+        _leaf(ev, name, cmd_eval, "--n", "--seed", required=("--diagram",))
+    _leaf(ev, "pfaffian", cmd_eval, "--n", "--subset")
+    _leaf(ev, "schur-q", cmd_eval, "--k", "--lam", "--mu")
+    _leaf(ev, "immanant", cmd_eval, "--n", required=("--diagram",))
 
-    p = sub.add_parser("network", help="build or inspect separating networks")
-    p.add_argument("action", choices=("build", "matrix", "check"))
-    p.add_argument("--diagram", default=None)
-    p.add_argument("--file", default=None, help="network JSON file")
-    _common(p)
+    table = group("table", "table", "print a golden table as CSV")
+    for name in ("ex-2.5", "ex-2.7", "ex-2.11"):
+        _leaf(table, name, cmd_table, "--seed")
+    for name in ("transition-n2", "quadratic-n2"):
+        _leaf(table, name, cmd_table)
+
+    net = group("network", "action", "build or inspect separating networks")
+    _leaf(net, "build", cmd_network, required=("--diagram", "--n"))
+    for name in ("matrix", "check"):
+        _leaf(net, name, cmd_network, required=("--file",))
     return parser
 
 
@@ -110,6 +135,9 @@ def _verify_one(item):
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        sys.stderr.write("usage: verify --jobs takes a positive integer\n")
+        return 2
     opts = {"n": args.n, "k": args.k, "seed": args.seed, "samples": args.samples,
             "max_size": args.max_size, "grids": args.grids, "bound": args.bound}
     opts = {k: v for k, v in opts.items() if v is not None}
@@ -129,7 +157,7 @@ def cmd_verify(args) -> int:
     else:
         reports = [_verify_one(it) for it in items]
     ok = all(not r["failures"] for r in reports)
-    if (args.format or "text") == "json":
+    if args.format == "json":
         _emit(json.dumps(reports if len(reports) > 1 else reports[0], indent=1) + "\n", args.out)
     else:
         lines = []
@@ -167,11 +195,14 @@ def _parse_ints(text):
 
 
 def cmd_eval(args) -> int:
+    if args.object == "schur-q":
+        lam = tuple(_parse_ints(args.lam))
+        mu = tuple(_parse_ints(args.mu))
+        k = args.k or max(1, sum(lam) - sum(mu))
+        _emit(sq.schur_q(lam, mu, k).render() + "\n", args.out)
+        return 0
     n = args.n or 2
     if args.object in ("pfaffinant", "tl-pfaffinant"):
-        if not args.diagram:
-            sys.stderr.write("--diagram is required\n")
-            return 2
         D = dg.parse_diagram_key(args.diagram, n)
         A = SkewArray.symbolic(2 * n)
         fn = pfn.diagram_pfaffinant if args.object == "pfaffinant" else pfn.tl_pfaffinant
@@ -182,15 +213,6 @@ def cmd_eval(args) -> int:
         I = _parse_ints(args.subset) if args.subset else None
         _emit(pfaffian(A, I).render() + "\n", args.out)
         return 0
-    if args.object == "schur-q":
-        lam = tuple(_parse_ints(args.lam))
-        mu = tuple(_parse_ints(args.mu))
-        k = args.k or max(1, sum(lam) - sum(mu))
-        _emit(sq.schur_q(lam, mu, k).render() + "\n", args.out)
-        return 0
-    if not args.diagram:
-        sys.stderr.write("--diagram is required\n")
-        return 2
     d = dg.parse_tl_key(args.diagram, n)
     _, B = im.block_pair(n)
     _emit(im.tl_immanant(d, B).render() + "\n", args.out)
@@ -239,16 +261,10 @@ def cmd_table(args) -> int:
 
 def cmd_network(args) -> int:
     if args.action == "build":
-        if not args.diagram or not args.n:
-            sys.stderr.write("network build needs --diagram and --n\n")
-            return 2
         D = dg.parse_diagram_key(args.diagram, args.n)
         N = nw.construct_network_of_diagram(D)
         _emit(nw.network_to_json(N) + "\n", args.out)
         return 0
-    if not args.file:
-        sys.stderr.write(f"network {args.action} needs --file\n")
-        return 2
     try:
         with open(args.file) as fh:
             text = fh.read()
@@ -269,32 +285,10 @@ def cmd_network(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "scan": cmd_scan,
-    "eval": cmd_eval,
-    "table": cmd_table,
-    "network": cmd_network,
-}
-
-
-# the --format values each subcommand (each network action) can print
-FORMATS = {"verify": ("text", "json"), "scan": ("json",), "table": ("csv",), "eval": ("text",),
-           "network build": ("json",), "network matrix": ("csv",), "network check": ("text",)}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = f"network {args.action}" if args.command == "network" else args.command
-    formats = FORMATS[command]
-    if args.format is not None and args.format not in formats:
-        sys.stderr.write(f"usage: {command} --format takes {' or '.join(formats)}\n")
-        return 2
-    if command == "verify" and args.jobs < 1:
-        sys.stderr.write("usage: verify --jobs takes a positive integer\n")
-        return 2
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except ux.CapacityError as exc:
         sys.stderr.write(f"error: capacity: {exc}\n")
         return 3

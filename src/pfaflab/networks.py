@@ -8,7 +8,8 @@ out-degree at most 2.  Under these checks the sources and sinks sit in
 order on a common bounding curve.  `Network.validate` checks planarity
 with an x-sweep: edges sorted by tail x, each tested only against the
 edges whose closed x-range reaches its tail, in integer coordinates over
-the common denominator.
+the common denominator, by the segment kernel `_crossing_params` that the
+chord crossings of `uncross` share.
 
 A path family (one path per source, no vertex used three times) induces a
 marked subnetwork: its edge support with the doubly used edges marked.
@@ -44,7 +45,7 @@ from math import lcm
 from .diagrams import OddSubsetError, SymTLDiagram, removal_closure, sym_diagram
 from .pfaffian import SkewArray
 from .poly import CapacityError, Poly, UsageError, poly_prod, poly_sum, x
-from .uncross import _segment_crossing
+from .uncross import _crossing_params, _segment_crossing
 
 
 class InvalidNetworkError(ValueError):
@@ -240,21 +241,13 @@ def _union(parent, i, j) -> None:
         parent[ri] = rj
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _segments_touch(A, B, C, D) -> bool:
-    d1, d2 = _cross(A, B, C), _cross(A, B, D)
-    d3, d4 = _cross(C, D, A), _cross(C, D, B)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0 and
-            (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-    for P, (U, V) in ((C, (A, B)), (D, (A, B)), (A, (C, D)), (B, (C, D))):
-        if _cross(U, V, P) == 0 and min(U[0], V[0]) <= P[0] <= max(U[0], V[0]) \
-                and min(U[1], V[1]) <= P[1] <= max(U[1], V[1]):
-            return True
-    return False
+    """Whether segments AB and CD, each increasing in x, share a point."""
+    t, u, den = _crossing_params(A, B, C, D)
+    if den:
+        return 0 <= t <= den and 0 <= u <= den
+    # parallel: they touch when on one line with overlapping x-ranges
+    return u == 0 and max(A[0], C[0]) <= min(B[0], D[0])
 
 
 # -- path family enumeration ----------------------------------------------------

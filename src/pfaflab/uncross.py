@@ -13,8 +13,10 @@ three meet exactly when two crossings tie in parameter along one chord,
 which sorting each chord's crossings shows.  The boundary points of each
 placement (n, seed, retry), and the crossing of each interleaved chord
 pair in it, are computed once per process and shared by every matching
-embedded there; `_segment_crossing` decides on integer cross products
-over a common denominator and builds Fractions only for its result.
+embedded there; `_segment_crossing` decides on the integer cross
+products of `_crossing_params` (the one segment-intersection kernel,
+which the network planarity check shares) over a common denominator and
+builds Fractions only for its result.
 
 Each crossing between a chord and its own mirror image sits on the axis
 and is *unpaired*; all other crossings come in mirror orbits of size two
@@ -81,6 +83,23 @@ def _placement(n: int, seed: int, retry: int) -> list:
     return out
 
 
+def _crossing_params(A, B, C, D):
+    """(t, u, den) of integer segments AB and CD, normalised so den >= 0.
+
+    For den > 0, A + (t/den)(B - A) = C + (u/den)(D - C) is where the
+    lines meet.  den == 0 means the segments are parallel, and then u == 0
+    exactly when they lie on one line.
+    """
+    rx, ry, sx, sy = B[0] - A[0], B[1] - A[1], D[0] - C[0], D[1] - C[1]
+    qx, qy = C[0] - A[0], C[1] - A[1]
+    den = rx * sy - ry * sx
+    t = qx * sy - qy * sx
+    u = qx * ry - qy * rx
+    if den < 0:
+        return -t, -u, -den
+    return t, u, den
+
+
 def _segment_crossing(A, B, C, D):
     """Exact interior crossing of segments AB and CD, or None.
 
@@ -89,22 +108,16 @@ def _segment_crossing(A, B, C, D):
     integers over one common denominator, so the test runs on integer
     cross products and Fractions are built only for the result.
     """
-    den = lcm(*(c.denominator for P in (A, B, C, D) for c in P))
-    ax, ay, bx, by, cx, cy, dx, dy = (c.numerator * (den // c.denominator)
-                                      for P in (A, B, C, D) for c in P)
-    rx, ry, sx, sy, qx, qy = bx - ax, by - ay, dx - cx, dy - cy, cx - ax, cy - ay
-    denom = rx * sy - ry * sx
-    if denom == 0:
+    scale = lcm(*(c.denominator for P in (A, B, C, D) for c in P))
+    A, B, C, D = ((P[0].numerator * (scale // P[0].denominator),
+                   P[1].numerator * (scale // P[1].denominator)) for P in (A, B, C, D))
+    t, u, den = _crossing_params(A, B, C, D)
+    if not (den and 0 < t < den and 0 < u < den):
         return None
-    t = qx * sy - qy * sx
-    u = qx * ry - qy * rx
-    if denom < 0:
-        denom, t, u = -denom, -t, -u
-    if not (0 < t < denom and 0 < u < denom):
-        return None
-    scale = den * denom
-    point = (Fraction(ax * denom + t * rx, scale), Fraction(ay * denom + t * ry, scale))
-    return point, Fraction(t, denom), Fraction(u, denom)
+    scale *= den
+    point = (Fraction(A[0] * den + t * (B[0] - A[0]), scale),
+             Fraction(A[1] * den + t * (B[1] - A[1]), scale))
+    return point, Fraction(t, den), Fraction(u, den)
 
 
 @lru_cache(maxsize=None)

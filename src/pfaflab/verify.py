@@ -73,15 +73,16 @@ def _report(theorem, params, total, failures):
 
 def verify_counts(opts):
     nmax = _opt(opts, "n", 8)
-    failures = []
-    for n in range(1, nmax + 1):
+
+    def check(n):
         all_n = len(dg.enumerate_sym_tl(n))
         even_n = len(dg.enumerate_sym_tl_even(n))
-        if all_n != comb(2 * n, n):
-            failures.append({"case": f"n={n}", "error": f"|T_n| = {all_n}"})
+        errors = [f"|T_n| = {all_n}"] if all_n != comb(2 * n, n) else []
         if even_n != comb(2 * n - 1, n):
-            failures.append({"case": f"n={n}", "error": f"|T^e_n| = {even_n}"})
-    return _report("prop-2.3", {"n": nmax}, nmax, failures)
+            errors.append(f"|T^e_n| = {even_n}")
+        return "; ".join(errors) or None
+
+    return _run("prop-2.3", {"n": nmax}, range(1, nmax + 1), check, "n={}".format)
 
 
 def verify_seed_independence(opts):
@@ -112,16 +113,18 @@ EXAMPLE_F_TABLE = {
 
 
 def verify_example_uncrossing(opts):
-    failures = []
     pi = dg.matching([(1, 4), (2, 3)])
-    for seed in (_opt(opts, "seed", 0), _opt(opts, "seed", 0) + 1):
-        cmap = ux.embed_nu_pi(pi, 2, seed)
-        if 2 ** cmap.num_classes != 16:   # |X(pi)|: each class resolves two ways
-            failures.append({"case": f"seed={seed}", "error": "|X(pi)| != 16"})
+
+    def check(seed):
+        # |X(pi)|: each class resolves two ways
+        errors = ["|X(pi)| != 16"] if 2 ** ux.embed_nu_pi(pi, 2, seed).num_classes != 16 else []
         table = {D.key(): w for D, w in ux.f_coefficient(pi, 2, seed).items()}
         if table != EXAMPLE_F_TABLE:
-            failures.append({"case": f"seed={seed}", "error": f"table {table}"})
-    return _report("ex-2.5", {}, 2, failures)
+            errors.append(f"table {table}")
+        return "; ".join(errors) or None
+
+    seed = _opt(opts, "seed", 0)
+    return _run("ex-2.5", {}, (seed, seed + 1), check, "seed={}".format)
 
 
 EXAMPLE_DIAGRAM_PFAFFINANTS = {
@@ -311,24 +314,20 @@ def verify_network_equality(opts):
 
 def verify_separating_type(opts):
     nmax = _opt(opts, "n", 3)
-    failures = []
-    total = 0
-    for n in range(1, nmax + 1):
-        for D in dg.enumerate_sym_tl(n):
-            total += 1
-            N = nw.construct_network_of_diagram(D)
-            subs = nw.marked_subnetworks(N)
-            full = [s for s in subs
-                    if s.kept == frozenset(range(len(N.edges))) and not s.marked]
-            if len(full) != 1 or full[0].type != D:
-                failures.append({"case": D.key(), "error": "type mismatch"})
-                continue
-            if nw.hat_pfaf_prime(N, D, subs).is_zero():
-                failures.append({"case": D.key(), "error": "separator vanishes"})
-            for Dp in dg.removal_closure(D) - {D}:
-                if not nw.hat_pfaf_prime(N, Dp, subs).is_zero():
-                    failures.append({"case": D.key(), "error": f"nonzero at {Dp.key()}"})
-    return _report("lem-3.7", {"n": nmax}, total, failures)
+
+    def check(D):
+        N = nw.construct_network_of_diagram(D)
+        subs = nw.marked_subnetworks(N)
+        full = [s for s in subs if s.kept == frozenset(range(len(N.edges))) and not s.marked]
+        if len(full) != 1 or full[0].type != D:
+            return "type mismatch"
+        errors = ["separator vanishes"] if nw.hat_pfaf_prime(N, D, subs).is_zero() else []
+        errors.extend(f"nonzero at {Dp.key()}" for Dp in dg.removal_closure(D) - {D}
+                      if not nw.hat_pfaf_prime(N, Dp, subs).is_zero())
+        return "; ".join(errors) or None
+
+    cases = (D for n in range(1, nmax + 1) for D in dg.enumerate_sym_tl(n))
+    return _run("lem-3.7", {"n": nmax}, cases, check, lambda D: D.key())
 
 
 def verify_covering_counts(opts):
@@ -507,9 +506,10 @@ def verify_quadratic_table(opts):
 
 
 def verify_non_span_witness(opts):
-    rep = im.non_span_witness()
-    failures = [] if not rep["in_span"] else [{"case": rep["diagram"], "error": "in span"}]
-    return _report("witness-4.3", {}, 1, failures)
+    def check(rep):
+        return "in span" if rep["in_span"] else None
+
+    return _run("witness-4.3", {}, [im.non_span_witness()], check, itemgetter("diagram"))
 
 
 def verify_jacobi_trudi(opts):

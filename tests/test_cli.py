@@ -203,10 +203,82 @@ def test_verify_json_format(capsys):
     ["network", "check", "--file", "net.json", "--format", "json"],
 ], ids=["verify", "scan", "table", "eval", "network-build", "network-matrix", "network-check"])
 def test_verify_rejects_csv_format(capsys, argv):
-    code = main(argv)
+    # only verify takes --format, and only text or json
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("usage:") and captured.err.count("\n") == 1
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--format" in captured.err
+
+
+# each leaf command: an argument list with its required options, and the
+# options it reads
+LEAVES = {
+    "verify": (["verify", "list"], {"--samples", "--max-size", "--grids", "--jobs", "--n", "--k",
+                                    "--bound", "--seed", "--format", "--out"}),
+    "scan con1": (["scan", "con1"], {"--n", "--k", "--bound", "--seed", "--out"}),
+    "scan con2": (["scan", "con2"], {"--k", "--bound", "--out"}),
+    "scan con3": (["scan", "con3"], {"--k", "--bound", "--out"}),
+    "eval pfaffinant": (["eval", "pfaffinant", "--diagram", "V[]"],
+                        {"--n", "--seed", "--diagram", "--out"}),
+    "eval tl-pfaffinant": (["eval", "tl-pfaffinant", "--diagram", "V[]"],
+                           {"--n", "--seed", "--diagram", "--out"}),
+    "eval pfaffian": (["eval", "pfaffian"], {"--n", "--subset", "--out"}),
+    "eval schur-q": (["eval", "schur-q", "--lam", "1"], {"--k", "--lam", "--mu", "--out"}),
+    "eval immanant": (["eval", "immanant", "--diagram", "T[]"], {"--n", "--diagram", "--out"}),
+    **{f"table {t}": (["table", t], {"--seed", "--out"}) for t in ("ex-2.5", "ex-2.7", "ex-2.11")},
+    **{f"table {t}": (["table", t], {"--out"}) for t in ("transition-n2", "quadratic-n2")},
+    "network build": (["network", "build", "--diagram", "V[]", "--n", "1"],
+                      {"--diagram", "--n", "--out"}),
+    "network matrix": (["network", "matrix", "--file", "net.json"], {"--file", "--out"}),
+    "network check": (["network", "check", "--file", "net.json"], {"--file", "--out"}),
+}
+# the options every command accepted before each took only those it reads
+OLD_COMMON = ("--n", "--k", "--bound", "--seed", "--format", "--out")
+UNREAD = [(leaf, flag) for leaf, (_, reads) in LEAVES.items()
+          for flag in OLD_COMMON if flag not in reads]
+
+
+@pytest.mark.parametrize("leaf, flag", UNREAD, ids=[" ".join(c) for c in UNREAD])
+def test_unread_flag_is_usage_error(capsys, leaf, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(LEAVES[leaf][0] + [flag, "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag} 2" in captured.err
+
+
+def test_each_leaf_takes_the_options_it_reads():
+    import argparse
+
+    from pfaflab.cli import build_parser
+
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield " ".join(path), parser
+        for name, p in (subs[0].choices.items() if subs else ()):
+            yield from leaves(p, path + [name])
+
+    flags = {leaf: {a.option_strings[0] for a in p._actions if a.option_strings and a.dest != "help"}
+             for leaf, p in leaves(build_parser(), [])}
+    assert flags == {leaf: reads for leaf, (_, reads) in LEAVES.items()}
+    assert sum(map(len, flags.values())) == 54
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["network", "build", "--diagram", "V[(1,2)]"], "--n"),
+    (["network", "build", "--n", "1"], "--diagram"),
+    (["network", "matrix"], "--file"),
+    (["eval", "pfaffinant", "--n", "2"], "--diagram"),
+    (["eval", "immanant"], "--diagram"),
+], ids=["build-n", "build-diagram", "matrix-file", "pfaffinant-diagram", "immanant-diagram"])
+def test_required_options(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"the following arguments are required: {missing}" in captured.err
 
 
 def test_scan_emits_jsonl(capsys):
@@ -343,8 +415,8 @@ def test_verify_pool_is_capped(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     code, out = run(capsys, "verify", "all", "--n", "2", "--jobs", "500")
     assert code == 0 and sizes == [3] and out.count("PASS") == 3
-    for jobs in ("0", "-1"):
-        code = main(["verify", "all", "--jobs", jobs])
+    for argv in (["all", "--jobs", "0"], ["all", "--jobs", "-1"], ["list", "--jobs", "0"]):
+        code = main(["verify", *argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "usage: verify --jobs takes a positive integer\n"

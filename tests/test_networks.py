@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfaflab.diagrams import (enumerate_sym_tl, enumerate_sym_tl_even, is_compatible,
                               removal_closure, sym_diagram)
@@ -333,6 +334,61 @@ def _random_layout(rng):
             add_edge(rng.choice([u for u in vertices if u.startswith(("u", "v"))]),
                      rng.choice(inner + sinks))
     return vertices, edges, list(vertices)[:n_src], sinks
+
+
+def _orientation(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _orientation_touch(A, B, C, D) -> bool:
+    """The four-orientation test that the shared segment kernel replaced,
+    kept as the oracle of `_segments_touch`."""
+    d1, d2 = _orientation(A, B, C), _orientation(A, B, D)
+    d3, d4 = _orientation(C, D, A), _orientation(C, D, B)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0 and
+            (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
+        return True
+    for P, (U, V) in ((C, (A, B)), (D, (A, B)), (A, (C, D)), (B, (C, D))):
+        if _orientation(U, V, P) == 0 and min(U[0], V[0]) <= P[0] <= max(U[0], V[0]) \
+                and min(U[1], V[1]) <= P[1] <= max(U[1], V[1]):
+            return True
+    return False
+
+
+_coord = st.integers(-4, 4)
+
+
+@st.composite
+def _rising_segment_pairs(draw):
+    """Two integer segments increasing in x: often collinear, meeting in a
+    T-junction (an end of CD on AB) or sharing an end."""
+    A = (draw(_coord), draw(_coord))
+    v = (draw(st.integers(1, 3)), draw(st.integers(-3, 3)))
+    along = lambda k: (A[0] + k * v[0], A[1] + k * v[1])
+    B = along(draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(("any", "collinear", "T-junction", "shared end")))
+    if kind == "collinear":
+        a = draw(st.integers(-3, 4))
+        C, D = along(a), along(draw(st.integers(a + 1, 5)))
+    else:
+        if kind == "any":
+            P = (draw(_coord), draw(_coord))
+        elif kind == "T-junction":
+            P = along(draw(st.integers(0, 3)))
+        else:
+            P = draw(st.sampled_from((A, B)))
+        Q = (P[0] + draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1))), draw(_coord))
+        C, D = (P, Q) if P[0] < Q[0] else (Q, P)
+    segs = [(A, B), (C, D)]
+    if draw(st.booleans()):
+        segs.reverse()
+    return segs[0] + segs[1]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_rising_segment_pairs())
+def test_segments_touch_matches_orientation_oracle(segments):
+    assert _segments_touch(*segments) == _orientation_touch(*segments)
 
 
 def test_planarity_sweep_matches_all_pairs():

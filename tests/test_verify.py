@@ -82,6 +82,23 @@ def test_closure_escapes_are_one_failure_per_diagram(monkeypatch):
         f"S({order[1].key()}) escapes; S({order[2].key()}) escapes"
 
 
+def test_separator_failures_are_one_per_diagram(monkeypatch):
+    from pfaflab import diagrams, networks
+    from pfaflab.poly import Poly
+
+    # a separator nonzero at every diagram fails at each proper closure diagram
+    monkeypatch.setattr(networks, "hat_pfaf_prime", lambda N, D, subs: Poly.const(1))
+    report = vf.run("lem-3.7", {"n": 3})
+    order = [D for n in (1, 2, 3) for D in diagrams.enumerate_sym_tl(n)]
+    failing = [D for D in order if len(diagrams.removal_closure(D)) > 1]
+    assert report["cases"] == len(order)
+    assert [f["case"] for f in report["failures"]] == [D.key() for D in failing]
+    assert any(len(diagrams.removal_closure(D)) > 2 for D in failing)
+    for D, f in zip(failing, report["failures"]):
+        assert sorted(f["error"].split("; ")) == \
+            sorted(f"nonzero at {Dp.key()}" for Dp in diagrams.removal_closure(D) - {D})
+
+
 @pytest.mark.parametrize("theorem, opts", [
     ("thm-2.17", {"n": 0}), ("thm-2.6", {"n": 0}), ("thm-5.4", {"n": -1}),
     ("prop-5.6", {"k": 0}), ("thm-5.2", {"k": 0}),

@@ -46,7 +46,11 @@ class Mutant(NamedTuple):
 UNCROSS = "src/pfaflab/uncross.py"
 POLY = "src/pfaflab/poly.py"
 SCHURQ = "src/pfaflab/schurq.py"
+NETWORKS = "src/pfaflab/networks.py"
+CLI = "src/pfaflab/cli.py"
 T_UNCROSS = "tests/test_uncross.py::"
+T_NETWORKS = "tests/test_networks.py::"
+T_CLI = "tests/test_cli.py::"
 T_SCHURQ = "tests/test_schurq.py::"
 
 MUTANTS = (
@@ -98,8 +102,8 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
 ''',
            (T_UNCROSS + "test_final_diagram_checks_each_input",)),
     Mutant("no-denominator-sign-normalisation", UNCROSS,
-           '''    if denom < 0:
-        denom, t, u = -denom, -t, -u
+           '''    if den < 0:
+        return -t, -u, -den
 ''', "",
            (T_UNCROSS + "test_segment_crossing_matches_fraction_oracle",)),
     Mutant("unchecked-strands-on-a-memo-miss", UNCROSS,
@@ -134,13 +138,22 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            'sign = -1 if cmap.class_kind[ci] == "unpaired" else 1',
            'sign = 1 if cmap.class_kind[ci] == "unpaired" else -1',
            (T_UNCROSS + "test_n1_f_table_consistent_with_decomposition",)),
+    # -- network planarity: the closed touch test on the shared kernel
+    Mutant("touch-test-made-open", NETWORKS,
+           "        return 0 <= t <= den and 0 <= u <= den\n",
+           "        return 0 < t < den and 0 < u < den\n",
+           (T_NETWORKS + "test_segments_touch_matches_orientation_oracle",)),
+    Mutant("collinear-segments-never-touch", NETWORKS,
+           "    return u == 0 and max(A[0], C[0]) <= min(B[0], D[0])\n",
+           "    return False\n",
+           (T_NETWORKS + "test_segments_touch_matches_orientation_oracle",)),
     # -- network path families
-    Mutant("family-counts-ignore-the-same-side-mask", "src/pfaflab/networks.py",
+    Mutant("family-counts-ignore-the-same-side-mask", NETWORKS,
            "sum(c for meet, c in meets.items() if not meet & same_side)",
            "sum(c for meet, c in meets.items())",
            ("tests/test_verify.py::test_registry_smoke[lem-3.4]",
             "tests/test_verify.py::test_registry_smoke[cor-3.2]")),
-    Mutant("hat-pfaf-reads-only-D", "src/pfaflab/networks.py",
+    Mutant("hat-pfaf-reads-only-D", NETWORKS,
            "if s.type in closure)", "if s.type == D)",
            ("tests/test_networks.py::test_network_equality_n2",
             "tests/test_networks.py::test_network_equality_on_fences",
@@ -194,9 +207,26 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "                if mono not in exponents:\n                    exponents[mono] = read(mono)\n",
            "",
            (T_SCHURQ + "test_expand_matches_poly_arithmetic",)),
-    Mutant("verify-pool-not-capped", "src/pfaflab/cli.py",
+    Mutant("verify-pool-not-capped", CLI,
            "max_workers=min(args.jobs, len(items))", "max_workers=args.jobs",
-           ("tests/test_cli.py::test_verify_pool_is_capped",)),
+           (T_CLI + "test_verify_pool_is_capped",)),
+    # -- each CLI command takes exactly the options it reads
+    Mutant("con2-takes-n", CLI,
+           '_leaf(scan, name, cmd_scan, "--k", "--bound")',
+           '_leaf(scan, name, cmd_scan, *("--n",) * (name == "con2"), "--k", "--bound")',
+           (T_CLI + "test_unread_flag_is_usage_error[scan con2 --n]",)),
+    Mutant("verify-format-takes-csv", CLI,
+           '''"--format": dict(choices=("text", "json"),''',
+           '''"--format": dict(choices=("text", "json", "csv"),''',
+           (T_CLI + "test_verify_rejects_csv_format[verify]",)),
+    Mutant("network-build-n-not-required", CLI,
+           '''_leaf(net, "build", cmd_network, required=("--diagram", "--n"))''',
+           '''_leaf(net, "build", cmd_network, "--n", required=("--diagram",))''',
+           (T_CLI + "test_required_options[build-n]",)),
+    Mutant("eval-pfaffian-takes-diagram", CLI,
+           '''_leaf(ev, "pfaffian", cmd_eval, "--n", "--subset")''',
+           '''_leaf(ev, "pfaffian", cmd_eval, "--n", "--subset", "--diagram")''',
+           (T_CLI + "test_each_leaf_takes_the_options_it_reads",)),
     Mutant("no-size-check", "src/pfaflab/verify.py",
            '    if key in ("n", "k") and value < 1:\n', "    if False:\n",
            ("tests/test_verify.py::test_size_below_one_is_usage_error",)),
