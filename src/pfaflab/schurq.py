@@ -13,27 +13,27 @@ the branching rule equals the sum over shifted tableaux, which the tests
 enumerate one by one as its oracle, and the thm-5.2 check compares the
 Q-Jacobi-Trudi pfaffian with it.
 
-The scanners do each piece of exact work once.  A con2 pair whose join
-and meet are its two shapes, and a con3 pair that is already its own
-sorted split, has the same two factors on both sides of the difference:
-its record (zero difference, positive, empty expansion) is written
-without multiplying anything.  con1 turns each cone element into one
-summed functional per scan and evaluates every element on an array
-through one dict of that array's monomial pfaffians, so each matching's
-pfaffian is built once per array; the recheck in k + 1 variables builds
-its own.  ``expand_in_q_basis`` reads the exponents of each monomial once
-per call.  Every memo lives for one call or one array.  A ``QExpansion``'s
-``coeffs`` are a plain dict, strict partition -> Fraction, ordered only
-by ``_expansion_str`` when a record is written.
+The scanners do each piece of exact work once.  ``_record`` writes every
+record: it classifies the difference and, when that is not positive,
+reclassifies it in k + 1 variables.  con2 and con3 share ``_pair_scan``
+over Q_t1 Q_t2 - Q_s1 Q_s2, with (t1, t2) the join and meet of the pair
+(con2) or its sorted split (con3); when both sides have the same factors
+the record (zero difference, positive, empty expansion) is written
+without multiplying anything.  con1 evaluates each cone element, one
+summed functional per scan, through one dict of each array's monomial
+pfaffians; the recheck builds its own.  ``expand_in_q_basis`` returns
+``(coeffs, remainder)``, with ``coeffs`` a plain dict, strict partition
+-> Fraction, ordered only when a record is written.  Every memo lives for
+one call or one array.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from math import factorial, prod
 
 from .diagrams import enumerate_sym_tl, enumerate_sym_tl_even
 from .pfaffian import SkewArray, complementary_pfaffian, min_partition, pfaffian
@@ -220,25 +220,14 @@ def _x_exponents(k: int):
     return exponent_reader([x(i) for i in range(1, k + 1)])
 
 
-@dataclass(frozen=True)
-class QExpansion:
-    coeffs: dict        # strict partition -> Fraction
-    remainder: Poly
-
-    @property
-    def ok(self) -> bool:
-        return self.remainder.is_zero()
-
-    def nonnegative(self) -> bool:
-        return self.ok and all(c >= 0 for c in self.coeffs.values())
-
-
-def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
-    """Peel off the lex-greatest monomial with a Q-function at each step.
+def expand_in_q_basis(f: Poly, k: int) -> tuple:
+    """(coeffs, remainder): peel off the lex-greatest monomial with a
+    Q-function at each step.
 
     The leading monomial of Q_lambda is 2^l(lambda) x^lambda, so on the
     Q-span the loop terminates with zero remainder; otherwise the offending
-    part is returned as the remainder.
+    part is returned as the remainder.  ``coeffs`` maps each strict
+    partition to its Fraction.
     """
     coeffs = {}
     rem = dict(f.terms)  # the remainder, updated in place
@@ -247,13 +236,13 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
     # only x-monomials, so a monomial that is not one can only come from f
     exponents = {mono: read(mono) for mono in rem}
     if None in exponents.values():
-        return QExpansion({}, f)
+        return {}, f
     while rem:
         mono = max(rem, key=exponents.__getitem__)
         lead = exponents[mono]
         lam = tuple(p for p in lead if p)
         if list(lead) != sorted(lead, reverse=True) or not is_strict(lam):
-            return QExpansion(coeffs, Poly.from_packed(rem))
+            return coeffs, Poly.from_packed(rem)
         c = Fraction(rem[mono], 2 ** len(lam))
         coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
         c = _num(c)  # an integral c keeps the subtraction in int arithmetic
@@ -265,27 +254,29 @@ def expand_in_q_basis(f: Poly, k: int) -> QExpansion:
                     exponents[mono] = read(mono)
             else:
                 del rem[mono]
-    return QExpansion({l: c for l, c in coeffs.items() if c}, Poly.zero())
+    return {l: c for l, c in coeffs.items() if c}, Poly.zero()
 
 
 def monomial_expand(f: Poly, k: int) -> dict | None:
-    """Coefficients on monomial symmetric functions, or None if not symmetric."""
+    """Coefficients on monomial symmetric functions, or None if not symmetric.
+
+    Every exponent vector is a permutation of its sorted shape, so f is
+    symmetric when each shape has as many monomials as its orbit and they
+    share one coefficient.
+    """
     by_shape = {}
     exponents = _x_exponents(k)
     for mono, c in f.terms.items():
         e = exponents(mono)
         if e is None:
             return None
-        shape = tuple(sorted((p for p in e), reverse=True))
-        by_shape.setdefault(shape, {})[e] = c
+        by_shape.setdefault(tuple(sorted(e, reverse=True)), []).append(c)
     out = {}
-    for shape, seen in by_shape.items():
-        orbit = set(permutations(shape))
-        want = {e: None for e in orbit}
-        vals = set(seen.values())
-        if len(vals) != 1 or set(seen) != set(want):
+    for shape, coeffs in by_shape.items():
+        orbit = factorial(len(shape)) // prod(map(factorial, Counter(shape).values()))
+        if len(coeffs) != orbit or len(set(coeffs)) != 1:
             return None
-        out[tuple(p for p in shape if p)] = seen[shape]
+        out[tuple(p for p in shape if p)] = coeffs[0]
     return out
 
 
@@ -370,66 +361,52 @@ def verify_min_difference_q(lam, nu, k: int = 4) -> dict:
 # -- conjecture scanners ----------------------------------------------------------
 
 
-def _skew_q(shape, k: int) -> Poly:
-    lam, mu = shape
-    return schur_q(tuple(lam), tuple(mu), k)
-
-
 def classify_difference(diff: Poly, k: int) -> tuple:
     """(verdict, expansion dict) for a would-be nonnegative Q-combination."""
-    exp = expand_in_q_basis(diff, k)
-    if exp.nonnegative():
-        return "positive", exp.coeffs
-    return ("not-in-q-span" if not exp.ok else "counterexample"), exp.coeffs
+    coeffs, remainder = expand_in_q_basis(diff, k)
+    if not remainder.is_zero():
+        return "not-in-q-span", coeffs
+    return ("positive" if all(c >= 0 for c in coeffs.values()) else "counterexample"), coeffs
+
+
+def _record(conjecture: str, instance: dict, diff: Poly, k: int, rebuild=None, **extra) -> dict:
+    """The scan record of ``diff``; a non-positive verdict is replaced by the
+    verdict on ``rebuild(k + 1)``, the same difference in one more variable."""
+    verdict, expansion = classify_difference(diff, k)
+    if verdict != "positive" and rebuild is not None:
+        verdict, expansion = classify_difference(rebuild(k + 1), k + 1)
+    return {"conjecture": conjecture, "instance": instance, **extra,
+            "zero_difference": diff.is_zero(), "verdict": verdict,
+            "expansion": _expansion_str(expansion)}
+
+
+def _pair_scan(conjecture: str, cases, k: int):
+    """Records of Q_t1 * Q_t2 - Q_s1 * Q_s2 over (instance, (s1, s2), (t1, t2))
+    cases of skew shapes (lam, mu).  When the two sides have the same
+    factors the difference vanishes by commutativity, and the record is
+    written without multiplying anything."""
+    for instance, (s1, s2), (t1, t2) in cases:
+        if (t1, t2) in ((s1, s2), (s2, s1)):
+            yield {"conjecture": conjecture, "instance": instance, "zero_difference": True,
+                   "verdict": "positive", "expansion": {}}
+            continue
+
+        def diff_at(j):
+            return schur_q(*t1, j) * schur_q(*t2, j) - schur_q(*s1, j) * schur_q(*s2, j)
+
+        yield _record(conjecture, instance, diff_at(k), k, diff_at)
 
 
 def scan_cell_transfer(bound: int, k: int = 5):
     """Cell-transfer difference scan over pairs of skew shifted shapes."""
-    shapes1 = []
+    shapes = []
     for a_ in range(0, bound + 1):
         for lam in strict_partitions(a_) if a_ else [()]:
-            shapes1.extend((lam, mu) for mu in strict_subpartitions(lam))
-    for i, s1 in enumerate(shapes1):
-        for s2 in shapes1[i:]:
-            if sum(s1[0]) + sum(s2[0]) > bound:
-                continue
-            try:
-                join, meet = join_meet(s1, s2)
-            except (ValueError, AssertionError):
-                continue
-            instance = {"shape1": _shape_str(s1), "shape2": _shape_str(s2)}
-            if (join, meet) in ((s1, s2), (s2, s1)):
-                yield _zero_record("con2", instance)
-                continue
-
-            def diff_at(j):
-                return _skew_q(join, j) * _skew_q(meet, j) - _skew_q(s1, j) * _skew_q(s2, j)
-
-            yield _difference_record("con2", instance, diff_at, k)
-
-
-def _zero_record(conjecture: str, instance: dict) -> dict:
-    """The record of a difference that vanishes by commutativity: the two
-    products have the same factors, so nothing is multiplied."""
-    return {"conjecture": conjecture, "instance": instance, "zero_difference": True,
-            "verdict": "positive", "expansion": {}}
-
-
-def _difference_record(conjecture: str, instance: dict, diff_at, k: int) -> dict:
-    """The record of the difference ``diff_at(k)``, rechecked at k + 1."""
-    diff = diff_at(k)
-    verdict, expansion = _classify_with_recheck(diff, k, diff_at)
-    return {"conjecture": conjecture, "instance": instance, "zero_difference": diff.is_zero(),
-            "verdict": verdict, "expansion": _expansion_str(expansion)}
-
-
-def _classify_with_recheck(diff, k: int, rebuild=None) -> tuple:
-    """Classify ``diff``; a non-positive verdict is replaced by the verdict on
-    ``rebuild(k + 1)``, the same difference in one more variable."""
-    verdict, expansion = classify_difference(diff, k)
-    if verdict != "positive" and rebuild is not None:
-        verdict, expansion = classify_difference(rebuild(k + 1), k + 1)
-    return verdict, expansion
+            shapes.extend((lam, mu) for mu in strict_subpartitions(lam))
+    yield from _pair_scan("con2", (
+        ({"shape1": _shape_str(s1), "shape2": _shape_str(s2)}, (s1, s2), join_meet(s1, s2))
+        for i, s1 in enumerate(shapes) for s2 in shapes[i:]
+        if sum(s1[0]) + sum(s2[0]) <= bound), k)
 
 
 def scan_sort(bound: int, k: int = 5):
@@ -437,21 +414,11 @@ def scan_sort(bound: int, k: int = 5):
     parts = [()]
     for a_ in range(1, bound + 1):
         parts.extend(strict_partitions(a_))
-    for i, lam in enumerate(parts):
-        for mu in parts[i:]:
-            if sum(lam) + sum(mu) > bound:
-                continue
-            s1, s2 = sort_split(lam, mu)
-            instance = {"lam": list(lam), "mu": list(mu)}
-            if (s1, s2) in ((lam, mu), (mu, lam)):
-                yield _zero_record("con3", instance)
-                continue
-
-            def diff_at(j):
-                return schur_q(s1, (), j) * schur_q(s2, (), j) \
-                    - schur_q(lam, (), j) * schur_q(mu, (), j)
-
-            yield _difference_record("con3", instance, diff_at, k)
+    yield from _pair_scan("con3", (
+        ({"lam": list(lam), "mu": list(mu)}, ((lam, ()), (mu, ())),
+         tuple((s, ()) for s in sort_split(lam, mu)))
+        for i, lam in enumerate(parts) for mu in parts[i:]
+        if sum(lam) + sum(mu) <= bound), k)
 
 
 def weakly_decreasing_parts(total_max: int, length: int):
@@ -521,21 +488,12 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0):
         A = q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
         pf = {}  # the monomial pfaffians of A, shared by every element
         for label, f, in_cone in elements:
-            val = f.evaluate(A, pf)
-
             def rebuild(j):
                 return f.evaluate(q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
 
             # only cone elements are rechecked: the conjecture covers no others
-            verdict, expansion = _classify_with_recheck(val, k, rebuild if in_cone else None)
-            yield {
-                "conjecture": "con1",
-                "instance": {"pi": list(pi), "element": label},
-                "in_cone": in_cone,
-                "zero_difference": val.is_zero(),
-                "verdict": verdict,
-                "expansion": _expansion_str(expansion),
-            }
+            yield _record("con1", {"pi": list(pi), "element": label}, f.evaluate(A, pf), k,
+                          rebuild if in_cone else None, in_cone=in_cone)
 
 
 def _shape_str(shape) -> str:

@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from pfaflab.pfaffian import monomial_pfaffian, pfaffian
 from pfaflab.poly import Poly, a, x
-from pfaflab.schurq import (_classify_with_recheck, classify_difference, expand_in_q_basis,
+from pfaflab.schurq import (_record, classify_difference, expand_in_q_basis,
                             join_meet, join_meet_parts, merged_positions, monomial_expand,
                             one_row_q, q_from_pfaffian, q_jt_matrix, scan_cell_transfer,
                             scan_q_positivity, scan_sort, schur_q, shifted_cells,
@@ -140,29 +141,27 @@ def test_generalized_matrix_allows_nonstrict():
 
 
 def test_expand_in_q_basis():
-    assert expand_in_q_basis(schur_q((2, 1), (), 3), 3).coeffs == {(2, 1): Fraction(1)}
+    assert expand_in_q_basis(schur_q((2, 1), (), 3), 3) == ({(2, 1): Fraction(1)}, Poly.zero())
     sq1 = schur_q((1,), (), 3)
-    exp = expand_in_q_basis(sq1 * sq1, 3)
-    assert exp.ok and exp.coeffs == {(2,): Fraction(2)}
+    coeffs, remainder = expand_in_q_basis(sq1 * sq1, 3)
+    assert remainder.is_zero() and coeffs == {(2,): Fraction(2)}
     # recombination reproduces the input
     back = Poly.zero()
-    for lam, c in exp.coeffs.items():
+    for lam, c in coeffs.items():
         back = back + c * schur_q(lam, (), 3)
     assert back == sq1 * sq1
 
 
 def test_expand_remainder_flag():
     # a lone variable is not symmetric once a second variable exists
-    exp = expand_in_q_basis(Poly.var(x(1)), 2)
-    assert not exp.ok
+    assert not expand_in_q_basis(Poly.var(x(1)), 2)[1].is_zero()
     # a matrix-entry polynomial is rejected outright
-    exp = expand_in_q_basis(Poly.var(a(1, 2)), 2)
-    assert not exp.ok
+    assert not expand_in_q_basis(Poly.var(a(1, 2)), 2)[1].is_zero()
 
 
 def _expand_by_poly_arithmetic(f, k):
     """expand_in_q_basis with the remainder kept as a Poly: rem - c * Q_lam."""
-    from pfaflab.schurq import QExpansion, is_strict
+    from pfaflab.schurq import is_strict
 
     coeffs = {}
     rem = f
@@ -170,16 +169,16 @@ def _expand_by_poly_arithmetic(f, k):
         vecs = {}
         for mono, c in rem.items():
             if any(v[0] != "x" or v[1] > k for v in mono):
-                return QExpansion(coeffs, rem)
+                return coeffs, rem
             vecs[tuple(mono.count(x(i)) for i in range(1, k + 1))] = c
         lead = max(vecs)
         lam = tuple(p for p in lead if p)
         if list(lead) != sorted(lead, reverse=True) or not is_strict(lam):
-            return QExpansion(coeffs, rem)
+            return coeffs, rem
         c = Fraction(vecs[lead], 2 ** len(lam))
         coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
         rem = rem - c * schur_q(lam, (), k)
-    return QExpansion({l: c for l, c in coeffs.items() if c}, Poly.zero())
+    return {l: c for l, c in coeffs.items() if c}, Poly.zero()
 
 
 def test_expand_matches_poly_arithmetic():
@@ -189,17 +188,33 @@ def test_expand_matches_poly_arithmetic():
     out_of_span = in_span + Fraction(1, 3) * Poly.var(x(1)) ** 2 * Poly.var(x(2)) ** 3
     for f, ok in ((in_span, True), (out_of_span, False)):
         got, want = expand_in_q_basis(f, k), _expand_by_poly_arithmetic(f, k)
-        assert got == want and got.ok is ok and len(got.coeffs) > 2
-    assert not expand_in_q_basis(out_of_span, k).remainder.is_zero()
+        assert got == want and got[1].is_zero() is ok and len(got[0]) > 2
+    assert not expand_in_q_basis(out_of_span, k)[1].is_zero()
     # peeling Q_(2) off x[1]^2 brings in monomials that f lacks, and stops at x[1]*x[2]
     lone = Poly.var(x(1)) ** 2
     got = expand_in_q_basis(lone, k)
-    assert got == _expand_by_poly_arithmetic(lone, k) and got.coeffs == {(2,): Fraction(1, 2)}
+    assert got == _expand_by_poly_arithmetic(lone, k) and got[0] == {(2,): Fraction(1, 2)}
     # a monomial in a matrix entry stops the expansion before any peel, with all of f left
     with_entry = in_span + Poly.var(a(1, 2))
     got = expand_in_q_basis(with_entry, k)
     assert got == _expand_by_poly_arithmetic(with_entry, k)
-    assert got.coeffs == {} and got.remainder == with_entry
+    assert got == ({}, with_entry)
+
+
+def _monomial_expand_by_orbits(f, k):
+    """monomial_expand with each shape's orbit built from its permutations."""
+    by_shape = {}
+    for mono, c in f.items():
+        if any(v[0] != "x" or v[1] > k for v in mono):
+            return None
+        e = tuple(mono.count(x(i)) for i in range(1, k + 1))
+        by_shape.setdefault(tuple(sorted(e, reverse=True)), {})[e] = c
+    out = {}
+    for shape, seen in by_shape.items():
+        if len(set(seen.values())) != 1 or set(seen) != set(permutations(shape)):
+            return None
+        out[tuple(p for p in shape if p)] = seen[shape]
+    return out
 
 
 def test_monomial_expand():
@@ -208,6 +223,26 @@ def test_monomial_expand():
     assert monomial_expand(Poly.var(x(1)), 2) is None
     q2 = schur_q((2,), (), 2)
     assert monomial_expand(q2, 2) == {(2,): 2, (1, 1): 4}
+
+
+def test_monomial_expand_matches_orbit_oracle():
+    k = 4
+
+    def monomial(e, c=1):
+        return Poly({tuple(x(i + 1) for i, p in enumerate(e) for _ in range(p)): c})
+
+    m21 = Poly.zero()
+    for e in set(permutations((2, 1, 0, 0))):
+        m21 = m21 + monomial(e)
+    q = schur_q((3, 1), (), k) * schur_q((2,), (), k) - schur_q((4, 2), (), k)
+    cases = [q, m21, q + m21, Poly.zero(),
+             q + m21 + monomial((2, 1, 0, 0)),                         # one coefficient differs
+             q + monomial((1, 1, 0, 0)) + monomial((1, 0, 1, 0)),      # 2 of an orbit of 6
+             q + Poly.var(a(1, 2))]
+    got = [monomial_expand(f, k) for f in cases]
+    assert got == [_monomial_expand_by_orbits(f, k) for f in cases]
+    assert got[1] == {(2, 1): 1}
+    assert [m is None for m in got] == [False] * 4 + [True] * 3
 
 
 def test_join_meet():
@@ -285,10 +320,11 @@ def test_recheck_in_one_more_variable():
         asked.append(j)
         return schur_q((1,), (), j)
 
-    assert _classify_with_recheck(lone, 2, rebuild) == ("positive", {(1,): Fraction(1)})
+    rec = _record("con1", {}, lone, 2, rebuild)
+    assert (rec["verdict"], rec["expansion"]) == ("positive", {"[1]": "1"})
     assert asked == [3]
-    assert _classify_with_recheck(lone, 2)[0] == "not-in-q-span"
-    assert _classify_with_recheck(schur_q((1,), (), 2), 2, rebuild)[0] == "positive"
+    assert _record("con1", {}, lone, 2)["verdict"] == "not-in-q-span"
+    assert _record("con1", {}, schur_q((1,), (), 2), 2, rebuild)["verdict"] == "positive"
     assert asked == [3]
 
 
@@ -307,27 +343,32 @@ def _oracle_record(conjecture, instance, diff_at, k, recheck=True):
             "expansion": {str(list(l)): str(c) for l, c in sorted(expansion.items())}}
 
 
-def test_cell_transfer_scan_matches_oracle():
-    bound, k = 6, 4
+def _con2_pairs(bound):
+    """Each con2 pair of skew shapes, in scan order, with its join and meet."""
     shapes = [(lam, mu) for size in range(bound + 1)
               for lam in (strict_partitions(size) if size else [()])
               for mu in strict_subpartitions(lam)]
+    return [((s1, s2), join_meet(s1, s2)) for i, s1 in enumerate(shapes) for s2 in shapes[i:]
+            if sum(s1[0]) + sum(s2[0]) <= bound]
+
+
+def _con3_pairs(bound):
+    """Each con3 pair of strict partitions, in scan order, with its sorted split."""
+    parts = [()] + [lam for size in range(1, bound + 1) for lam in strict_partitions(size)]
+    return [((lam, mu), sort_split(lam, mu)) for i, lam in enumerate(parts) for mu in parts[i:]
+            if sum(lam) + sum(mu) <= bound]
+
+
+def test_cell_transfer_scan_matches_oracle():
+    bound, k = 6, 4
     want = []
-    for i, s1 in enumerate(shapes):
-        for s2 in shapes[i:]:
-            if sum(s1[0]) + sum(s2[0]) > bound:
-                continue
-            try:
-                join, meet = join_meet(s1, s2)
-            except (ValueError, AssertionError):
-                continue
+    for (s1, s2), (join, meet) in _con2_pairs(bound):
+        def diff_at(j):
+            return schur_q(*join, j) * schur_q(*meet, j) - schur_q(*s1, j) * schur_q(*s2, j)
 
-            def diff_at(j):
-                return schur_q(*join, j) * schur_q(*meet, j) - schur_q(*s1, j) * schur_q(*s2, j)
-
-            instance = {"shape1": f"{list(s1[0])}/{list(s1[1])}",
-                        "shape2": f"{list(s2[0])}/{list(s2[1])}"}
-            want.append(_oracle_record("con2", instance, diff_at, k))
+        instance = {"shape1": f"{list(s1[0])}/{list(s1[1])}",
+                    "shape2": f"{list(s2[0])}/{list(s2[1])}"}
+        want.append(_oracle_record("con2", instance, diff_at, k))
     got = list(scan_cell_transfer(bound, k=k))
     assert got == want
     # the commutative pairs include distinct shapes, and some pairs are not commutative
@@ -338,22 +379,41 @@ def test_cell_transfer_scan_matches_oracle():
 
 def test_sort_scan_matches_oracle():
     bound, k = 8, 4
-    parts = [()] + [lam for size in range(1, bound + 1) for lam in strict_partitions(size)]
     want = []
-    for i, lam in enumerate(parts):
-        for mu in parts[i:]:
-            if sum(lam) + sum(mu) > bound:
-                continue
-            s1, s2 = sort_split(lam, mu)
+    for (lam, mu), (s1, s2) in _con3_pairs(bound):
+        def diff_at(j):
+            return schur_q(s1, (), j) * schur_q(s2, (), j) \
+                - schur_q(lam, (), j) * schur_q(mu, (), j)
 
-            def diff_at(j):
-                return schur_q(s1, (), j) * schur_q(s2, (), j) \
-                    - schur_q(lam, (), j) * schur_q(mu, (), j)
-
-            want.append(_oracle_record("con3", {"lam": list(lam), "mu": list(mu)}, diff_at, k))
+        want.append(_oracle_record("con3", {"lam": list(lam), "mu": list(mu)}, diff_at, k))
     got = list(scan_sort(bound, k=k))
     assert got == want
     assert 0 < sum(r["zero_difference"] for r in got) < len(got)
+
+
+def test_commuting_pairs_multiply_nothing(monkeypatch):
+    """A pair with the same two factors on both sides, in either order, gets
+    its record with no product and no expansion; every other pair multiplies."""
+    from pfaflab import schurq
+
+    calls = []
+    mul, expand = Poly.__mul__, schurq.expand_in_q_basis
+    monkeypatch.setattr(Poly, "__mul__", lambda f, g: calls.append("mul") or mul(f, g))
+    monkeypatch.setattr(schurq, "expand_in_q_basis",
+                        lambda f, k: calls.append("expand") or expand(f, k))
+    swapped = []
+    for records, pairs in ((scan_cell_transfer(6, k=4), _con2_pairs(6)),
+                           (scan_sort(8, k=4), _con3_pairs(8))):
+        swapped.append([])
+        for pair, sides in pairs:
+            calls.clear()
+            next(records)
+            commuting = sides in (pair, pair[::-1])
+            assert not calls if commuting else calls, (pair, sides)
+            if commuting and sides != pair:
+                swapped[-1].append(pair)
+        assert next(records, None) is None
+    assert (((1,), ()), ((2,), ())) in swapped[0] and ((1,), (2,)) in swapped[1]
 
 
 @pytest.mark.parametrize("n, bound", [(2, 5), (3, 3)])

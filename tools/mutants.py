@@ -195,10 +195,19 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
     Mutant("closure-escapes-never-fail", "src/pfaflab/verify.py",
            '        return "; ".join(escapes) or None\n', "        return None\n",
            ("tests/test_verify.py::test_closure_escapes_are_one_failure_per_diagram",)),
+    # -- one record path: con2 and con3 share one pair scan and one shortcut
     Mutant("con2-shortcut-ignores-inner-shapes", SCHURQ,
-           "            if (join, meet) in ((s1, s2), (s2, s1)):\n",
-           "            if (join[0], meet[0]) in ((s1[0], s2[0]), (s2[0], s1[0])):\n",
+           "        if (t1, t2) in ((s1, s2), (s2, s1)):\n",
+           "        if (t1[0], t2[0]) in ((s1[0], s2[0]), (s2[0], s1[0])):\n",
            (T_SCHURQ + "test_cell_transfer_scan_matches_oracle",)),
+    Mutant("commuting-shortcut-misses-swapped-factors", SCHURQ,
+           "        if (t1, t2) in ((s1, s2), (s2, s1)):\n",
+           "        if (t1, t2) == (s1, s2):\n",
+           (T_SCHURQ + "test_commuting_pairs_multiply_nothing",)),
+    Mutant("record-skips-the-recheck", SCHURQ,
+           '    if verdict != "positive" and rebuild is not None:\n',
+           "    if False:\n",
+           (T_SCHURQ + "test_recheck_in_one_more_variable",)),
     Mutant("schur-q-strip-weight-per-row", SCHURQ,
            "        weight = 2 ** _strip_components(lam, nu)\n",
            "        weight = 2 ** sum(1 for p, q in zip(lam, nu + (0,) * len(lam)) if q < p)\n",
