@@ -25,12 +25,11 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import (OddSubsetError, SymTLDiagram, _i_maximal_cached, compatible_diagrams,
-                       diagram_order_key, enumerate_matchings, enumerate_sym_tl,
-                       enumerate_sym_tl_even, i_maximal_diagrams, removal_closure,
-                       standard_partition)
+                       diagram_order_key, enumerate_sym_tl, enumerate_sym_tl_even,
+                       i_maximal_diagrams, removal_closure, standard_partition)
 from .pfaffian import SkewArray, min_partition, monomial_pfaffian
 from .poly import Poly, UsageError, _num, express_in_span, matrix_rank, poly_sum
-from .uncross import f_coefficient
+from .uncross import uncrossing_tables
 
 
 class VerificationError(RuntimeError):
@@ -74,45 +73,54 @@ class PfaffinantFunctional:
         return poly_sum((c, pfaffians[pi]) for pi, c in self.coefficients.items())
 
 
-@lru_cache(maxsize=None)
 def f_tables(n: int, seed: int = 0) -> dict:
-    """The uncrossing table of every matching of [2n], built once per
-    process; every caller shares the returned dicts and must not change them."""
-    return {pi: f_coefficient(pi, n, seed) for pi in enumerate_matchings(n)}
+    """The uncrossing table of every matching of [2n], by the conjugation
+    recursion of ``uncross.uncrossing_tables``, built once per n in a
+    process; every caller shares the returned dicts and must not change them.
+
+    The tables do not depend on the embedding (thm-2.4), so the seed no
+    longer selects them: every seed gets the one set of tables for n."""
+    return uncrossing_tables(n)
 
 
 def diagram_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
-    return _diagram_functional(D, seed)
+    """The functional of D's uncrossing weights; the seed no longer selects
+    the tables."""
+    return _diagram_functional(D)
 
 
 @lru_cache(maxsize=None)
-def _diagram_functional(D: SymTLDiagram, seed: int) -> PfaffinantFunctional:
-    # memoised behind a wrapper, so that an omitted seed and seed=0 share an entry
-    tables = f_tables(D.n, seed)
+def _diagram_functional(D: SymTLDiagram) -> PfaffinantFunctional:
+    # memoised per diagram behind a wrapper, which takes the seed that no
+    # longer selects the tables
     return PfaffinantFunctional.from_dict(
-        D.n, {pi: t.get(D, 0) for pi, t in tables.items()})
+        D.n, {pi: t.get(D, 0) for pi, t in uncrossing_tables(D.n).items()})
 
 
 def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
-    """Uncrossing-weighted sum over matchings for a single diagram."""
-    return diagram_functional(D, seed).evaluate(A)
+    """Uncrossing-weighted sum over matchings for a single diagram; the
+    seed no longer selects the tables."""
+    return diagram_functional(D).evaluate(A)
 
 
 def tl_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
-    return _tl_functional(D, seed)
+    """The sum of the diagram functionals over D's removal closure; the
+    seed no longer selects the tables."""
+    return _tl_functional(D)
 
 
 @lru_cache(maxsize=None)
-def _tl_functional(D: SymTLDiagram, seed: int) -> PfaffinantFunctional:
-    # memoised behind a wrapper, as _diagram_functional is
+def _tl_functional(D: SymTLDiagram) -> PfaffinantFunctional:
+    # memoised per diagram behind a wrapper, as _diagram_functional is
     if not D.is_even:
         raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
-    return _summed_side(D.n, (_diagram_functional(Dp, seed) for Dp in removal_closure(D)))
+    return _summed_side(D.n, (_diagram_functional(Dp) for Dp in removal_closure(D)))
 
 
 def tl_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
-    """Sum of diagram pfaffinants over the odd-edge removal closure of D."""
-    return tl_functional(D, seed).evaluate(A)
+    """Sum of diagram pfaffinants over the odd-edge removal closure of D;
+    the seed no longer selects the tables."""
+    return tl_functional(D).evaluate(A)
 
 
 def _summed_side(n: int, functionals) -> PfaffinantFunctional:
@@ -175,21 +183,23 @@ def _require_same(lhs: PfaffinantFunctional, rhs: PfaffinantFunctional, A: SkewA
 
 
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
-    """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible diagrams."""
+    """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible
+    diagrams; the seed no longer selects the tables."""
     _require_symbolic(A)
     n = A.size // 2
     lhs = complementary_functional(n, I)
-    rhs = _summed_side(n, (diagram_functional(D, seed) for D in compatible_diagrams(I, n)))
+    rhs = _summed_side(n, (diagram_functional(D) for D in compatible_diagrams(I, n)))
     _require_same(lhs, rhs, A, f"diagram decomposition at I={sorted(I)}")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
 def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
-    """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal diagrams."""
+    """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal
+    diagrams; the seed no longer selects the tables."""
     _require_symbolic(A)
     n = A.size // 2
     lhs = complementary_functional(n, I)
-    rhs = _summed_side(n, (tl_functional(D, seed) for D in i_maximal_diagrams(I, n)))
+    rhs = _summed_side(n, (tl_functional(D) for D in i_maximal_diagrams(I, n)))
     _require_same(lhs, rhs, A, f"TL decomposition at I={sorted(I)}")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
@@ -221,10 +231,11 @@ def certify_basis(n: int, seed: int = 0) -> dict:
     """Ranks of the TL pfaffinants and of all complementary pfaffians.
 
     Both families are functionals evaluated on the generic array through
-    one memo, so each monomial pfaffian is built once."""
+    one memo, so each monomial pfaffian is built once.  The seed no longer
+    selects the tables."""
     A = SkewArray.symbolic(2 * n)
     pfaffians = {}
-    tl = [tl_functional(D, seed).evaluate(A, pfaffians) for D in enumerate_sym_tl_even(n)]
+    tl = [tl_functional(D).evaluate(A, pfaffians) for D in enumerate_sym_tl_even(n)]
     comp = [complementary_functional(n, I).evaluate(A, pfaffians) for I in even_subsets(2 * n)]
     return {
         "n": n,

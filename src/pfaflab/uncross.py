@@ -41,9 +41,20 @@ for any matching at n = 5, where enumeration would trace up to 2^25
 uncrossings; it raises CapacityError past its state bound.  A final
 state's strands (pairs of boundary positions) fix its diagram, which is
 built, and its strands checked, once per (n, strand set): 98 diagrams
-for the 6114 final states of all 124 tables at n <= 4.  The fold is the
-one algorithm for these weights: there are 2^k uncrossings for k classes,
-and the tests trace them one by one as the fold's oracle.
+for the 6114 final states of all 124 tables at n <= 4.  The fold computes
+the weights of one embedding: g of a doubled TL diagram, and f of a
+matching in ``f_coefficient``, which ``thm-2.4`` compares across seeds;
+the tests trace the 2^k uncrossings of k classes one by one as its oracle.
+
+The tables f of all matchings of [2n] that the pfaffinants sum come
+instead from one memoised recursion, ``uncrossing_tables``: conjugating
+a matching by s_i removes one mirror pair of crossings at the boundary,
+and resolving that pair maps the table of the smaller matching to the
+larger one (see ``uncrossing_table``).  Each step costs one pass over a
+table of at most C(2n, n) diagrams, with the cup-cap V_i(D) memoised per
+(D, i); the 10,395 tables at n = 6 hold 7,474,720 entries.  Its
+correctness rests on the tables not depending on the embedding (thm-2.4),
+and the tests compare it with the fold.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
-from .diagrams import SymTLDiagram, TLDiagram, interleave, sym_diagram
+from .diagrams import SymTLDiagram, TLDiagram, enumerate_matchings, interleave, sym_diagram
 from .poly import CapacityError
 
 DEFAULT_STATE_BOUND = 2500    # fold states; n = 5 needs at most 252
@@ -467,6 +478,95 @@ def f_coefficient(pi, n: int, seed: int = 0) -> dict:
     Raises CapacityError if the fold needs more than DEFAULT_STATE_BOUND
     states."""
     return _accumulate(embed_nu_pi(pi, n, seed))
+
+
+# -- every table of [2n] by conjugation ------------------------------------------
+
+
+def _base_table(n: int) -> dict:
+    """f of (1,2)(3,4)...(2n-1,2n): its n unpaired crossings are disjoint, so
+    each resolves alone, horizontally (+1) or to the left edge (2k-1, 2k) (-1)."""
+    pairs = [(2 * k - 1, 2 * k) for k in range(1, n + 1)]
+    return {_diagram(n, frozenset(S)): (-1) ** r
+            for r in range(n + 1) for S in combinations(pairs, r)}
+
+
+@lru_cache(maxsize=None)
+def _diagram(n: int, edges: frozenset) -> SymTLDiagram:
+    """One shared diagram per left edge set, so that the tables' dict
+    lookups find their keys by identity."""
+    return SymTLDiagram(n, edges)
+
+
+@lru_cache(maxsize=None)
+def _cup_cap(D: SymTLDiagram, i: int) -> tuple:
+    """(V_i(D), loops): D with the symmetric cup-cap at (i, i+1) on both
+    sides, and the mirror orbits of loops it closes.  A loop closes when D
+    has the left edge (i, i+1) (a mirror pair) or when i and i+1 are both
+    horizontal (one loop through its own mirror)."""
+    mate = {}
+    for a, b in D.vertical_left:
+        mate[a], mate[b] = b, a
+    a, b = mate.get(i), mate.get(i + 1)
+    if a == i + 1:
+        return D, 1
+    edges = {e for e in D.vertical_left if i not in e and i + 1 not in e}
+    edges.add((i, i + 1))
+    if a is None and b is None:
+        return _diagram(D.n, frozenset(edges)), 1
+    if a is not None and b is not None:
+        edges.add((min(a, b), max(a, b)))
+    # with one mate, that point's strand now runs across to its mirror
+    return _diagram(D.n, frozenset(edges)), 0
+
+
+def _descent(pi: frozenset, n: int):
+    """The first i with pi(i) > pi(i+1) and pi(i) != i+1, or None."""
+    mate = {}
+    for a, b in pi:
+        mate[a], mate[b] = b, a
+    return next((i for i in range(1, 2 * n) if mate[i] > mate[i + 1] and mate[i] != i + 1), None)
+
+
+def uncrossing_table(pi, n: int, memo: dict) -> dict:
+    """f(pi), the total uncrossing weight per diagram, memoised in ``memo``
+    by matching; the tables are shared, do not change them.
+
+    At the first i with pi(i) > pi(i+1) and pi(i) != i+1, nu_pi is
+    nu_pi' (pi' = s_i pi s_i) with one more mirror pair of crossings at
+    the boundary positions (i, i+1) and (i', (i+1)').  Resolving that pair
+    first gives f(pi) = sum over D of f(pi')(D) * (2^loops V_i(D) - D):
+    both horizontal keep D with the weight -1, both vertical give the
+    cup-cap V_i(D).  Only the base matching (1,2)(3,4)...(2n-1,2n) has
+    no such i.  The fold of ``f_coefficient`` gives the same tables for
+    every embedding (thm-2.4), and the tests compare the two.
+    """
+    chain = []
+    while pi not in memo:
+        i = _descent(pi, n)
+        if i is None:   # the base matching
+            memo[pi] = _base_table(n)
+            break
+        chain.append((pi, i))
+        swap = {i: i + 1, i + 1: i}
+        pi = frozenset(tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in pi)
+    table = memo[pi]
+    for pi, i in reversed(chain):
+        nxt = {}
+        for D, w in table.items():
+            V, loops = _cup_cap(D, i)
+            nxt[V] = nxt.get(V, 0) + (w << loops)
+            nxt[D] = nxt.get(D, 0) - w
+        memo[pi] = table = nxt
+    return table
+
+
+@lru_cache(maxsize=None)
+def uncrossing_tables(n: int) -> dict:
+    """The table of every matching of [2n], by ``uncrossing_table``, once
+    per process; every caller shares the returned dicts."""
+    memo = {}
+    return {pi: uncrossing_table(pi, n, memo) for pi in enumerate_matchings(n)}
 
 
 def g_coefficient(d: TLDiagram, n: int, seed: int = 0) -> dict:

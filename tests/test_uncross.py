@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -404,3 +405,79 @@ def test_reflection_identity(n):
         reflected = {sym_diagram(n, [(rev(j), rev(i)) for i, j in D.vertical_left]): w
                      for D, w in table.items()}
         assert reflected == tables[rev_pi], sorted(pi)
+
+
+# -- the conjugation recursion against the fold -------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_recursion_matches_fold(n, seed):
+    # dict equality: the same diagrams, zero weights included
+    assert f_tables(n, seed) == {pi: f_coefficient(pi, n, seed) for pi in enumerate_matchings(n)}
+
+
+# the fully nested matching has the most classes (25) at n = 5
+NESTED_5 = matching([(1, 10), (2, 9), (3, 8), (4, 7), (5, 6)])
+
+
+def test_recursion_matches_fold_n5_sample():
+    tables = f_tables(5)
+    sample = random.Random(5).sample(enumerate_matchings(5), 40) + [NESTED_5]
+    for pi in sample:
+        assert tables[pi] == f_coefficient(pi, 5, 0), sorted(pi)
+
+
+@pytest.mark.slow
+def test_recursion_matches_fold_n5():
+    tables = f_tables(5)
+    assert len(tables) == 945
+    for pi in enumerate_matchings(5):
+        assert tables[pi] == f_coefficient(pi, 5, 0), sorted(pi)
+
+
+# n = 6: the base and the fully nested matching (36 classes, all 924
+# diagrams), and a fixed sample of 8 more
+N6_MATCHINGS = [
+    [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)],
+    [(1, 12), (2, 11), (3, 10), (4, 9), (5, 8), (6, 7)],
+    [(1, 8), (2, 10), (3, 4), (5, 11), (6, 12), (7, 9)],
+    [(1, 9), (2, 5), (3, 10), (4, 7), (6, 12), (8, 11)],
+    [(1, 2), (3, 10), (4, 7), (5, 8), (6, 9), (11, 12)],
+    [(1, 6), (2, 8), (3, 7), (4, 12), (5, 9), (10, 11)],
+    [(1, 10), (2, 11), (3, 9), (4, 7), (5, 6), (8, 12)],
+    [(1, 10), (2, 6), (3, 11), (4, 9), (5, 12), (7, 8)],
+    [(1, 9), (2, 3), (4, 6), (5, 8), (7, 11), (10, 12)],
+    [(1, 8), (2, 4), (3, 12), (5, 6), (7, 10), (9, 11)],
+]
+
+
+@pytest.mark.parametrize("edges", N6_MATCHINGS, ids=lambda e: "".join(f"({i},{j})" for i, j in e))
+def test_recursion_matches_fold_n6(edges):
+    # each through the recursion from a fresh memo
+    pi = matching(edges)
+    table = uncross.uncrossing_table(pi, 6, {})
+    assert table == f_coefficient(pi, 6, 0)
+    if edges == N6_MATCHINGS[1]:
+        assert len(table) == 924
+
+
+def test_base_table_and_descents():
+    # the base matching's n disjoint unpaired crossings resolve alone
+    table = {D.key(): w for D, w in uncross._base_table(2).items()}
+    assert table == {"V[]": 1, "V[(1,2)]": -1, "V[(3,4)]": -1, "V[(1,2)(3,4)]": 1}
+    # every other matching has a descent
+    for n in (1, 2, 3, 4):
+        base = frozenset((k, k + 1) for k in range(1, 2 * n, 2))
+        for pi in enumerate_matchings(n):
+            i = uncross._descent(pi, n)
+            assert (i is None) == (pi == base), sorted(pi)
+
+
+def test_cup_cap_loops():
+    V = lambda D, i: (lambda VD, loops: (VD.key(), loops))(*uncross._cup_cap(D, i))
+    assert V(D2(), 1) == ("V[(1,2)]", 1)             # both horizontal: one self-mirror loop
+    assert V(D2((1, 2)), 1) == ("V[(1,2)]", 1)       # the edge itself: a mirror pair of loops
+    assert V(D2((1, 2)), 2) == ("V[(2,3)]", 0)       # 1 now runs across
+    assert V(D2((1, 2), (3, 4)), 2) == ("V[(1,4)(2,3)]", 0)
+    assert V(D2((1, 4), (2, 3)), 1) == ("V[(1,2)(3,4)]", 0)

@@ -123,6 +123,18 @@ def test_zero_option_is_not_its_default(theorem, opts, params, cases):
     assert report["cases"] == cases and report["failures"] == []
 
 
+@pytest.mark.parametrize("theorem, opts, cases", [
+    # 512 samples draw every even subset of [10], so the decompositions
+    # are exhaustive at n = 5: 170 cases at n <= 4 and 512 at n = 5
+    ("thm-2.6", {"n": 4, "samples": 512}, 682),
+    ("thm-2.12", {"n": 4, "samples": 512}, 682),
+    ("thm-2.17", {"n": 5}, 5),
+])
+def test_uncrossing_identities_at_n5(theorem, opts, cases):
+    report = vf.run(theorem, opts)
+    assert report["cases"] == cases and report["failures"] == []
+
+
 def test_unknown_id():
     with pytest.raises(KeyError):
         vf.run("nope")

@@ -138,6 +138,28 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            'sign = -1 if cmap.class_kind[ci] == "unpaired" else 1',
            'sign = 1 if cmap.class_kind[ci] == "unpaired" else -1',
            (T_UNCROSS + "test_n1_f_table_consistent_with_decomposition",)),
+    # -- the conjugation recursion for the tables of [2n]
+    Mutant("recursion-horizontal-sign-flipped", UNCROSS,
+           "            nxt[D] = nxt.get(D, 0) - w\n",
+           "            nxt[D] = nxt.get(D, 0) + w\n",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]",)),
+    Mutant("recursion-without-loop-factor", UNCROSS,
+           "nxt[V] = nxt.get(V, 0) + (w << loops)",
+           "nxt[V] = nxt.get(V, 0) + w",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]",)),
+    Mutant("cup-cap-no-loop-through-two-horizontals", UNCROSS,
+           "        return _diagram(D.n, frozenset(edges)), 1\n",
+           "        return _diagram(D.n, frozenset(edges)), 0\n",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]", T_UNCROSS + "test_cup_cap_loops")),
+    Mutant("cup-cap-no-loop-on-its-own-edge", UNCROSS,
+           "        return D, 1\n",
+           "        return D, 0\n",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]", T_UNCROSS + "test_cup_cap_loops")),
+    Mutant("unsigned-base-table", UNCROSS,
+           "    return {_diagram(n, frozenset(S)): (-1) ** r\n",
+           "    return {_diagram(n, frozenset(S)): 1\n",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]",
+            T_UNCROSS + "test_base_table_and_descents")),
     # -- network planarity: the closed touch test on the shared kernel
     Mutant("touch-test-made-open", NETWORKS,
            "        return 0 <= t <= den and 0 <= u <= den\n",
