@@ -8,7 +8,9 @@ their coefficients agree.  The decomposition identities (thm-2.6,
 thm-2.12) are therefore checked matching by matching: the summed side's
 coefficients against those of ``complementary_functional(n, I)``, the
 functional of pf_I * pf_Ibar, with no polynomial built unless they
-differ.
+differ.  That functional relabels one signed list per size, the
+matchings of [2r] with their crossing-parity signs, onto the sorted
+points of I and of Ibar and multiplies the two.
 
 A functional's ``coefficients`` (matching -> nonzero coefficient) and a
 cone element's ``tl_coeffs`` (even diagram -> nonzero Fraction) are plain
@@ -25,8 +27,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import (OddSubsetError, SymTLDiagram, _i_maximal_cached, compatible_diagrams,
-                       diagram_order_key, enumerate_sym_tl, enumerate_sym_tl_even,
-                       i_maximal_diagrams, removal_closure, standard_partition)
+                       crossing_number, diagram_order_key, enumerate_matchings, enumerate_sym_tl,
+                       enumerate_sym_tl_even, i_maximal_diagrams, removal_closure,
+                       standard_partition)
 from .pfaffian import SkewArray, min_partition, monomial_pfaffian
 from .poly import Poly, UsageError, _num, express_in_span, matrix_rank, poly_sum
 from .uncross import uncrossing_tables
@@ -136,30 +139,34 @@ def _summed_side(n: int, functionals) -> PfaffinantFunctional:
 def complementary_functional(n: int, I) -> PfaffinantFunctional:
     """pf_I * pf_Ibar as a functional on the matchings of [2n].
 
-    A matching whose every pair lies inside I or inside Ibar has the
-    coefficient (-1)^(cr(pi|I) + cr(pi|Ibar)); every other one has 0.  The
-    signs come from the first-row expansion of ``pfaffian``, run on both
-    sides at once: pairing the first remaining point with the t-th
-    remaining point of its own side contributes (-1)^(t-1)."""
+    Its terms are sgn(sigma) * sgn(tau) for the matching sigma(I) u tau(Ibar),
+    where sigma runs over the matchings of [|I|] and tau over those of
+    [|Ibar|], each relabelled onto the sorted points of its side.  The
+    relabelling keeps the order, hence the crossing number, so a matching
+    whose every pair lies inside I or inside Ibar has the coefficient
+    (-1)^(cr(pi|I) + cr(pi|Ibar)); every other one has 0."""
     I = frozenset(I)
     if len(I) % 2:
         raise OddSubsetError(f"complementary pfaffian needs an even subset, got {sorted(I)}")
     if any(not 1 <= i <= 2 * n for i in I):
         raise UsageError(f"indices {sorted(I)} out of range for size {2 * n}")
-    signed = _signed_matchings(tuple(range(1, 2 * n + 1)), I, {(): [((), 1)]})
-    return PfaffinantFunctional.from_dict(n, dict(signed))
+    inside = _relabelled(sorted(I))
+    outside = _relabelled([p for p in range(1, 2 * n + 1) if p not in I])
+    return PfaffinantFunctional(n, {s | t: c * d for s, c in inside for t, d in outside})
 
 
-def _signed_matchings(S: tuple, I: frozenset, memo: dict) -> list:
-    """(pairs, sign) per matching of the sorted points S in which every
-    pair lies inside I or outside it, memoised in ``memo`` by S."""
-    if S not in memo:
-        side = S[0] in I
-        own = [j for j in S[1:] if (j in I) == side]
-        memo[S] = [(((S[0], j),) + pairs, c if t % 2 else -c)
-                   for t, j in enumerate(own, 1)
-                   for pairs, c in _signed_matchings(tuple(p for p in S[1:] if p != j), I, memo)]
-    return memo[S]
+@lru_cache(maxsize=None)
+def _signed_base(r: int) -> tuple:
+    """(pi, (-1)^crossing_number(pi)) per matching pi of [2r]."""
+    return tuple((pi, -1 if crossing_number(pi) % 2 else 1) for pi in enumerate_matchings(r))
+
+
+def _relabelled(points: list) -> list:
+    """(matching, sign) per matching of the sorted ``points``: the signed
+    base list of their size, each position i replaced by the i-th point."""
+    at = (None, *points)
+    return [(frozenset([(at[p], at[q]) for p, q in pi]), c)
+            for pi, c in _signed_base(len(points) // 2)]
 
 
 @lru_cache(maxsize=None)
@@ -228,15 +235,17 @@ def transition_matrix(n: int) -> tuple:
 
 
 def certify_basis(n: int, seed: int = 0) -> dict:
-    """Ranks of the TL pfaffinants and of all complementary pfaffians.
+    """Ranks of the TL pfaffinants and of the distinct complementary pfaffians.
 
-    Both families are functionals evaluated on the generic array through
-    one memo, so each monomial pfaffian is built once.  The seed no longer
-    selects the tables."""
+    pf_I * pf_Ibar = pf_Ibar * pf_I, so only the 2^(2n-2) even I that hold 1
+    are ranked, one of each complementary pair.  Both families are
+    functionals evaluated on the generic array through one memo, so each
+    monomial pfaffian is built once.  The seed no longer selects the tables."""
     A = SkewArray.symbolic(2 * n)
     pfaffians = {}
     tl = [tl_functional(D).evaluate(A, pfaffians) for D in enumerate_sym_tl_even(n)]
-    comp = [complementary_functional(n, I).evaluate(A, pfaffians) for I in even_subsets(2 * n)]
+    comp = [complementary_functional(n, I).evaluate(A, pfaffians)
+            for I in even_subsets(2 * n) if 1 in I]
     return {
         "n": n,
         "tl_count": len(tl),

@@ -170,7 +170,8 @@ def _decomposition(theorem, identity, opts):
             arrays[n] = SkewArray.symbolic(2 * n)
         identity(arrays[n], I)
 
-    params = {"n": _opt(opts, "n", 3), "samples": _opt(opts, "samples", 0)}
+    params = {"n": _opt(opts, "n", 3), "samples": _opt(opts, "samples", 0),
+              "seed": _opt(opts, "seed", 0)}
     return _run(theorem, params, _decomposition_cases(opts), check)
 
 
@@ -266,19 +267,23 @@ def verify_basis(opts):
     return _run("thm-2.17", {"n": nmax}, range(1, nmax + 1), check, "n={}".format)
 
 
+def _network_params(opts):
+    """The options that pick the network suite of ``_networks``."""
+    return {"n": _opt(opts, "n", 3), "grids": _opt(opts, "grids", 10),
+            "seed": _opt(opts, "seed", 0)}
+
+
 def _networks(opts):
     """(case, n, N) for each network of the suite, built when it is reached.
 
     The case, ("separator", n, D) or ("fence", 2, seed), labels failures.
     """
-    nmax = _opt(opts, "n", 3)
-    grids = _opt(opts, "grids", 10)
-    for n in range(1, nmax + 1):
+    params = _network_params(opts)
+    for n in range(1, params["n"] + 1):
         for D in dg.enumerate_sym_tl(n):
             yield ("separator", n, D), n, nw.construct_network_of_diagram(D)
-    rng_seed = _opt(opts, "seed", 0)
-    for t in range(grids):
-        yield ("fence", 2, rng_seed + t), 2, nw.random_fence_network(2, 6, seed=rng_seed + t)
+    for seed in range(params["seed"], params["seed"] + params["grids"]):
+        yield ("fence", 2, seed), 2, nw.random_fence_network(2, 6, seed=seed)
 
 
 def verify_path_pfaffian(opts):
@@ -292,7 +297,7 @@ def verify_path_pfaffian(opts):
         if nw.q_i_weight(N, I) != complementary_pfaffian(A, I):
             return "weights differ"
 
-    return _run("cor-3.2", {"n": _opt(opts, "n", 3)}, cases(), check,
+    return _run("cor-3.2", _network_params(opts), cases(), check,
                 lambda c: f"{c[0]} I={sorted(c[-1])}")
 
 
@@ -308,7 +313,7 @@ def verify_network_equality(opts):
         if pf.tl_pfaffinant(D, A) != nw.hat_pfaf(N, D, subs):
             return "sides differ"
 
-    return _run("thm-3.6", {"n": _opt(opts, "n", 3)}, cases(), check,
+    return _run("thm-3.6", _network_params(opts), cases(), check,
                 lambda c: f"{c[0]} {c[-1].key()}")
 
 

@@ -186,6 +186,18 @@ def test_zero_bound_and_samples_still_accepted(capsys):
     assert code == 0 and json.loads(out)["params"] == {"bound": 0, "k": 4}
 
 
+def test_grids_zero_and_default_report_their_suites(capsys):
+    # both runs used to report {"n": 1}, though only one ran the fences
+    reports = []
+    for extra in ((), ("--grids", "0")):
+        code, out = run(capsys, "verify", "cor-3.2", "--n", "1", "--format", "json", *extra)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert [r["params"] for r in reports] == [{"n": 1, "grids": 10, "seed": 0},
+                                              {"n": 1, "grids": 0, "seed": 0}]
+    assert reports[0]["cases"] > reports[1]["cases"]
+
+
 def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "ex-2.5", "--format", "json")
     assert code == 0

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from pfaflab.diagrams import OddSubsetError, enumerate_sym_tl, enumerate_sym_tl_even, sym_diagram
+from pfaflab.diagrams import (OddSubsetError, crossing_number, enumerate_matchings,
+                              enumerate_sym_tl, enumerate_sym_tl_even, sym_diagram)
 from pfaflab.pfaffian import SkewArray, complementary_pfaffian, monomial_pfaffian
 from pfaflab.pfaffinants import (ConeElement, VerificationError, _require_equal, boolean_cone_check,
                                  certify_basis, check_pfafprime_in_span, cone_membership,
@@ -79,8 +81,10 @@ def test_certify_basis():
     assert rep["tl_rank"] == rep["complementary_rank"] == 3
     rep = certify_basis(3)
     assert rep["tl_rank"] == rep["complementary_rank"] == 10
-    # the Poly oracle: ranks of the pfaffinants and pfaffians built one by one
-    for n in (1, 2, 3):
+    # the Poly oracle: ranks of the pfaffinants and of all 2^(2n-1)
+    # complementary pfaffians built one by one, where certify_basis ranks
+    # one product per complementary pair
+    for n in (1, 2, 3, 4):
         A = SkewArray.symbolic(2 * n)
         rep = certify_basis(n)
         assert rep["tl_rank"] == \
@@ -106,6 +110,28 @@ def test_complementary_functional_matches_complementary_pfaffian():
         complementary_functional(2, {1})
     with pytest.raises(UsageError):
         complementary_functional(2, {1, 5})
+
+
+def _restricted_sign_functional(n, I):
+    """The definition: each matching of [2n] whose every pair lies inside I
+    or inside Ibar, with the sign (-1)^(cr(pi|I) + cr(pi|Ibar))."""
+    out = {}
+    for pi in enumerate_matchings(n):
+        inside = frozenset(e for e in pi if e[0] in I)
+        if all((q in I) == (p in I) for p, q in pi):
+            out[pi] = (-1) ** (crossing_number(inside) + crossing_number(pi - inside))
+    return out
+
+
+def test_complementary_functional_matches_the_definition():
+    from pfaflab.pfaffinants import complementary_functional
+
+    rng = random.Random(0)
+    cases = [(5, I) for I in even_subsets(10)]
+    cases += [(6, I) for I in rng.sample(list(even_subsets(12)), 16)]
+    for n, I in cases:
+        assert complementary_functional(n, I).coefficients == \
+            _restricted_sign_functional(n, I), (n, sorted(I))
 
 
 def _message(check, *args):

@@ -114,8 +114,9 @@ def test_size_below_one_is_usage_error(theorem, opts):
     # a zero option used to run, and report, that option's default
     ("prop-5.6", {"bound": 0}, {"bound": 0, "k": 4}, 0),
     ("thm-5.2", {"max_size": 0, "k": 3}, {"max_size": 0, "k": 3}, 3),
-    ("cor-3.2", {"n": 1, "grids": 0}, {"n": 1}, 4),
-    ("thm-2.6", {"n": 1, "samples": 0, "seed": 0}, {"n": 1, "samples": 0}, 2),
+    ("cor-3.2", {"n": 1, "grids": 0}, {"n": 1, "grids": 0, "seed": 0}, 4),
+    ("thm-2.6", {"n": 1, "samples": 0, "seed": 0}, {"n": 1, "samples": 0, "seed": 0}, 2),
+    ("thm-3.6", {"n": 1, "grids": 0, "seed": 3}, {"n": 1, "grids": 0, "seed": 3}, 2),
 ])
 def test_zero_option_is_not_its_default(theorem, opts, params, cases):
     report = vf.run(theorem, opts)

@@ -52,6 +52,7 @@ T_UNCROSS = "tests/test_uncross.py::"
 T_NETWORKS = "tests/test_networks.py::"
 T_CLI = "tests/test_cli.py::"
 T_SCHURQ = "tests/test_schurq.py::"
+T_PFAFFINANTS = "tests/test_pfaffinants.py::"
 
 MUTANTS = (
     # -- one-pass chord maps: concurrency from ties, one owner for the ends
@@ -184,14 +185,27 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
     Mutant("from-dict-truncates-rationals", "src/pfaflab/pfaffinants.py",
            "c if c.__class__ is int else _num(c)", "int(c)",
            ("tests/test_pfaffinants.py::test_from_dict_keeps_rational_coefficients",)),
+    # flipping the parity in the one signed base list would flip both
+    # factors and cancel, so the I-side factor is flipped
     Mutant("complementary-recursion-sign-flipped", "src/pfaflab/pfaffinants.py",
-           "memo[S] = [(((S[0], j),) + pairs, c if t % 2 else -c)",
-           "memo[S] = [(((S[0], j),) + pairs, -c if t % 2 else c)",
-           ("tests/test_pfaffinants.py::test_complementary_functional_matches_complementary_pfaffian",)),
+           "{s | t: c * d for s, c in inside", "{s | t: -c * d for s, c in inside",
+           (T_PFAFFINANTS + "test_complementary_functional_matches_the_definition",
+            T_PFAFFINANTS + "test_complementary_functional_matches_complementary_pfaffian")),
     Mutant("complementary-pair-straddles-i-and-ibar", "src/pfaflab/pfaffinants.py",
-           "        own = [j for j in S[1:] if (j in I) == side]\n",
-           "        own = list(S[1:])\n",
-           ("tests/test_pfaffinants.py::test_complementary_functional_matches_complementary_pfaffian",)),
+           """    inside = _relabelled(sorted(I))
+    outside = _relabelled([p for p in range(1, 2 * n + 1) if p not in I])
+""",
+           """    inside, outside = sorted(I), [p for p in range(1, 2 * n + 1) if p not in I]
+    if inside and outside:
+        inside[-1], outside[0] = outside[0], inside[-1]
+    inside, outside = _relabelled(sorted(inside)), _relabelled(sorted(outside))
+""",
+           (T_PFAFFINANTS + "test_complementary_functional_matches_the_definition",
+            T_PFAFFINANTS + "test_complementary_functional_matches_complementary_pfaffian")),
+    Mutant("certify-basis-drops-a-complementary-pair", "src/pfaflab/pfaffinants.py",
+           "for I in even_subsets(2 * n) if 1 in I]",
+           "for I in even_subsets(2 * n) if 1 in I and len(I) < 2 * n]",
+           (T_PFAFFINANTS + "test_certify_basis",)),
     Mutant("identity-compares-supports-only", "src/pfaflab/pfaffinants.py",
            "    if lhs.coefficients != rhs.coefficients:\n",
            "    if lhs.coefficients.keys() != rhs.coefficients.keys():\n",
