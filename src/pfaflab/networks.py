@@ -24,10 +24,13 @@ weight; the family table, built by one depth-first pass over the
 sources, groups the triple-free families by marked subnetwork and counts
 them per meeting mask (which pairs of paths share a vertex).  No edge is
 used three times, so every family of a group weighs the group's weight.
-`i_disjoint_counts` reads from a group's meeting masks how many of its
-families are disjoint on each side of an index set I; `q_i_weight` and
-the lem-3.4 check read those counts, `marked_subnetworks` and
-`path_weight_matrix` read the tables.  The tests enumerate the families
+A group keeps its kept and marked edges as int edge masks, and
+`_theta_type_mult` reads its curves from them against the in- and
+out-edge masks of each vertex, cached on the network; `MarkedSubnetwork`
+also gives the masks as frozensets.  `i_disjoint_counts` reads from a
+group's meeting masks how many of its families are disjoint on each side
+of an index set I; `q_i_weight` and the lem-3.4 check read those counts,
+`marked_subnetworks` and `path_weight_matrix` read the tables.  The tests enumerate the families
 one by one as the oracle of these tables.  `_find` and `_union` are the
 library's one union-find.
 """
@@ -39,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 
 from .diagrams import OddSubsetError, SymTLDiagram, removal_closure, sym_diagram
@@ -94,7 +97,9 @@ class Network:
             if self.out_edges[w]:
                 raise InvalidNetworkError(f"sink {w} has outgoing edges")
         xs = [pts[u][0] for u in self.sources]
-        if len(set(xs)) > 1 or any(pts[w][0] <= xs[0] for w in self.sinks if self.sinks):
+        if self.sinks and not xs:
+            raise InvalidNetworkError("sinks need a source to their left")
+        if len(set(xs)) > 1 or any(pts[w][0] <= xs[0] for w in self.sinks):
             raise InvalidNetworkError("sources must share the minimal x coordinate")
         ys = [pts[u][1] for u in self.sources]
         if ys != sorted(ys, reverse=True):
@@ -169,7 +174,8 @@ class Network:
     def _family_table(self) -> list:
         """The triple-free path families grouped by marked subnetwork.
 
-        One row (kept, marked, weight, meets) per group, in the order of
+        One row (kept, marked, weight, meets) per group, kept and marked
+        as edge masks, sorted by their ascending bit lists: the order of
         `marked_subnetworks`; meets maps a meeting mask, with bit i*m + j
         set when paths i < j share a vertex, to its number of families.
         No edge is used three times (its tail would be), so a family's
@@ -203,13 +209,18 @@ class Network:
                 stack.append((i + 1, once | pv, twice | (once & pv), kept | pe,
                               marked | (kept & pe), met, chosen + (row,)))
 
-        rows = sorted(((_bits(kept), _bits(marked), poly_prod(weights), meets)
-                       for (kept, marked), (weights, meets) in groups.items()),
-                      key=lambda row: row[:2])
-        # from a dict, a frozenset sizes its table once: built from a list it
-        # can take twice the memory, and callers keep every group
-        return [(frozenset(dict.fromkeys(kept)), frozenset(dict.fromkeys(marked)), weight, meets)
-                for kept, marked, weight, meets in rows]
+        rows = sorted(groups.items(), key=lambda row: (_bits(row[0][0]), _bits(row[0][1])))
+        return [(kept, marked, poly_prod(weights), meets)
+                for (kept, marked), (weights, meets) in rows]
+
+    @cached_property
+    def _edge_masks(self) -> tuple:
+        """Per vertex with in-edges, the masks of its in- and of its
+        out-edges; per source, the mask of its out-edges."""
+        into = {v: sum(1 << k for k in ks) for v, ks in self.in_edges.items()}
+        out_of = {v: sum(1 << k for k in ks) for v, ks in self.out_edges.items()}
+        return ([(v, into[v], out_of[v]) for v in self.vertices if into[v]],
+                [out_of[u] for u in self.sources])
 
 
 def _as_poly(w) -> Poly:
@@ -235,10 +246,12 @@ def _find(parent, i):
     return i
 
 
-def _union(parent, i, j) -> None:
+def _union(parent, i, j) -> bool:
+    """Join the classes of i and j; whether they were apart."""
     ri, rj = _find(parent, i), _find(parent, j)
     if ri != rj:
         parent[ri] = rj
+    return ri != rj
 
 
 def _segments_touch(A, B, C, D) -> bool:
@@ -290,50 +303,63 @@ def q_i_weight(N: Network, I) -> Poly:
 # -- marked subnetworks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedSubnetwork:
-    kept: frozenset     # edge indices used at least once
-    marked: frozenset   # edge indices used twice
+    kept_mask: int      # bit k set: edge k used at least once
+    marked_mask: int    # bit k set: edge k used twice
     type: SymTLDiagram
     mult: int
     weight: Poly
     families: int       # number of triple-free families covering it
 
+    @property
+    def kept(self) -> frozenset:
+        """The indices of the edges used at least once."""
+        return frozenset(_bits(self.kept_mask))
 
-def _theta_type_mult(N: Network, kept, marked) -> tuple:
+    @property
+    def marked(self) -> frozenset:
+        """The indices of the edges used twice."""
+        return frozenset(_bits(self.marked_mask))
+
+
+def _theta_type_mult(N: Network, kept: int, marked: int) -> tuple:
     """Vertically uncross twice-used vertices, drop marked edges, read the curves.
 
-    The curves are the classes of the unmarked kept edges, joined at each
-    vertex: its two ends in, its two ends out, or its one end in to its
-    one end out.
+    kept and marked are edge masks.  A vertex is used once or twice: once
+    per kept edge into it, twice by a marked one.  The curves are the
+    classes of the unmarked kept edges, joined at a vertex used once from
+    its in-edge to its out-edge, and at a vertex used twice pairwise: its
+    two in-edges, and its two out-edges.
     """
-    ins, outs = {}, {}   # vertex -> kept edges at it, a marked edge twice
-    for k in sorted(kept):
-        e = N.edges[k]
-        for at, v in ((ins, e.head), (outs, e.tail)):
-            here = at.setdefault(v, [])
-            here += (k, k) if k in marked else (k,)
-            if len(here) > 2:
-                raise AssertionError(f"vertex {v} used more than twice")
-    joins = [pair for pair in chain(ins.values(), outs.values()) if len(pair) == 2]
-    joins += [(vin[0], outs[v][0]) for v, vin in ins.items()
-              if len(vin) == 1 and len(outs.get(v, ())) == 1]
-    parent = {k: k for k in kept if k not in marked}
-    for a, b in joins:
-        if a in parent and b in parent:
-            _union(parent, a, b)
+    vertices, source_outs = N._edge_masks
+    parent = list(range(len(N.edges)))
+    merges = 0
+    for v, into, out_of in vertices:
+        ins = into & kept
+        if not ins:
+            continue
+        uses = ins.bit_count() + (ins & marked).bit_count()
+        if uses > 2:
+            raise AssertionError(f"vertex {v} used more than twice")
+        outs = out_of & kept
+        for pair in ((ins | outs,) if uses == 1 else (ins, outs)):
+            if pair.bit_count() == 2 and not pair & marked:
+                low = pair & -pair
+                merges += _union(parent, low.bit_length() - 1, (pair ^ low).bit_length() - 1)
 
-    source_arc = {}
-    for idx, u in enumerate(N.sources):
-        unmarked_outs = [k for k in outs.get(u, ()) if k in parent]
-        if len(unmarked_outs) != 1:
+    source_arc = []
+    for u, out_of in zip(N.sources, source_outs):
+        arc = out_of & kept
+        if arc.bit_count() != 1 or arc & marked:
             raise AssertionError(f"source {u} must carry exactly one unmarked arc")
-        source_arc[idx + 1] = _find(parent, unmarked_outs[0])
+        source_arc.append(_find(parent, arc.bit_length() - 1))
 
-    typ = sym_diagram(len(N.sources) // 2, [(i, j) for i, j in combinations(source_arc, 2)
-                                            if source_arc[i] == source_arc[j]])
-    roots = {k for k, up in parent.items() if up == k}
-    return typ, 2 ** len(roots - set(source_arc.values()))
+    m = len(source_arc)
+    typ = sym_diagram(m // 2, [(i + 1, j + 1) for i, j in combinations(range(m), 2)
+                               if source_arc[i] == source_arc[j]])
+    curves = (kept & ~marked).bit_count() - merges
+    return typ, 2 ** (curves - len(set(source_arc)))
 
 
 def marked_subnetworks(N: Network) -> list:

@@ -12,7 +12,11 @@ class SkewArray:
     """Upper-triangular array of an even-size skew-symmetric matrix.
 
     Only entries (i, j) with i < j are stored; entry(j, i) = -entry(i, j)
-    and entry(i, i) = 0 by convention.
+    and entry(i, i) = 0 by convention.  The entries never change after
+    construction, so the array keeps two memos for its whole lifetime:
+    ``subpfaffians`` (sorted index tuple -> sub-pfaffian, filled by
+    ``pfaffian``) and ``monomials`` (matching -> monomial pfaffian, filled
+    by ``PfaffinantFunctional.evaluate``).
     """
 
     def __init__(self, size: int, entries: dict):
@@ -27,6 +31,8 @@ class SkewArray:
                 val = Poly.const(val)
             if not val.is_zero():
                 self.entries[(i, j)] = val
+        self.subpfaffians = {(): Poly.const(1)}
+        self.monomials = {}
 
     @staticmethod
     def symbolic(size: int) -> "SkewArray":
@@ -60,7 +66,9 @@ def monomial_pfaffian(A: SkewArray, pi) -> Poly:
 def pfaffian(A: SkewArray, I=None) -> Poly:
     """Sub-pfaffian over I (order-preserving relabeling); pf over [size] if I is None.
 
-    Pf(S) = sum_t (-1)^(t-1) a[s_0, s_t] Pf(S - {s_0, s_t}), memoised within the call.
+    Pf(S) = sum_t (-1)^(t-1) a[s_0, s_t] Pf(S - {s_0, s_t}), memoised on the
+    array: every sub-pfaffian of A, whichever call asks for it first, is
+    expanded once, so the pfaffians of all even I share one expansion.
     """
     if I is None:
         I = range(1, A.size + 1)
@@ -69,7 +77,7 @@ def pfaffian(A: SkewArray, I=None) -> Poly:
         raise OddSubsetError(f"pfaffian needs an even index set, got {I}")
     if any(not 1 <= i <= A.size for i in I):
         raise UsageError(f"indices {I} out of range for size {A.size}")
-    memo = {(): Poly.const(1)}
+    memo = A.subpfaffians
 
     def pf(S: tuple) -> Poly:
         if S not in memo:

@@ -60,20 +60,18 @@ class PfaffinantFunctional:
         return PfaffinantFunctional(n, {frozenset(pi): c if c.__class__ is int else _num(c)
                                         for pi, c in coeffs.items() if c})
 
-    def evaluate(self, A: SkewArray, pfaffians: dict | None = None) -> Poly:
+    def evaluate(self, A: SkewArray) -> Poly:
         """The ``poly_sum`` of c * pf_pi(A) over the support.
 
-        ``pfaffians``, if given, memoises pf_pi(A) by pi; the caller keeps
-        one such dict per array, shared by every functional evaluated on
-        it."""
+        Each pf_pi(A) is built once per array: it is kept in the array's
+        memo ``A.monomials``, shared by every functional evaluated on A."""
         if A.size != 2 * self.n:
             raise ValueError(f"array size {A.size} does not match n={self.n}")
-        if pfaffians is None:
-            pfaffians = {}
+        memo = A.monomials
         for pi in self.coefficients:
-            if pi not in pfaffians:
-                pfaffians[pi] = monomial_pfaffian(A, pi)
-        return poly_sum((c, pfaffians[pi]) for pi, c in self.coefficients.items())
+            if pi not in memo:
+                memo[pi] = monomial_pfaffian(A, pi)
+        return poly_sum((c, memo[pi]) for pi, c in self.coefficients.items())
 
 
 def f_tables(n: int, seed: int = 0) -> dict:
@@ -239,13 +237,11 @@ def certify_basis(n: int, seed: int = 0) -> dict:
 
     pf_I * pf_Ibar = pf_Ibar * pf_I, so only the 2^(2n-2) even I that hold 1
     are ranked, one of each complementary pair.  Both families are
-    functionals evaluated on the generic array through one memo, so each
-    monomial pfaffian is built once.  The seed no longer selects the tables."""
+    functionals evaluated on one generic array, whose memo builds each
+    monomial pfaffian once.  The seed no longer selects the tables."""
     A = SkewArray.symbolic(2 * n)
-    pfaffians = {}
-    tl = [tl_functional(D).evaluate(A, pfaffians) for D in enumerate_sym_tl_even(n)]
-    comp = [complementary_functional(n, I).evaluate(A, pfaffians)
-            for I in even_subsets(2 * n) if 1 in I]
+    tl = [tl_functional(D).evaluate(A) for D in enumerate_sym_tl_even(n)]
+    comp = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n) if 1 in I]
     return {
         "n": n,
         "tl_count": len(tl),
@@ -375,13 +371,17 @@ def boolean_cone_check(s: int, parity: str, t) -> bool:
 
 
 def check_pfafprime_in_span(n: int) -> list:
-    """Probe whether each diagram pfaffinant lies in the complementary-pfaffian span."""
+    """Probe whether each diagram pfaffinant lies in the complementary-pfaffian span.
+
+    The span is that of the 2^(2n-2) distinct products pf_I * pf_Ibar, one
+    per complementary pair (the I that hold 1), as in ``certify_basis``; a
+    row's coefficients are given on those products, in ``even_subsets``
+    order."""
     A = SkewArray.symbolic(2 * n)
-    pfaffians = {}
-    gens = [complementary_functional(n, I).evaluate(A, pfaffians) for I in even_subsets(2 * n)]
+    gens = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n) if 1 in I]
     out = []
     for D in enumerate_sym_tl(n):
-        coeffs = express_in_span(diagram_functional(D).evaluate(A, pfaffians), gens)
+        coeffs = express_in_span(diagram_functional(D).evaluate(A), gens)
         out.append({
             "diagram": D.key(),
             "in_span": coeffs is not None,

@@ -20,8 +20,8 @@ over Q_t1 Q_t2 - Q_s1 Q_s2, with (t1, t2) the join and meet of the pair
 (con2) or its sorted split (con3); when both sides have the same factors
 the record (zero difference, positive, empty expansion) is written
 without multiplying anything.  con1 evaluates each cone element, one
-summed functional per scan, through one dict of each array's monomial
-pfaffians; the recheck builds its own.  ``expand_in_q_basis`` returns
+summed functional per scan, through the memo of monomial pfaffians that
+each array keeps; the recheck's arrays keep their own.  ``expand_in_q_basis`` returns
 ``(coeffs, remainder)``, with ``coeffs`` a plain dict, strict partition
 -> Fraction, ordered only when a record is written.  Every memo lives for
 one call or one array.
@@ -486,13 +486,12 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0):
                 for label, obj, in_cone in cone_test_elements(n, seed)]
     for pi in weakly_decreasing_parts(bound, 2 * n):
         A = q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
-        pf = {}  # the monomial pfaffians of A, shared by every element
         for label, f, in_cone in elements:
             def rebuild(j):
                 return f.evaluate(q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
 
             # only cone elements are rechecked: the conjecture covers no others
-            yield _record("con1", {"pi": list(pi), "element": label}, f.evaluate(A, pf), k,
+            yield _record("con1", {"pi": list(pi), "element": label}, f.evaluate(A), k,
                           rebuild if in_cone else None, in_cone=in_cone)
 
 

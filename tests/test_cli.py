@@ -137,14 +137,20 @@ def test_internal_value_error_exit_code(capsys, monkeypatch):
     (["network", "check", "--file", "list.json"], 2,
      "error: list indices must be integers or slices, not str"),
     (["network", "matrix", "--file", "keyless.json"], 2, "error: 'edges'"),
+    # this network used to fail with an internal IndexError and exit 1
+    (["network", "check", "--file", "sourceless.json"], 2,
+     "error: sinks need a source to their left"),
     (["verify", "prop-2.3", "--n", "9"], 3,
      "error: capacity: diagram enumeration bound exceeded: n=9 > 8"),
 ], ids=["key", "diagram", "odd-tl", "tl-diagram", "subset-range", "odd-subset", "ints", "shape",
-        "no-file", "not-object", "no-edges", "enum-bound"])
+        "no-file", "not-object", "no-edges", "no-sources", "enum-bound"])
 def test_usage_and_capacity_errors(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "keyless.json").write_text('{"vertices": []}')
+    (tmp_path / "sourceless.json").write_text(json.dumps({
+        "vertices": [{"id": "w", "x": "1/1", "y": "0/1"}], "edges": [],
+        "sources": [], "sinks": ["w"]}))
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == err + "\n"

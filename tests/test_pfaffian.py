@@ -103,13 +103,27 @@ def _separator_arrays(n):
             for D in diagrams[::max(1, len(diagrams) // 6)]]
 
 
+def _fence_arrays(n):
+    """path_weight_matrix of two random fences with 2n rails."""
+    from pfaflab.networks import path_weight_matrix, random_fence_network
+
+    return [path_weight_matrix(random_fence_network(n, 2 * n, seed=t)) for t in range(2)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expansion_matches_matching_sum(n):
     from pfaflab.pfaffinants import even_subsets
 
-    arrays = [SkewArray.symbolic(2 * n)] + _separator_arrays(n)
+    arrays = [SkewArray.symbolic(2 * n)] + _separator_arrays(n) + _fence_arrays(n)
+    subsets = list(even_subsets(2 * n))
     for A in arrays:
-        for I in even_subsets(2 * n):
-            assert pfaffian(A, I) == _matching_pfaffian(A, I), (n, sorted(I))
+        fresh = SkewArray(A.size, A.entries)   # the same entries, with empty memos
+        want = {I: _matching_pfaffian(A, I) for I in subsets}
+        # the first pass fills A's sub-pfaffian memo, smallest I first, and
+        # the second reads it back in reverse; fresh's memo is filled in the
+        # reverse order
+        for B, order in ((A, subsets), (A, subsets[::-1]), (fresh, subsets[::-1])):
+            for I in order:
+                assert pfaffian(B, I) == want[I], (n, sorted(I))
     assert any(c.__class__ is not int for A in arrays[1:]
                for p in A.entries.values() for c in p.terms.values())

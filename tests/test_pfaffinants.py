@@ -372,13 +372,14 @@ def test_from_dict_keeps_rational_coefficients():
     assert f.coefficients == {pis[0]: Fraction(1, 2), pis[1]: 2}
     assert type(f.coefficients[pis[1]]) is int
     for A in [A4] + _fraction_arrays():
+        A = SkewArray(A.size, A.entries)   # the same entries, with empty memos
         # the oracle sums the raw coefficients, not the stored ones
         want = Poly.zero()
         for pi, c in raw.items():
             want = want + c * monomial_pfaffian(A, pi)
-        memo = {}
-        assert f.evaluate(A) == want == f.evaluate(A, memo)
-        assert set(memo) == {pis[0], pis[1]}
+        # the second evaluation reads the array's memo, which the first filled
+        assert f.evaluate(A) == want == f.evaluate(A) == _evaluate_oracle(f, A)
+        assert set(A.monomials) == {pis[0], pis[1]}
 
 
 def test_shared_pfaffian_memo_matches_fresh_evaluation():
@@ -388,10 +389,11 @@ def test_shared_pfaffian_memo_matches_fresh_evaluation():
         functionals = [diagram_functional(D) for D in enumerate_sym_tl(n)]
         functionals += [tl_functional(D) for D in enumerate_sym_tl_even(n)]
         A = SkewArray.symbolic(2 * n)
-        memo = {}
         for f in functionals:
-            assert f.evaluate(A, memo) == f.evaluate(A) == _evaluate_oracle(f, A)
-        assert set(memo) == {pi for f in functionals for pi in f.coefficients}
+            fresh = SkewArray.symbolic(2 * n)
+            assert f.evaluate(A) == f.evaluate(fresh) == _evaluate_oracle(f, A)
+            assert set(fresh.monomials) == set(f.coefficients)
+        assert set(A.monomials) == {pi for f in functionals for pi in f.coefficients}
 
 
 def test_cone_element_functional_is_the_tl_combination():

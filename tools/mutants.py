@@ -176,6 +176,10 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "sum(c for meet, c in meets.items())",
            ("tests/test_verify.py::test_registry_smoke[lem-3.4]",
             "tests/test_verify.py::test_registry_smoke[cor-3.2]")),
+    Mutant("theta-counts-a-marked-edge-once", NETWORKS,
+           "        uses = ins.bit_count() + (ins & marked).bit_count()\n",
+           "        uses = ins.bit_count()\n",
+           (T_NETWORKS + "test_family_table_matches_enumeration",)),
     Mutant("hat-pfaf-reads-only-D", NETWORKS,
            "if s.type in closure)", "if s.type == D)",
            ("tests/test_networks.py::test_network_equality_n2",
@@ -203,8 +207,9 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            (T_PFAFFINANTS + "test_complementary_functional_matches_the_definition",
             T_PFAFFINANTS + "test_complementary_functional_matches_complementary_pfaffian")),
     Mutant("certify-basis-drops-a-complementary-pair", "src/pfaflab/pfaffinants.py",
-           "for I in even_subsets(2 * n) if 1 in I]",
-           "for I in even_subsets(2 * n) if 1 in I and len(I) < 2 * n]",
+           "    comp = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n) if 1 in I]\n",
+           "    comp = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n)\n"
+           "            if 1 in I and len(I) < 2 * n]\n",
            (T_PFAFFINANTS + "test_certify_basis",)),
     Mutant("identity-compares-supports-only", "src/pfaflab/pfaffinants.py",
            "    if lhs.coefficients != rhs.coefficients:\n",
@@ -284,6 +289,26 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
     Mutant("pfaffian-expansion-sign", "src/pfaflab/pfaffian.py",
            "poly_sum((1 if t % 2 else -1,", "poly_sum((-1 if t % 2 else 1,",
            ("tests/test_pfaffian.py::test_expansion_matches_matching_sum",)),
+    # -- the memos every array keeps
+    Mutant("subpfaffian-memo-keyed-by-size", "src/pfaflab/pfaffian.py",
+           """        if S not in memo:
+            memo[S] = poly_sum((1 if t % 2 else -1, A.entries[S[0], j] * pf(S[1:t] + S[t + 1:]))
+                               for t, j in enumerate(S[1:], 1) if (S[0], j) in A.entries)
+        return memo[S]
+""",
+           """        if not S:
+            return memo[S]
+        if len(S) not in memo:
+            memo[len(S)] = poly_sum((1 if t % 2 else -1, A.entries[S[0], j] * pf(S[1:t] + S[t + 1:]))
+                                    for t, j in enumerate(S[1:], 1) if (S[0], j) in A.entries)
+        return memo[len(S)]
+""",
+           ("tests/test_pfaffian.py::test_expansion_matches_matching_sum",)),
+    Mutant("monomial-memo-shared-by-size", "src/pfaflab/pfaffinants.py",
+           "        memo = A.monomials\n",
+           "        memo = monomial_pfaffian.__dict__.setdefault(A.size, {})\n",
+           (T_PFAFFINANTS + "test_evaluate_matches_poly_oracle",
+            T_PFAFFINANTS + "test_from_dict_keeps_rational_coefficients")),
     Mutant("poly-sum-keeps-zero-terms", POLY,
            "for m, v in acc.items() if v})", "for m, v in acc.items()})",
            ("tests/test_poly_sympy.py::test_arithmetic_and_render_match_sympy",
