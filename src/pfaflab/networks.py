@@ -344,7 +344,7 @@ def _theta_type_mult(N: Network, kept: int, marked: int) -> tuple:
             raise AssertionError(f"vertex {v} used more than twice")
         outs = out_of & kept
         for pair in ((ins | outs,) if uses == 1 else (ins, outs)):
-            if pair.bit_count() == 2 and not pair & marked:
+            if pair.bit_count() == 2:   # a marked edge is one bit: it joins nothing
                 low = pair & -pair
                 merges += _union(parent, low.bit_length() - 1, (pair ^ low).bit_length() - 1)
 

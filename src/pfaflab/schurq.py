@@ -21,9 +21,10 @@ over Q_t1 Q_t2 - Q_s1 Q_s2, with (t1, t2) the join and meet of the pair
 the record (zero difference, positive, empty expansion) is written
 without multiplying anything.  con1 evaluates each cone element, one
 summed functional per scan, through the memo of monomial pfaffians that
-each array keeps; the recheck's arrays keep their own.  ``expand_in_q_basis`` returns
-``(coeffs, remainder)``, with ``coeffs`` a plain dict, strict partition
--> Fraction, ordered only when a record is written.  Every memo lives for
+each array keeps; the recheck's arrays keep their own.
+``expand_in_q_basis`` returns ``(coeffs, remainder)``, with ``coeffs`` a
+plain dict, strict partition -> Fraction, ordered only when a record is
+written.  Every memo lives for
 one call or one array.
 """
 
