@@ -11,21 +11,36 @@ rule, memoised on (lam, mu, k), so every shape reached on the way down to
 one variable is computed once.  It is the one algorithm for Q-functions:
 the branching rule equals the sum over shifted tableaux, which the tests
 enumerate one by one as its oracle, and the thm-5.2 check compares the
-Q-Jacobi-Trudi pfaffian with it.
+Q-Jacobi-Trudi pfaffian with it.  It is also the reference for the
+scans, which keep each Q-function as its weakly decreasing part only.
+
+A symmetric polynomial is determined by its coefficients on the monomial
+symmetric functions m_nu, nu a partition with at most k parts: the
+coefficients of its monomials with weakly decreasing exponents.  Every
+difference that a scan classifies is symmetric, and the peel of
+``expand_in_q_basis`` only ever takes a decreasing leading monomial
+(Macdonald, Symmetric Functions and Hall Polynomials, III.8), so the
+scans work in these coordinates: ``q_decreasing`` is the branching rule
+kept to decreasing exponents, ``q_product`` multiplies two of them at the
+partitions of the product's degree, and ``peel_decreasing`` is the peel.
 
 The scanners do each piece of exact work once.  ``_record`` writes every
 record: it classifies the difference and, when that is not positive,
 reclassifies it in k + 1 variables.  con2 and con3 share ``_pair_scan``
 over Q_t1 Q_t2 - Q_s1 Q_s2, with (t1, t2) the join and meet of the pair
-(con2) or its sorted split (con3); when both sides have the same factors
-the record (zero difference, positive, empty expansion) is written
-without multiplying anything.  con1 evaluates each cone element, one
-summed functional per scan, through the memo of monomial pfaffians that
-each array keeps; the recheck's arrays keep their own.
-``expand_in_q_basis`` returns ``(coeffs, remainder)``, with ``coeffs`` a
-plain dict, strict partition -> Fraction, ordered only when a record is
-written.  Every memo lives for
-one call or one array.
+(con2) or its sorted split (con3), built in m-coefficients; when both
+sides have the same factors the record (zero difference, positive, empty
+expansion) is written without multiplying anything.  con1 evaluates each
+cone element, one summed functional per scan, through the memo of
+monomial pfaffians that each array keeps (the recheck's arrays keep
+their own), and peels the value's ``monomial_expand``; a value that is
+not symmetric in x_1..x_k, or that holds another variable, takes the
+full peel, ``classify_difference``.  ``expand_in_q_basis`` returns
+``(coeffs, remainder)``, with ``coeffs`` a plain dict, strict partition
+-> Fraction, ordered only when a record is written.  The ``lru_cache``
+memos (Q-functions, their decreasing parts and the partitions of each
+degree) live for the process; every other memo lives for one call or one
+array.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 
 from .diagrams import enumerate_sym_tl, enumerate_sym_tl_even
@@ -155,6 +171,43 @@ def schur_q(lam, mu, k: int) -> Poly:
             m += tail
             terms[m] = terms.get(m, 0) + weight * c
     return Poly.from_packed(terms)
+
+
+@lru_cache(maxsize=None)
+def q_decreasing(lam, mu, k: int) -> dict:
+    """The weakly decreasing part of Q_{lam/mu}(x_1..x_k): its coefficients on
+    the monomial symmetric functions m_nu, keyed by nu with zero parts
+    dropped, as ``monomial_expand`` of ``schur_q`` gives them.
+
+    The branching rule of ``schur_q`` kept to decreasing exponent vectors: an
+    inner term of Q_{nu/mu}(x_1..x_{k-1}) is kept only where its last
+    exponent, 0 past its parts, is at least x_k's exponent |lam| - |nu|.
+    The returned dict is shared by the memo and must not be changed.
+    """
+    if k < 1:
+        raise UsageError("need at least one variable")
+    shifted_cells(lam, mu)
+    mu = tuple(p for p in mu if p)
+    if lam == mu:
+        return {(): 1}
+    size = sum(lam)
+    out: dict = {}
+    for nu in _interlacing(lam, mu):
+        if k > 1:
+            inner = q_decreasing(nu, mu, k - 1)
+        elif nu == mu:
+            inner = {(): 1}
+        else:
+            continue
+        weight = 2 ** _strip_components(lam, nu)
+        tail = size - sum(nu)
+        for part, c in inner.items():
+            if tail:
+                if len(part) < k - 1 or part and part[-1] < tail:
+                    continue
+                part += (tail,)
+            out[part] = out.get(part, 0) + weight * c
+    return out
 
 
 def one_row_q(r: int, k: int) -> Poly:
@@ -281,6 +334,62 @@ def monomial_expand(f: Poly, k: int) -> dict | None:
     return out
 
 
+def _shape(exponents) -> tuple:
+    """The partition of an exponent vector: its nonzero entries, decreasing."""
+    return tuple(sorted((e for e in exponents if e), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _partitions(total: int, k: int) -> tuple:
+    """The partitions of total with at most k parts, zero parts dropped."""
+    return tuple(tuple(p for p in parts if p) for parts in weakly_decreasing_parts(total, k)
+                 if sum(parts) == total)
+
+
+def q_product(s, t, k: int) -> dict:
+    """The m-coefficients of Q_s * Q_t in k variables, for skew shapes (lam, mu).
+
+    The coefficient at nu is the sum over the compositions a <= nu of size
+    |s| of [x^a] Q_s * [x^(nu - a)] Q_t, and by symmetry each monomial's
+    coefficient is that of its sorted exponents in ``q_decreasing``.
+    """
+    f, g = q_decreasing(*s, k), q_decreasing(*t, k)
+    p = sum(s[0]) - sum(s[1])
+    out = {}
+    for nu in _partitions(p + sum(t[0]) - sum(t[1]), k):
+        c = sum(f.get(_shape(a), 0) * g.get(_shape([e - d for d, e in zip(a, nu)]), 0)
+                for a in product(*(range(e + 1) for e in nu)) if sum(a) == p)
+        if c:
+            out[nu] = c
+    return out
+
+
+def peel_decreasing(m: dict, k: int) -> tuple:
+    """``expand_in_q_basis`` of a symmetric polynomial in k variables given by
+    its m-coefficients: (coeffs, remainder), the remainder as m-coefficients.
+
+    The lex-greatest monomial of a symmetric polynomial has weakly
+    decreasing exponents, so the lead is the largest partition; a lead that
+    is not strict leaves the Q-span.
+    """
+    coeffs = {}
+    rem = dict(m)
+    while rem:
+        lam = max(rem)
+        if not is_strict(lam):
+            return coeffs, rem
+        c = Fraction(rem[lam], 2 ** len(lam))
+        coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
+        c = _num(c)  # an integral c keeps the subtraction in int arithmetic
+        for nu, q in q_decreasing(lam, (), k).items():
+            v = rem.get(nu, 0) - c * q
+            if v:
+                rem[nu] = v if v.__class__ is int else _num(v)
+            else:
+                del rem[nu]
+    return {l: c for l, c in coeffs.items() if c}, {}
+
+
 # -- lattice operations on shapes ----------------------------------------------
 
 
@@ -362,30 +471,49 @@ def verify_min_difference_q(lam, nu, k: int = 4) -> dict:
 # -- conjecture scanners ----------------------------------------------------------
 
 
-def classify_difference(diff: Poly, k: int) -> tuple:
-    """(verdict, expansion dict) for a would-be nonnegative Q-combination."""
-    coeffs, remainder = expand_in_q_basis(diff, k)
-    if not remainder.is_zero():
+def _verdict(coeffs: dict, in_span: bool) -> tuple:
+    if not in_span:
         return "not-in-q-span", coeffs
     return ("positive" if all(c >= 0 for c in coeffs.values()) else "counterexample"), coeffs
 
 
-def _record(conjecture: str, instance: dict, diff: Poly, k: int, rebuild=None, **extra) -> dict:
-    """The scan record of ``diff``; a non-positive verdict is replaced by the
-    verdict on ``rebuild(k + 1)``, the same difference in one more variable."""
-    verdict, expansion = classify_difference(diff, k)
+def classify_difference(diff: Poly, k: int) -> tuple:
+    """(verdict, expansion dict) for a would-be nonnegative Q-combination."""
+    coeffs, remainder = expand_in_q_basis(diff, k)
+    return _verdict(coeffs, remainder.is_zero())
+
+
+def _classify(diff, k: int) -> tuple:
+    """``classify_difference`` of a Poly or of the m-coefficients (a dict) of
+    a symmetric polynomial.  Only the decreasing part is peeled; a Poly that
+    is not symmetric in x_1..x_k takes the full peel."""
+    if isinstance(diff, Poly):
+        m = monomial_expand(diff, k)
+        if m is None:
+            return classify_difference(diff, k)
+        diff = m
+    coeffs, remainder = peel_decreasing(diff, k)
+    return _verdict(coeffs, not remainder)
+
+
+def _record(conjecture: str, instance: dict, diff, k: int, rebuild=None, **extra) -> dict:
+    """The scan record of ``diff``, a Poly or the m-coefficients of a
+    symmetric polynomial; a non-positive verdict is replaced by the verdict
+    on ``rebuild(k + 1)``, the same difference in one more variable."""
+    verdict, expansion = _classify(diff, k)
     if verdict != "positive" and rebuild is not None:
-        verdict, expansion = classify_difference(rebuild(k + 1), k + 1)
+        verdict, expansion = _classify(rebuild(k + 1), k + 1)
     return {"conjecture": conjecture, "instance": instance, **extra,
-            "zero_difference": diff.is_zero(), "verdict": verdict,
+            "zero_difference": not diff, "verdict": verdict,
             "expansion": _expansion_str(expansion)}
 
 
 def _pair_scan(conjecture: str, cases, k: int):
     """Records of Q_t1 * Q_t2 - Q_s1 * Q_s2 over (instance, (s1, s2), (t1, t2))
-    cases of skew shapes (lam, mu).  When the two sides have the same
-    factors the difference vanishes by commutativity, and the record is
-    written without multiplying anything."""
+    cases of skew shapes (lam, mu), built in m-coefficients from the
+    decreasing parts of the four Q-functions.  When the two sides have the
+    same factors the difference vanishes by commutativity, and the record
+    is written without multiplying anything."""
     for instance, (s1, s2), (t1, t2) in cases:
         if (t1, t2) in ((s1, s2), (s2, s1)):
             yield {"conjecture": conjecture, "instance": instance, "zero_difference": True,
@@ -393,7 +521,8 @@ def _pair_scan(conjecture: str, cases, k: int):
             continue
 
         def diff_at(j):
-            return schur_q(*t1, j) * schur_q(*t2, j) - schur_q(*s1, j) * schur_q(*s2, j)
+            f, g = q_product(t1, t2, j), q_product(s1, s2, j)
+            return {nu: c for nu in f.keys() | g.keys() if (c := f.get(nu, 0) - g.get(nu, 0))}
 
         yield _record(conjecture, instance, diff_at(k), k, diff_at)
 

@@ -6,13 +6,13 @@ from math import comb
 import pytest
 
 from pfaflab.pfaffian import monomial_pfaffian, pfaffian
-from pfaflab.poly import Poly, a, x
-from pfaflab.schurq import (_record, classify_difference, expand_in_q_basis,
-                            join_meet, join_meet_parts, merged_positions, monomial_expand,
-                            one_row_q, q_from_pfaffian, q_jt_matrix, scan_cell_transfer,
-                            scan_q_positivity, scan_sort, schur_q, shifted_cells,
-                            sort_split, strict_partitions, strict_subpartitions, two_row_q,
-                            verify_min_difference_q)
+from pfaflab.poly import Poly, UsageError, a, x
+from pfaflab.schurq import (_record, classify_difference, expand_in_q_basis, join_meet,
+                            join_meet_parts, merged_positions, monomial_expand, one_row_q,
+                            peel_decreasing, q_decreasing, q_from_pfaffian, q_jt_matrix,
+                            q_product, scan_cell_transfer, scan_q_positivity, scan_sort,
+                            schur_q, shifted_cells, sort_split, strict_partitions,
+                            strict_subpartitions, two_row_q, verify_min_difference_q)
 
 
 def schur_q_tableaux(lam, mu, k: int) -> Poly:
@@ -68,17 +68,19 @@ def test_q1_value():
     assert schur_q((1,), (), 2).render() == "2*x[1] + 2*x[2]"
 
 
-def test_branching_matches_tableaux():
-    def shapes(max_size):
-        for size in range(max_size + 1):
-            for lam in strict_partitions(size) if size else [()]:
-                for mu in strict_subpartitions(lam):
-                    yield lam, mu
+def _skew_shapes(max_size):
+    """Every strict lam/mu with |lam| <= max_size."""
+    for size in range(max_size + 1):
+        for lam in strict_partitions(size) if size else [()]:
+            for mu in strict_subpartitions(lam):
+                yield lam, mu
 
+
+def test_branching_matches_tableaux():
     for k in range(1, 5):
-        for lam, mu in shapes(8):
+        for lam, mu in _skew_shapes(8):
             assert schur_q(lam, mu, k) == schur_q_tableaux(lam, mu, k), (lam, mu, k)
-    for lam, mu in shapes(7):
+    for lam, mu in _skew_shapes(7):
         assert schur_q(lam, mu, 5) == schur_q_tableaux(lam, mu, 5), (lam, mu, 5)
 
 
@@ -87,8 +89,14 @@ def test_branching_corner_components():
     assert schur_q((4, 1), (2,), 1) == 4 * Poly.var(x(1)) ** 3
 
 
+def test_decreasing_part_matches_schur_q():
+    for k in range(1, 7):
+        for lam, mu in _skew_shapes(9):
+            assert q_decreasing(lam, mu, k) == monomial_expand(schur_q(lam, mu, k), k), (lam, mu, k)
+
+
 def test_schur_q_input_errors():
-    for fn in (schur_q, schur_q_tableaux):
+    for fn in (schur_q, q_decreasing, schur_q_tableaux):
         with pytest.raises(ValueError):
             fn((2, 1), (), 0)
         with pytest.raises(ValueError):
@@ -312,6 +320,61 @@ def test_classify_difference_detects_negativity():
     assert verdict == "counterexample" and expansion == {(2,): Fraction(-1)}
 
 
+@pytest.mark.parametrize("scan", [
+    lambda k: scan_q_positivity(2, 3, k=k),
+    lambda k: scan_cell_transfer(3, k=k),
+    lambda k: scan_sort(4, k=k),
+], ids=["con1", "con2", "con3"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_scans_need_a_variable(scan, k):
+    with pytest.raises(UsageError, match="need at least one variable"):
+        list(scan(k))
+
+
+def test_restricted_product_matches_poly_product():
+    k = 4
+    for (s1, s2), (join, meet) in _con2_pairs(6):
+        for s, t in ((s1, s2), (join, meet)):
+            full = schur_q(*s, k) * schur_q(*t, k)
+            assert q_product(s, t, k) == monomial_expand(full, k), (s, t)
+
+
+def _symmetric_cases(k):
+    """Symmetric polynomials in k variables: in the Q-span, with a negative
+    coefficient, and outside it (m_(1,1) and m_(2,2) are not Q-combinations)."""
+    q = lambda *lam: schur_q(lam, (), k)
+    m11 = Poly({(x(i), x(j)): 1 for i in range(1, k + 1) for j in range(i + 1, k + 1)})
+    m22 = Poly({(x(i), x(i), x(j), x(j)): 1 for i in range(1, k + 1) for j in range(i + 1, k + 1)})
+    in_span = q(3, 1) * q(2) - 3 * q(4, 2, 1)
+    return [Poly.zero(), Poly.const(3), in_span, -in_span, q(2, 1) * q(1) - q(3, 1),
+            m11, in_span + Fraction(1, 3) * m22, q(3) * q(1) + m11]
+
+
+def test_restricted_peel_matches_the_full_peel():
+    for k in (2, 4):
+        verdicts = set()
+        for f in _symmetric_cases(k):
+            coeffs, remainder = expand_in_q_basis(f, k)
+            got = peel_decreasing(monomial_expand(f, k), k)
+            assert got == (coeffs, monomial_expand(remainder, k)), (f.render(), k)
+            verdicts.add(classify_difference(f, k)[0])
+        assert verdicts == {"positive", "counterexample", "not-in-q-span"}
+
+
+def test_record_falls_back_to_the_full_peel():
+    """A Poly that is not symmetric in x_1..x_k, or that holds another
+    variable, gets the full peel's record with its partial expansion; a
+    symmetric one gets the same record from the decreasing part."""
+    k = 4
+    square = Poly.var(x(1)) ** 2
+    with_entry = schur_q((2, 1), (), k) + Poly.var(a(1, 2))
+    for f in [square, with_entry] + _symmetric_cases(k):
+        want = _oracle_record("con1", {}, lambda j: f, k, recheck=False)
+        assert _record("con1", {}, f, k) == want, f.render()
+    assert _record("con1", {}, square, k)["expansion"] == {"[2]": "1/2"}
+    assert _record("con1", {}, with_entry, k)["verdict"] == "not-in-q-span"
+
+
 def test_recheck_in_one_more_variable():
     lone = Poly.var(x(1))  # not symmetric in two variables
     asked = []
@@ -332,8 +395,8 @@ def test_recheck_in_one_more_variable():
 
 
 def _oracle_record(conjecture, instance, diff_at, k, recheck=True):
-    """A scan record from the full difference at k, reclassified at k + 1
-    when it is not positive."""
+    """A scan record from the full difference at k, a Poly product, by the
+    full peel, reclassified at k + 1 when it is not positive."""
     diff = diff_at(k)
     verdict, expansion = classify_difference(diff, k)
     if verdict != "positive" and recheck:
@@ -359,8 +422,9 @@ def _con3_pairs(bound):
             if sum(lam) + sum(mu) <= bound]
 
 
-def test_cell_transfer_scan_matches_oracle():
-    bound, k = 6, 4
+@pytest.mark.parametrize("k", [2, 4])
+def test_cell_transfer_scan_matches_oracle(k):
+    bound = 6
     want = []
     for (s1, s2), (join, meet) in _con2_pairs(bound):
         def diff_at(j):
@@ -377,8 +441,9 @@ def test_cell_transfer_scan_matches_oracle():
     assert len(zeros) < len(got)
 
 
-def test_sort_scan_matches_oracle():
-    bound, k = 8, 4
+@pytest.mark.parametrize("k", [2, 4])
+def test_sort_scan_matches_oracle(k):
+    bound = 8
     want = []
     for (lam, mu), (s1, s2) in _con3_pairs(bound):
         def diff_at(j):
@@ -393,14 +458,17 @@ def test_sort_scan_matches_oracle():
 
 def test_commuting_pairs_multiply_nothing(monkeypatch):
     """A pair with the same two factors on both sides, in either order, gets
-    its record with no product and no expansion; every other pair multiplies."""
+    its record with no product and no expansion; every other pair multiplies,
+    in m-coefficients and never as Polys."""
     from pfaflab import schurq
 
     calls = []
-    mul, expand = Poly.__mul__, schurq.expand_in_q_basis
-    monkeypatch.setattr(Poly, "__mul__", lambda f, g: calls.append("mul") or mul(f, g))
-    monkeypatch.setattr(schurq, "expand_in_q_basis",
-                        lambda f, k: calls.append("expand") or expand(f, k))
+    product, peel = schurq.q_product, schurq.peel_decreasing
+    monkeypatch.setattr(Poly, "__mul__", lambda f, g: pytest.fail("a Poly product"))
+    monkeypatch.setattr(schurq, "q_product",
+                        lambda s, t, k: calls.append("mul") or product(s, t, k))
+    monkeypatch.setattr(schurq, "peel_decreasing",
+                        lambda m, k: calls.append("expand") or peel(m, k))
     swapped = []
     for records, pairs in ((scan_cell_transfer(6, k=4), _con2_pairs(6)),
                            (scan_sort(8, k=4), _con3_pairs(8))):

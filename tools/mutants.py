@@ -250,13 +250,28 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "    if False:\n",
            (T_SCHURQ + "test_recheck_in_one_more_variable",)),
     Mutant("schur-q-strip-weight-per-row", SCHURQ,
-           "        weight = 2 ** _strip_components(lam, nu)\n",
-           "        weight = 2 ** sum(1 for p, q in zip(lam, nu + (0,) * len(lam)) if q < p)\n",
+           "        weight = 2 ** _strip_components(lam, nu)\n        # the inner",
+           "        weight = 2 ** sum(1 for p, q in zip(lam, nu + (0,) * len(lam)) if q < p)\n"
+           "        # the inner",
            (T_SCHURQ + "test_branching_matches_tableaux",)),
     Mutant("q-expansion-never-reads-new-exponents", SCHURQ,
            "                if mono not in exponents:\n                    exponents[mono] = read(mono)\n",
            "",
            (T_SCHURQ + "test_expand_matches_poly_arithmetic",)),
+    # -- Q-scans in monomial-symmetric coordinates
+    Mutant("decreasing-branching-drops-equal-last-exponent", SCHURQ,
+           "                if len(part) < k - 1 or part and part[-1] < tail:\n",
+           "                if len(part) < k - 1 or part and part[-1] <= tail:\n",
+           (T_SCHURQ + "test_decreasing_part_matches_schur_q",)),
+    Mutant("q-product-skips-a-leading-zero", SCHURQ,
+           "for a in product(*(range(e + 1) for e in nu))",
+           "for a in product(*(range(not i, e + 1) for i, e in enumerate(nu)))",
+           (T_SCHURQ + "test_restricted_product_matches_poly_product",)),
+    Mutant("decreasing-peel-accepts-a-non-strict-lead", SCHURQ,
+           "        if not is_strict(lam):\n            return coeffs, rem\n",
+           "",
+           (T_SCHURQ + "test_restricted_peel_matches_the_full_peel",
+            T_SCHURQ + "test_record_falls_back_to_the_full_peel")),
     Mutant("verify-pool-not-capped", CLI,
            "max_workers=min(args.jobs, len(items))", "max_workers=args.jobs",
            (T_CLI + "test_verify_pool_is_capped",)),
