@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .poly import CapacityError, UsageError
@@ -290,30 +290,64 @@ def is_compatible(D: SymTLDiagram, I) -> bool:
     return all((i in I) != (j in I) for i, j in D.vertical_left)
 
 
-def compatible_diagrams(I, n: int) -> frozenset:
+def check_points(I, n: int) -> None:
+    """Raise UsageError unless every point of I lies in [1, 2n]."""
+    if any(not 1 <= i <= 2 * n for i in I):
+        raise UsageError(f"indices {sorted(I)} out of range for size {2 * n}")
+
+
+def _even_subset(I, n: int) -> frozenset:
+    I = frozenset(I)
     if len(I) % 2:
         raise OddSubsetError(f"subset {sorted(I)} has odd cardinality")
-    return _compatible_cached(frozenset(I), n)
+    check_points(I, n)
+    return I
+
+
+def compatible_diagrams(I, n: int) -> frozenset:
+    """The diagrams whose every vertical edge joins a point of I to a point
+    outside it, for an even subset I of [2n].
+
+    The answer is read from ``_compatible_index(n)``, which generates every
+    compatible (I, D) pair once per n.  An odd I raises OddSubsetError and
+    a point outside [1, 2n] raises UsageError."""
+    return _compatible_index(n)[_even_subset(I, n)]
 
 
 @lru_cache(maxsize=None)
-def _compatible_cached(I: frozenset, n: int) -> frozenset:
-    return frozenset(D for D in enumerate_sym_tl(n) if is_compatible(D, I))
+def _compatible_index(n: int) -> dict:
+    """Every even I of [2n] -> the frozenset of diagrams compatible with it.
+
+    The pairs are generated per diagram D rather than tested: an I is
+    compatible with D exactly when it holds one endpoint of every vertical
+    edge and any subset of D's horizontal points, and only the subsets
+    that make |I| even are taken.  ``is_compatible`` is the oracle."""
+    found: dict = {}
+    for D in enumerate_sym_tl(n):
+        horizontal = sorted(D.horizontal_points())
+        for ends in product(*sorted(D.vertical_left)):
+            for r in range(D.order % 2, len(horizontal) + 1, 2):
+                for extra in combinations(horizontal, r):
+                    found.setdefault(frozenset(ends + extra), []).append(D)
+    return {I: frozenset(diagrams) for I, diagrams in found.items()}
 
 
 def i_maximal_diagrams(I, n: int) -> frozenset:
-    """Even compatible diagrams not inside the removal closure of another."""
-    if len(I) % 2:
-        raise OddSubsetError(f"subset {sorted(I)} has odd cardinality")
-    return _i_maximal_cached(frozenset(I), n)
+    """Even compatible diagrams not inside the removal closure of another;
+    a point outside [1, 2n] raises UsageError."""
+    return _i_maximal_cached(_even_subset(I, n), n)
 
 
 @lru_cache(maxsize=None)
 def _i_maximal_cached(I: frozenset, n: int) -> frozenset:
+    return maximal_among(_compatible_index(n)[I])
+
+
+def maximal_among(diagrams) -> frozenset:
+    """The even ``diagrams`` inside the removal closure of no other one."""
     # one pass over the closures: a diagram in S(D2) - {D2} lies inside another
-    comp = _compatible_cached(I, n)
-    inside = set().union(*(removal_closure(D2) - {D2} for D2 in comp))
-    return frozenset(D for D in comp if D.is_even and D not in inside)
+    inside = set().union(*(removal_closure(D2) - {D2} for D2 in diagrams))
+    return frozenset(D for D in diagrams if D.is_even and D not in inside)
 
 
 # -- standard partitions ------------------------------------------------------

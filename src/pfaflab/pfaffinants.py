@@ -4,19 +4,26 @@ A pfaffinant is a ``PfaffinantFunctional``: a coefficient per matching pi
 of [2n], evaluated on an array as the sum of c * pf_pi.  On the generic
 array ``SkewArray.symbolic(2n)`` every monomial pfaffian pf_pi is its own
 monomial, so two functionals evaluate to the same polynomial exactly when
-their coefficients agree.  The decomposition identities (thm-2.6,
-thm-2.12) are therefore checked matching by matching: the summed side's
-coefficients against those of ``complementary_functional(n, I)``, the
-functional of pf_I * pf_Ibar, with no polynomial built unless they
-differ.  That functional relabels one signed list per size, the
-matchings of [2r] with their crossing-parity signs, onto the sorted
-points of I and of Ibar and multiplies the two.
+their coefficients agree.
+
+Each diagram D has a *row*: its weight in the uncrossing table of every
+matching, a list of ints in ``enumerate_matchings(n)`` order, from one
+transpose of ``uncrossing_tables(n)`` per n.  A TL row is the column sum
+of the rows over D's removal closure.  The diagram and TL functionals are
+read off these rows.  The decomposition identities (thm-2.6, thm-2.12)
+are column sums: the rows of the diagrams compatible with I, or the TL
+rows of the I-maximal ones, summed and compared with the row of
+``complementary_functional(n, I)``, the functional of pf_I * pf_Ibar.
+That functional relabels one signed list per size, the matchings of
+[2r] with their crossing-parity signs, onto the sorted points of I and
+of Ibar and multiplies the two.  No polynomial is built unless the rows
+differ.
 
 A functional's ``coefficients`` (matching -> nonzero coefficient) and a
 cone element's ``tl_coeffs`` (even diagram -> nonzero Fraction) are plain
-dicts, ordered only where a witness is picked.  ``_summed_side`` builds
-every summed functional: the decomposition sides, each TL functional
-(over its removal closure) and each cone element.
+dicts, ordered only where a witness is picked.  ``_summed_side`` sums
+functionals as dicts: it builds cone elements and, when an identity's
+rows differ, the summed side that reports the first differing monomial.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .diagrams import (OddSubsetError, SymTLDiagram, _i_maximal_cached, compatible_diagrams,
+from .diagrams import (OddSubsetError, SymTLDiagram, check_points, compatible_diagrams,
                        crossing_number, diagram_order_key, enumerate_matchings, enumerate_sym_tl,
-                       enumerate_sym_tl_even, i_maximal_diagrams, removal_closure,
-                       standard_partition)
+                       enumerate_sym_tl_even, i_maximal_diagrams, maximal_among,
+                       removal_closure, standard_partition)
 from .pfaffian import SkewArray, min_partition, monomial_pfaffian
 from .poly import Poly, UsageError, _num, express_in_span, matrix_rank, poly_sum
 from .uncross import uncrossing_tables
@@ -94,8 +101,64 @@ def diagram_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
 def _diagram_functional(D: SymTLDiagram) -> PfaffinantFunctional:
     # memoised per diagram behind a wrapper, which takes the seed that no
     # longer selects the tables
-    return PfaffinantFunctional.from_dict(
-        D.n, {pi: t.get(D, 0) for pi, t in uncrossing_tables(D.n).items()})
+    return _functional_of_row(D.n, _diagram_row(D))
+
+
+def _diagram_row(D: SymTLDiagram) -> list:
+    return _diagram_rows(D.n)[D]
+
+
+@lru_cache(maxsize=None)
+def _diagram_rows(n: int) -> dict:
+    """Diagram -> row: its weight in the uncrossing table of each matching
+    of [2n], a list of ints in ``enumerate_matchings(n)`` order.  One
+    transpose of ``uncrossing_tables(n)``; the rows are shared, do not
+    change them."""
+    matchings = enumerate_matchings(n)
+    rows = {D: [0] * len(matchings) for D in enumerate_sym_tl(n)}
+    # the tables share one object per diagram, so each row is looked up
+    # once per object, by its id, instead of hashing a diagram per entry
+    by_id = {}
+    tables = uncrossing_tables(n)
+    for k, pi in enumerate(matchings):
+        for D, w in tables[pi].items():
+            row = by_id.get(id(D))
+            if row is None:
+                row = by_id[id(D)] = rows[D]
+            row[k] = w
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _tl_row(D: SymTLDiagram) -> list:
+    """The column sum of the diagram rows over D's removal closure."""
+    if not D.is_even:
+        raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
+    rows = _diagram_rows(D.n)
+    return _column_sum(rows[Dp] for Dp in removal_closure(D))
+
+
+def _column_sum(rows) -> list:
+    return list(map(sum, zip(*rows)))
+
+
+@lru_cache(maxsize=None)
+def _matching_columns(n: int) -> dict:
+    """Matching of [2n] -> its position in a row."""
+    return {pi: k for k, pi in enumerate(enumerate_matchings(n))}
+
+
+def _row_of(f: PfaffinantFunctional) -> list:
+    """The coefficients of f laid out as a row."""
+    columns = _matching_columns(f.n)
+    row = [0] * len(columns)
+    for pi, c in f.coefficients.items():
+        row[columns[pi]] = c
+    return row
+
+
+def _functional_of_row(n: int, row: list) -> PfaffinantFunctional:
+    return PfaffinantFunctional(n, {pi: c for pi, c in zip(enumerate_matchings(n), row) if c})
 
 
 def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
@@ -113,9 +176,7 @@ def tl_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
 @lru_cache(maxsize=None)
 def _tl_functional(D: SymTLDiagram) -> PfaffinantFunctional:
     # memoised per diagram behind a wrapper, as _diagram_functional is
-    if not D.is_even:
-        raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
-    return _summed_side(D.n, (_diagram_functional(Dp) for Dp in removal_closure(D)))
+    return _functional_of_row(D.n, _tl_row(D))
 
 
 def tl_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
@@ -146,8 +207,7 @@ def complementary_functional(n: int, I) -> PfaffinantFunctional:
     I = frozenset(I)
     if len(I) % 2:
         raise OddSubsetError(f"complementary pfaffian needs an even subset, got {sorted(I)}")
-    if any(not 1 <= i <= 2 * n for i in I):
-        raise UsageError(f"indices {sorted(I)} out of range for size {2 * n}")
+    check_points(I, n)
     inside = _relabelled(sorted(I))
     outside = _relabelled([p for p in range(1, 2 * n + 1) if p not in I])
     return PfaffinantFunctional(n, {s | t: c * d for s, c in inside for t, d in outside})
@@ -187,25 +247,31 @@ def _require_same(lhs: PfaffinantFunctional, rhs: PfaffinantFunctional, A: SkewA
         _require_equal(lhs.evaluate(A), rhs.evaluate(A), what)
 
 
-def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
-    """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible
-    diagrams; the seed no longer selects the tables."""
+def _check_decomposition(A: SkewArray, I, diagrams_of, row_of, functional_of, what: str) -> None:
+    """pf_I * pf_Ibar against the sum over ``diagrams_of(I, n)``: the column
+    sum of their rows against the complementary functional's row.  Only a
+    mismatch builds the summed functional, which ``_require_same`` reports."""
     _require_symbolic(A)
     n = A.size // 2
     lhs = complementary_functional(n, I)
-    rhs = _summed_side(n, (diagram_functional(D) for D in compatible_diagrams(I, n)))
-    _require_same(lhs, rhs, A, f"diagram decomposition at I={sorted(I)}")
+    diagrams = diagrams_of(I, n)
+    if _row_of(lhs) != _column_sum(map(row_of, diagrams)):
+        rhs = _summed_side(n, map(functional_of, diagrams))
+        _require_same(lhs, rhs, A, f"{what} at I={sorted(I)}")
+
+
+def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
+    """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible
+    diagrams; the seed no longer selects the tables."""
+    _check_decomposition(A, I, compatible_diagrams, _diagram_row, diagram_functional,
+                         "diagram decomposition")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
 def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal
     diagrams; the seed no longer selects the tables."""
-    _require_symbolic(A)
-    n = A.size // 2
-    lhs = complementary_functional(n, I)
-    rhs = _summed_side(n, (tl_functional(D) for D in i_maximal_diagrams(I, n)))
-    _require_same(lhs, rhs, A, f"TL decomposition at I={sorted(I)}")
+    _check_decomposition(A, I, i_maximal_diagrams, _tl_row, tl_functional, "TL decomposition")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
 
@@ -343,7 +409,7 @@ def maximal_diagrams(n: int) -> frozenset:
     alternating-compatible (the subset itself has odd size when n is odd,
     which only bars it from pfaffian decompositions, not from maximality).
     """
-    return _i_maximal_cached(frozenset(range(1, 2 * n + 1, 2)), n)
+    return maximal_among(enumerate_sym_tl(n))
 
 
 def boolean_cone_check(s: int, parity: str, t) -> bool:

@@ -113,6 +113,7 @@ def test_i_maximal_matches_quadratic_definition():
     from itertools import combinations
 
     from pfaflab.diagrams import _i_maximal_cached, is_compatible
+    from pfaflab.pfaffinants import maximal_diagrams
 
     # oracle: even compatible diagrams inside no other compatible diagram's
     # closure, for every even I and the alternating set of maximal_diagrams
@@ -123,7 +124,24 @@ def test_i_maximal_matches_quadratic_definition():
             comp = [D for D in enumerate_sym_tl(n) if is_compatible(D, I)]
             want = {D for D in comp if D.is_even
                     and not any(D2 != D and D in removal_closure(D2) for D2 in comp)}
-            assert _i_maximal_cached(I, n) == want, (n, sorted(I))
+            # the alternating set has odd size when n is odd, and the
+            # compatibility index holds only even subsets
+            got = _i_maximal_cached(I, n) if len(I) % 2 == 0 else maximal_diagrams(n)
+            assert got == want, (n, sorted(I))
+
+
+def test_compatible_index_matches_the_filter():
+    from itertools import combinations
+
+    from pfaflab.diagrams import _compatible_index, is_compatible
+
+    # oracle: is_compatible tested for every diagram at every even I
+    for n in (1, 2, 3, 4, 5):
+        points = range(1, 2 * n + 1)
+        subsets = [frozenset(c) for r in range(0, 2 * n + 1, 2) for c in combinations(points, r)]
+        want = {I: frozenset(D for D in enumerate_sym_tl(n) if is_compatible(D, I))
+                for I in subsets}
+        assert _compatible_index(n) == want, n
 
 
 def test_every_diagram_is_maximal_for_its_own_subset():

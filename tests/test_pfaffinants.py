@@ -134,6 +134,60 @@ def test_complementary_functional_matches_the_definition():
             _restricted_sign_functional(n, I), (n, sorted(I))
 
 
+def _pi_rule_cases(n, matchings):
+    """Per matching pi and i with pi(i) != i+1: (c(pi), c(sigma), i) for
+    sigma = s_i pi s_i, where c(pi) maps every even I to the coefficient of
+    pi in pf_I * pf_Ibar."""
+    from pfaflab.pfaffinants import complementary_functional
+
+    comp = {I: complementary_functional(n, I).coefficients for I in even_subsets(2 * n)}
+
+    def c(pi):
+        return {I: f.get(pi, 0) for I, f in comp.items()}
+
+    for pi in matchings:
+        for i in range(1, 2 * n):
+            if (i, i + 1) in pi:
+                continue
+            swap = {i: i + 1, i + 1: i}
+            sigma = frozenset(tuple(sorted((swap.get(p, p), swap.get(q, q)))) for p, q in pi)
+            yield c(pi), c(sigma), i
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_conjugation_rule_for_complementary_coefficients(n):
+    # c(s_i pi s_i)_I = -c(pi)_I when i and i+1 lie on one side of I, and
+    # c(pi)_{s_i I} otherwise: every matching at n <= 4, a seeded sample at 5
+    matchings = enumerate_matchings(n)
+    if n == 5:
+        matchings = random.Random(0).sample(matchings, 40)
+    cases = 0
+    for c_pi, c_sigma, i in _pi_rule_cases(n, matchings):
+        for I, got in c_sigma.items():
+            if (i in I) == (i + 1 in I):
+                want = -c_pi[I]
+            else:
+                want = c_pi[I ^ {i, i + 1}]
+            assert got == want, (n, i, sorted(I))
+            cases += 1
+    assert cases > 0   # 48, 1920 and 80,640 at n = 2, 3 and 4
+
+
+@pytest.mark.parametrize("build", ["compatible_diagrams", "i_maximal_diagrams",
+                                   "decomposition_cone_element", "min_difference_element"])
+def test_points_out_of_range_are_refused(build):
+    from pfaflab import diagrams, pfaffinants
+
+    function = getattr(diagrams, build, None) or getattr(pfaffinants, build)
+    for I, n in (({1, 99}, 2), ({0, 1}, 2), ({1, 2, 3, 7}, 3)):
+        with pytest.raises(UsageError) as want:
+            pfaffinants.complementary_functional(n, I)
+        with pytest.raises(UsageError) as got:
+            function(I, n)
+        assert str(got.value) == str(want.value) \
+            == f"indices {sorted(I)} out of range for size {2 * n}"
+
+
 def _message(check, *args):
     """None if check(*args) passes, else the VerificationError text."""
     try:
@@ -152,33 +206,54 @@ def _poly_oracle(A, I, functionals, what):
     return _message(_require_equal, complementary_pfaffian(A, I), rhs, what)
 
 
-def _corrupted(functional, D0):
-    """``functional`` with the first coefficient of D0's functional negated."""
-    from pfaflab.pfaffinants import PfaffinantFunctional
+@pytest.fixture
+def fresh_functionals():
+    """Empties the memos of ``pfaflab.pfaffinants`` before and after the
+    test, so that rows built from a corrupted table reach no other test."""
+    from pfaflab import pfaffinants
 
-    def wrapped(D, seed=0):
-        f = functional(D)
-        if D != D0 or not f.coefficients:
-            return f
-        pi = next(iter(f.coefficients))
-        return PfaffinantFunctional(f.n, {**f.coefficients, pi: -f.coefficients[pi]})
+    def clear():
+        for value in vars(pfaffinants).values():
+            if getattr(value, "__module__", None) == pfaffinants.__name__ \
+                    and hasattr(value, "cache_clear"):
+                value.cache_clear()
 
-    return wrapped
+    clear()
+    yield
+    clear()
+
+
+def _corrupt_one_entry(monkeypatch, n):
+    """Make ``pfaffinants`` read the tables of [2n] with the weight of the
+    last even diagram in the last matching's table raised by one; the
+    shared tables stay as they are."""
+    from pfaflab import pfaffinants
+    from pfaflab.uncross import uncrossing_tables
+
+    tables = dict(uncrossing_tables(n))
+    pi, D0 = enumerate_matchings(n)[-1], enumerate_sym_tl_even(n)[-1]
+    tables[pi] = {**tables[pi], D0: tables[pi].get(D0, 0) + 1}
+    monkeypatch.setattr(pfaffinants, "uncrossing_tables",
+                        lambda m: tables if m == n else uncrossing_tables(m))
+
+
+def _dict_path(n, I, functionals, what):
+    """The identity as the coefficient dicts of the summed side decide it."""
+    from pfaflab.pfaffinants import _require_same, _summed_side, complementary_functional
+
+    return _message(_require_same, complementary_functional(n, I), _summed_side(n, functionals),
+                    SkewArray.symbolic(2 * n), f"{what} at I={sorted(I)}")
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
-def test_identities_agree_with_poly_oracle(monkeypatch, corrupt):
+def test_identities_agree_with_poly_oracle(monkeypatch, fresh_functionals, corrupt):
     from pfaflab import pfaffinants
     from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
 
-    failures = 0
+    failures = {"diagram decomposition": 0, "TL decomposition": 0}
     for n in (1, 2, 3):
         if corrupt:
-            even = enumerate_sym_tl_even(n)
-            monkeypatch.setattr(pfaffinants, "diagram_functional",
-                                _corrupted(pfaffinants._diagram_functional, even[-1]))
-            monkeypatch.setattr(pfaffinants, "tl_functional",
-                                _corrupted(pfaffinants._tl_functional, even[0]))
+            _corrupt_one_entry(monkeypatch, n)
         A = SkewArray.symbolic(2 * n)
         for I in even_subsets(2 * n):
             for check, functional, diagrams, what in (
@@ -186,14 +261,45 @@ def test_identities_agree_with_poly_oracle(monkeypatch, corrupt):
                      compatible_diagrams(I, n), "diagram decomposition"),
                     (verify_tl_decomposition, pfaffinants.tl_functional,
                      i_maximal_diagrams(I, n), "TL decomposition")):
-                want = _poly_oracle(A, I, [functional(D) for D in diagrams],
-                                    f"{what} at I={sorted(I)}")
+                functionals = [functional(D) for D in diagrams]
+                want = _poly_oracle(A, I, functionals, f"{what} at I={sorted(I)}")
                 assert _message(check, A, I) == want, (n, sorted(I), what)
-                failures += want is not None
+                assert _dict_path(n, I, functionals, what) == want, (n, sorted(I), what)
+                failures[what] += want is not None
     if corrupt:
-        assert failures > 0
+        assert all(failures.values()), failures
     else:
-        assert failures == 0
+        assert not any(failures.values()), failures
+
+
+def test_row_sums_match_the_summed_side():
+    from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
+    from pfaflab.pfaffinants import (_column_sum, _diagram_rows, _row_of, _summed_side, _tl_row,
+                                     complementary_functional, diagram_functional, tl_functional)
+
+    # at every I both identities hold, by the rows and by the dicts alike
+    for n in (1, 2, 3, 4):
+        rows = _diagram_rows(n)
+        for I in even_subsets(2 * n):
+            want = _row_of(complementary_functional(n, I))
+            comp, maximal = compatible_diagrams(I, n), i_maximal_diagrams(I, n)
+            assert _column_sum(rows[D] for D in comp) == want
+            assert _row_of(_summed_side(n, map(diagram_functional, comp))) == want
+            assert _column_sum(map(_tl_row, maximal)) == want
+            assert _row_of(_summed_side(n, map(tl_functional, maximal))) == want
+
+
+def test_row_functionals_match_the_table_probe():
+    from pfaflab.pfaffinants import PfaffinantFunctional, diagram_functional
+    from pfaflab.uncross import uncrossing_tables
+
+    # oracle: each diagram's weight probed in every table, in matching order
+    for n in (1, 2, 3, 4, 5):
+        tables = uncrossing_tables(n)
+        for D in enumerate_sym_tl(n):
+            want = PfaffinantFunctional.from_dict(n, {pi: t.get(D, 0) for pi, t in tables.items()})
+            assert list(diagram_functional(D).coefficients.items()) == \
+                list(want.coefficients.items()), D.key()
 
 
 def test_identities_need_the_generic_array():
@@ -449,8 +555,8 @@ def test_tl_functional_matches_closure_sum_over_tables():
 
 def test_functional_memo_keys_are_canonical():
     from pfaflab import verify
-    from pfaflab.pfaffinants import (_diagram_functional, _tl_functional, diagram_functional,
-                                     tl_functional)
+    from pfaflab.pfaffinants import (_diagram_functional, _tl_functional, _tl_row,
+                                     diagram_functional, tl_functional)
 
     _diagram_functional.cache_clear()
     _tl_functional.cache_clear()
@@ -461,8 +567,11 @@ def test_functional_memo_keys_are_canonical():
         assert tl_functional(D) is tl_functional(D, 0) is tl_functional(D, seed=0)
     assert _diagram_functional.cache_info().currsize == len(diagrams)
     assert _tl_functional.cache_info().currsize == len(even)
-    # thm-2.12 passes the seed, thm-5.4 omits it: one entry per diagram between them
+    # thm-2.12 sums the TL rows, thm-5.4 reads the functionals built on
+    # them: one entry per diagram in each memo
     _tl_functional.cache_clear()
+    _tl_row.cache_clear()
     verify.run("thm-2.12", {"n": 2})
     verify.run("thm-5.4", {"bound": 2})
-    assert _tl_functional.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
+    assert _tl_row.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
+    assert _tl_functional.cache_info().currsize == len(even)

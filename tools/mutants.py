@@ -228,8 +228,26 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "    for f in list(functionals)[1:]:\n        for pi, c in f.coefficients.items():\n",
            ("tests/test_pfaffinants.py::test_summed_side_matches_per_diagram_sum",)),
     Mutant("tl-functional-drops-a-closure-diagram", "src/pfaflab/pfaffinants.py",
-           "for Dp in removal_closure(D)))", "for Dp in list(removal_closure(D))[1:]))",
+           "for Dp in removal_closure(D))", "for Dp in list(removal_closure(D))[1:])",
            ("tests/test_pfaffinants.py::test_tl_functional_matches_closure_sum_over_tables",)),
+    # -- decomposition checks as column sums of per-n rows
+    Mutant("compatible-index-drops-horizontal-subsets", "src/pfaflab/diagrams.py",
+           "found.setdefault(frozenset(ends + extra), [])",
+           "found.setdefault(frozenset(ends), [])",
+           ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
+    Mutant("compatible-index-flips-the-parity", "src/pfaflab/diagrams.py",
+           "for r in range(D.order % 2, len(horizontal) + 1, 2):",
+           "for r in range(1 - D.order % 2, len(horizontal) + 1, 2):",
+           ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
+    Mutant("row-transpose-shifts-a-matching", "src/pfaflab/pfaffinants.py",
+           "            row[k] = w\n", "            row[k - (k == 1)] = w\n",
+           (T_PFAFFINANTS + "test_row_functionals_match_the_table_probe",)),
+    Mutant("row-check-never-falls-back", "src/pfaflab/pfaffinants.py",
+           "    if _row_of(lhs) != _column_sum(map(row_of, diagrams)):\n", "    if False:\n",
+           (T_PFAFFINANTS + "test_identities_agree_with_poly_oracle[True]",)),
+    Mutant("tl-row-leaves-the-diagram-out-of-its-closure", "src/pfaflab/pfaffinants.py",
+           "for Dp in removal_closure(D))", "for Dp in removal_closure(D) - {D})",
+           (T_PFAFFINANTS + "test_row_sums_match_the_summed_side",)),
     Mutant("i-maximal-counts-a-diagram-inside-itself", "src/pfaflab/diagrams.py",
            "removal_closure(D2) - {D2}", "removal_closure(D2)",
            ("tests/test_diagrams.py::test_i_maximal_matches_quadratic_definition",)),
