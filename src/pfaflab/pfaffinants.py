@@ -22,12 +22,14 @@ differ.
 A functional's ``coefficients`` (matching -> nonzero coefficient) and a
 cone element's ``tl_coeffs`` (even diagram -> nonzero Fraction) are plain
 dicts, ordered only where a witness is picked.  ``_summed_side`` sums
-functionals as dicts: it builds cone elements and, when an identity's
-rows differ, the summed side that reports the first differing monomial.
+functionals as dicts for cone elements; when an identity's rows differ,
+the summed row, read back as a functional, reports the first differing
+monomial.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -115,18 +117,13 @@ def _diagram_rows(n: int) -> dict:
     transpose of ``uncrossing_tables(n)``; the rows are shared, do not
     change them."""
     matchings = enumerate_matchings(n)
-    rows = {D: [0] * len(matchings) for D in enumerate_sym_tl(n)}
-    # the tables share one object per diagram, so each row is looked up
-    # once per object, by its id, instead of hashing a diagram per entry
-    by_id = {}
     tables = uncrossing_tables(n)
+    # first keyed by the tables' own diagram objects, returned in enumeration order
+    rows = defaultdict(lambda: [0] * len(matchings))
     for k, pi in enumerate(matchings):
         for D, w in tables[pi].items():
-            row = by_id.get(id(D))
-            if row is None:
-                row = by_id[id(D)] = rows[D]
-            row[k] = w
-    return rows
+            rows[D][k] = w
+    return {D: rows[D] for D in enumerate_sym_tl(n)}
 
 
 @lru_cache(maxsize=None)
@@ -247,31 +244,30 @@ def _require_same(lhs: PfaffinantFunctional, rhs: PfaffinantFunctional, A: SkewA
         _require_equal(lhs.evaluate(A), rhs.evaluate(A), what)
 
 
-def _check_decomposition(A: SkewArray, I, diagrams_of, row_of, functional_of, what: str) -> None:
+def _check_decomposition(A: SkewArray, I, diagrams_of, row_of, what: str) -> None:
     """pf_I * pf_Ibar against the sum over ``diagrams_of(I, n)``: the column
     sum of their rows against the complementary functional's row.  Only a
-    mismatch builds the summed functional, which ``_require_same`` reports."""
+    mismatch turns the summed row into a functional, which ``_require_same``
+    reports."""
     _require_symbolic(A)
     n = A.size // 2
     lhs = complementary_functional(n, I)
-    diagrams = diagrams_of(I, n)
-    if _row_of(lhs) != _column_sum(map(row_of, diagrams)):
-        rhs = _summed_side(n, map(functional_of, diagrams))
-        _require_same(lhs, rhs, A, f"{what} at I={sorted(I)}")
+    summed = _column_sum(map(row_of, diagrams_of(I, n)))
+    if _row_of(lhs) != summed:
+        _require_same(lhs, _functional_of_row(n, summed), A, f"{what} at I={sorted(I)}")
 
 
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible
     diagrams; the seed no longer selects the tables."""
-    _check_decomposition(A, I, compatible_diagrams, _diagram_row, diagram_functional,
-                         "diagram decomposition")
+    _check_decomposition(A, I, compatible_diagrams, _diagram_row, "diagram decomposition")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
 def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal
     diagrams; the seed no longer selects the tables."""
-    _check_decomposition(A, I, i_maximal_diagrams, _tl_row, tl_functional, "TL decomposition")
+    _check_decomposition(A, I, i_maximal_diagrams, _tl_row, "TL decomposition")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
 

@@ -564,7 +564,9 @@ def uncrossing_table(pi, n: int, memo: dict) -> dict:
 @lru_cache(maxsize=None)
 def uncrossing_tables(n: int) -> dict:
     """The table of every matching of [2n], by ``uncrossing_table``, once
-    per process; every caller shares the returned dicts."""
+    per process; every caller shares the returned dicts.  Their keys are
+    ``_diagram``'s one object per diagram, found by identity in any dict
+    that was first keyed from these tables."""
     memo = {}
     return {pi: uncrossing_table(pi, n, memo) for pi in enumerate_matchings(n)}
 

@@ -39,6 +39,16 @@ def test_diagram_validation():
     assert D.order == 2 and D.is_even
 
 
+def test_stored_hash_is_the_field_hash():
+    # the hash is computed once per diagram, with the value of the dataclass
+    # field hash, so that sets and dicts of diagrams keep their order
+    for n in (1, 2, 3, 4):
+        for D in enumerate_sym_tl(n):
+            copy = sym_diagram(n, [(j, i) for i, j in D.vertical_left])
+            assert copy == D and copy is not D
+            assert hash(copy) == hash(D) == hash((D.n, D.vertical_left))
+
+
 def test_diagram_counts_against_binomials():
     for n in range(1, 6):
         assert len(enumerate_sym_tl(n)) == comb(2 * n, n)

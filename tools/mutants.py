@@ -240,10 +240,10 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "for r in range(1 - D.order % 2, len(horizontal) + 1, 2):",
            ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
     Mutant("row-transpose-shifts-a-matching", "src/pfaflab/pfaffinants.py",
-           "            row[k] = w\n", "            row[k - (k == 1)] = w\n",
+           "            rows[D][k] = w\n", "            rows[D][k - (k == 1)] = w\n",
            (T_PFAFFINANTS + "test_row_functionals_match_the_table_probe",)),
     Mutant("row-check-never-falls-back", "src/pfaflab/pfaffinants.py",
-           "    if _row_of(lhs) != _column_sum(map(row_of, diagrams)):\n", "    if False:\n",
+           "    if _row_of(lhs) != summed:\n", "    if False:\n",
            (T_PFAFFINANTS + "test_identities_agree_with_poly_oracle[True]",)),
     Mutant("tl-row-leaves-the-diagram-out-of-its-closure", "src/pfaflab/pfaffinants.py",
            "for Dp in removal_closure(D))", "for Dp in removal_closure(D) - {D})",
