@@ -13,10 +13,10 @@ class SkewArray:
 
     Only entries (i, j) with i < j are stored; entry(j, i) = -entry(i, j)
     and entry(i, i) = 0 by convention.  The entries never change after
-    construction, so the array keeps two memos for its whole lifetime:
+    construction, so the array keeps its memos for its whole lifetime:
     ``subpfaffians`` (sorted index tuple -> sub-pfaffian, filled by
-    ``pfaffian``) and ``monomials`` (matching -> monomial pfaffian, filled
-    by ``PfaffinantFunctional.evaluate``).
+    ``pfaffian``), ``monomials`` (matching -> monomial pfaffian, filled by
+    ``PfaffinantFunctional.evaluate``) and the verdict of ``is_generic``.
     """
 
     def __init__(self, size: int, entries: dict):
@@ -33,6 +33,7 @@ class SkewArray:
                 self.entries[(i, j)] = val
         self.subpfaffians = {(): Poly.const(1)}
         self.monomials = {}
+        self._generic = None
 
     @staticmethod
     def symbolic(size: int) -> "SkewArray":
@@ -46,6 +47,14 @@ class SkewArray:
         of a generic n x n matrix."""
         return SkewArray(2 * n, {(i, n + j): Poly.var(a(i, n + j))
                                  for i in range(1, n + 1) for j in range(1, n + 1)})
+
+    def is_generic(self) -> bool:
+        """Whether the entries are those of ``SkewArray.symbolic(size)``,
+        where distinct matchings give distinct monomial pfaffians; compared
+        entry by entry on the first call only."""
+        if self._generic is None:
+            self._generic = self.entries == SkewArray.symbolic(self.size).entries
+        return self._generic
 
     def upper(self, i: int, j: int) -> Poly:
         return self.entries.get((i, j), Poly.zero())

@@ -17,7 +17,9 @@ rows of the I-maximal ones, summed and compared with the row of
 That functional relabels one signed list per size, the matchings of
 [2r] with their crossing-parity signs, onto the sorted points of I and
 of Ibar and multiplies the two.  No polynomial is built unless the rows
-differ.
+differ.  ``certify_basis`` (thm-2.17) ranks the TL rows and the
+complementary rows themselves: evaluation on the generic array maps rows
+to polynomials one to one, so their ranks are the polynomials' ranks.
 
 A functional's ``coefficients`` (matching -> nonzero coefficient) and a
 cone element's ``tl_coeffs`` (even diagram -> nonzero Fraction) are plain
@@ -40,7 +42,7 @@ from .diagrams import (OddSubsetError, SymTLDiagram, check_points, compatible_di
                        enumerate_sym_tl_even, i_maximal_diagrams, maximal_among,
                        removal_closure, standard_partition)
 from .pfaffian import SkewArray, min_partition, monomial_pfaffian
-from .poly import Poly, UsageError, _num, express_in_span, matrix_rank, poly_sum
+from .poly import Poly, UsageError, _num, express_in_span, poly_sum, row_rank
 from .uncross import uncrossing_tables
 
 
@@ -224,15 +226,10 @@ def _relabelled(points: list) -> list:
             for pi, c in _signed_base(len(points) // 2)]
 
 
-@lru_cache(maxsize=None)
-def _symbolic_entries(size: int) -> dict:
-    return SkewArray.symbolic(size).entries
-
-
 def _require_symbolic(A: SkewArray) -> None:
     """Coefficients decide an identity only on the generic array, where
-    distinct matchings give distinct monomials."""
-    if A.entries != _symbolic_entries(A.size):
+    distinct matchings give distinct monomials; the array decides that once."""
+    if not A.is_generic():
         raise UsageError(f"the identity is checked on SkewArray.symbolic({A.size}) only")
 
 
@@ -298,18 +295,30 @@ def certify_basis(n: int, seed: int = 0) -> dict:
     """Ranks of the TL pfaffinants and of the distinct complementary pfaffians.
 
     pf_I * pf_Ibar = pf_Ibar * pf_I, so only the 2^(2n-2) even I that hold 1
-    are ranked, one of each complementary pair.  Both families are
-    functionals evaluated on one generic array, whose memo builds each
-    monomial pfaffian once.  The seed no longer selects the tables."""
-    A = SkewArray.symbolic(2 * n)
-    tl = [tl_functional(D).evaluate(A) for D in enumerate_sym_tl_even(n)]
-    comp = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n) if 1 in I]
+    are ranked, one of each complementary pair.  Both families are ranked
+    as coefficient rows over the matchings, ``_tl_row`` and the row of
+    ``complementary_functional``, and no polynomial is built.  Those ranks
+    are the ranks of the polynomials: on the generic array distinct
+    matchings give distinct monomials, so evaluation maps rows to
+    polynomials one to one and linearly.  ``row_rank`` places every TL row
+    by the triangular peel (the tests check this at n <= 5); for n >= 2
+    the complementary rows stall it, since I = [2n] holds every matching,
+    and are eliminated.  The seed is unused: the tables do not depend on
+    it."""
+    tl = [_row_terms(_tl_row(D)) for D in enumerate_sym_tl_even(n)]
+    comp = [_row_terms(_row_of(complementary_functional(n, I)))
+            for I in even_subsets(2 * n) if 1 in I]
     return {
         "n": n,
         "tl_count": len(tl),
-        "tl_rank": matrix_rank(tl),
-        "complementary_rank": matrix_rank(comp),
+        "tl_rank": row_rank(tl),
+        "complementary_rank": row_rank(comp),
     }
+
+
+def _row_terms(row: list) -> dict:
+    """A row's nonzero entries, keyed by column."""
+    return {k: c for k, c in enumerate(row) if c}
 
 
 # -- network positivity cone ---------------------------------------------------

@@ -18,9 +18,13 @@ rendering orders monomials.  ``Poly(dict)`` packs tuple-keyed dicts.
 A linear combination of polynomials is one n-ary ``poly_sum``, added up
 in one dict and normalised once; ``+`` and ``-`` are the binary forms.
 
-``matrix_rank`` and ``express_in_span`` share one sparse fraction-free
-(Bareiss) echelon engine, whose results do not depend on the key order;
-dense ``Fraction`` elimination survives only as the test oracle.
+``matrix_rank``, ``express_in_span`` and ``row_rank`` share one sparse
+fraction-free (Bareiss) echelon engine on term dicts: a Poly's ``terms``,
+keyed by monomial, or a coefficient row's nonzero entries, keyed by
+column.  Its results do not depend on the key order.  ``row_rank`` first
+tries a triangular peel, which proves full row rank in one pass over the
+entries, and eliminates only when the peel stalls.  Dense ``Fraction``
+elimination survives only as the test oracle.
 """
 
 from __future__ import annotations
@@ -363,19 +367,20 @@ def poly_prod(polys) -> Poly:
 # -- exact linear algebra over the rationals ---------------------------------
 
 
-def _echelon(polys, track: bool):
-    """Sparse fraction-free echelon form of ``polys``, reduced in order.
+def _echelon(rows, track: bool):
+    """Sparse fraction-free echelon form of the term dicts ``rows`` (key ->
+    nonzero int or Fraction), reduced in order.
 
-    A row is its poly, cleared of denominators, as a dict of ints.  While
-    its largest key has a pivot p, row <- (a*row - b*p) / gcd, with coprime
-    a, b that cancel that key; a row left nonzero pivots on its largest key.
-    With ``track``, ``comb`` follows the row: row == sum(comb[i] * polys[i]).
-    Returns the pivots and the [row, comb] of the last poly.
+    Each row is cleared of denominators into a new dict of ints.  While its
+    largest key has a pivot p, row <- (a*row - b*p) / gcd, with coprime a, b
+    that cancel that key; a row left nonzero pivots on its largest key.
+    With ``track``, ``comb`` follows the row: row == sum(comb[i] * rows[i]).
+    Returns the pivots and the [row, comb] of the last row.
     """
     pivots, parts = {}, None
-    for i, p in enumerate(polys):
-        den = lcm(1, *(c.denominator for c in p.terms.values() if c.__class__ is not int))
-        row = {m: int(c * den) for m, c in p.terms.items()}
+    for i, terms in enumerate(rows):
+        den = lcm(1, *(c.denominator for c in terms.values() if c.__class__ is not int))
+        row = {m: int(c * den) for m, c in terms.items()}
         parts = [row, {i: den}] if track else [row]
         while row:
             key = max(row)
@@ -402,15 +407,46 @@ def _echelon(polys, track: bool):
     return pivots, parts
 
 
+def _peel(rows) -> int:
+    """How many of the term dicts ``rows`` a triangular peel places.
+
+    A column held by exactly one row not yet placed places that row, which
+    then leaves every column it holds.  Each placed row is nonzero in its
+    own column and every row placed after it is zero there, so the placed
+    rows and their columns form a triangular submatrix with a nonzero
+    diagonal: when every row is placed, the rows have full rank.  A zero
+    row, or a row in the span of the others, is never placed.  Each entry
+    is visited at most twice.
+    """
+    holders: dict = {}  # column -> the rows not yet placed that hold it
+    for i, row in enumerate(rows):
+        for col in row:
+            holders.setdefault(col, set()).add(i)
+    ready = list(holders)
+    placed = 0
+    while ready:
+        held = holders[ready.pop()]
+        if len(held) != 1:
+            continue
+        i = held.pop()
+        placed += 1
+        for col in rows[i]:
+            others = holders[col]
+            others.discard(i)
+            if len(others) == 1:
+                ready.append(col)
+    return placed
+
+
 def express_in_span(target: Poly, generators) -> list | None:
     """Exact coefficients c with sum(c[i]*generators[i]) == target, else None.
 
     A generator in the span of the ones before it gets coefficient 0, so c
     is unique; ``None`` certifies that no rational solution exists.
     """
-    generators = list(generators)
-    ng = len(generators)
-    _, (row, comb) = _echelon(generators + [target], track=True)
+    rows = [g.terms for g in generators]
+    ng = len(rows)
+    _, (row, comb) = _echelon(rows + [target.terms], track=True)
     if row:
         return None
     # 0 == comb[ng]*target + sum(comb[i]*generators[i])
@@ -419,4 +455,14 @@ def express_in_span(target: Poly, generators) -> list | None:
 
 def matrix_rank(rows) -> int:
     """Rank over the rationals of the coefficient matrix (monomials as columns)."""
+    return len(_echelon([p.terms for p in rows], track=False)[0])
+
+
+def row_rank(rows) -> int:
+    """Rank over the rationals of the term dicts ``rows`` (column -> nonzero
+    int or Fraction): their number when the triangular peel places every
+    one, else the echelon's pivot count."""
+    rows = list(rows)
+    if _peel(rows) == len(rows):
+        return len(rows)
     return len(_echelon(rows, track=False)[0])

@@ -7,7 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pfaflab.poly import Poly, _unpack, a, express_in_span, matrix_rank, x  # noqa: E402
+from pfaflab.poly import Poly, _unpack, a, express_in_span, matrix_rank, row_rank, x  # noqa: E402
 
 # -- the dense oracle: Fraction Gaussian elimination over the monomial support
 
@@ -130,6 +130,7 @@ def test_engine_matches_dense_oracle(system):
     gens, target = system
     assert matrix_rank(gens) == dense_matrix_rank(gens)
     assert matrix_rank(gens + [target]) == dense_matrix_rank(gens + [target])
+    assert row_rank(p.terms for p in gens + [target]) == dense_matrix_rank(gens + [target])
     got = express_in_span(target, gens)
     assert got == dense_express_in_span(target, gens)
     if got is not None:

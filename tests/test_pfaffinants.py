@@ -93,6 +93,58 @@ def test_certify_basis():
             matrix_rank([complementary_pfaffian(A, I) for I in even_subsets(2 * n)])
 
 
+def _tl_rows(n):
+    from pfaflab.pfaffinants import _row_terms, _tl_row
+
+    return [_row_terms(_tl_row(D)) for D in enumerate_sym_tl_even(n)]
+
+
+def _complementary_rows(n):
+    from pfaflab.pfaffinants import _row_of, _row_terms, complementary_functional
+
+    return [_row_terms(_row_of(complementary_functional(n, I)))
+            for I in even_subsets(2 * n) if 1 in I]
+
+
+def test_row_ranks_match_the_poly_ranks():
+    from pfaflab.pfaffinants import complementary_functional, tl_functional
+    from pfaflab.poly import row_rank
+
+    for n in (1, 2, 3, 4):
+        A = SkewArray.symbolic(2 * n)
+        tl = [tl_functional(D).evaluate(A) for D in enumerate_sym_tl_even(n)]
+        comp = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n) if 1 in I]
+        assert row_rank(_tl_rows(n)) == matrix_rank(tl), n
+        assert row_rank(_complementary_rows(n)) == matrix_rank(comp), n
+
+
+def test_peel_places_every_tl_row():
+    from pfaflab.poly import _echelon, _peel, row_rank
+
+    for n in (1, 2, 3, 4, 5):
+        rows = _tl_rows(n)
+        assert _peel(rows) == len(rows), n
+        assert row_rank(rows) == len(_echelon(rows, track=False)[0]) == len(rows), n
+
+
+def test_stalled_peel_falls_back_to_the_echelon():
+    from pfaflab.poly import _echelon, _peel, row_rank
+
+    tl = _tl_rows(3)
+    stalls = {
+        "complementary rows": _complementary_rows(3),
+        "duplicated TL row": tl + [tl[4]],
+        "zero row": tl + [{}],
+        "duplicated row": [{0: 1, 1: 2}, {0: 1, 1: 2}],
+    }
+    assert _peel(stalls["complementary rows"]) == 0
+    for what, rows in stalls.items():
+        assert _peel(rows) < len(rows), what
+        assert row_rank(rows) == len(_echelon(rows, track=False)[0]) < len(rows), what
+    assert row_rank(_complementary_rows(3)) == 10
+    assert row_rank([]) == 0
+
+
 def test_complementary_functional_matches_complementary_pfaffian():
     from pfaflab.pfaffinants import complementary_functional
 
@@ -310,6 +362,19 @@ def test_identities_need_the_generic_array():
         for check in (verify_diagram_decomposition, verify_tl_decomposition):
             with pytest.raises(UsageError, match="SkewArray.symbolic"):
                 check(bad, frozenset({1, 2}))
+
+
+def test_generic_verdict_is_kept_per_array():
+    from pfaflab.pfaffinants import _require_symbolic
+
+    A = SkewArray.symbolic(4)
+    scaled = SkewArray(4, {ij: (2 if ij == (1, 3) else 1) * v for ij, v in A.entries.items()})
+    for _ in range(2):
+        with pytest.raises(UsageError, match="SkewArray.symbolic"):
+            _require_symbolic(scaled)
+        _require_symbolic(A)
+    _require_symbolic(SkewArray.symbolic(4))
+    assert verify_tl_decomposition(SkewArray.symbolic(4), frozenset({1, 2}))["ok"]
 
 
 @pytest.mark.slow

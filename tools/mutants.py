@@ -1,7 +1,7 @@
 """Mutation checks: each mutant is one snippet change to the library that
 the tests it names must catch.
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py [--jobs N] [NAME ...]
 
 With no NAME every mutant runs.  The script works in copies of
 ``src/``, ``tests/`` and ``pyproject.toml`` in a fresh temporary
@@ -10,6 +10,9 @@ the named tests of the selected mutants on an unchanged copy, where they
 must pass.  Then, for each mutant, it replaces the snippet in a new copy
 and runs the mutant's tests there with ``python -m pytest -x``.  A mutant
 is killed when its tests fail.  The checkout itself is never changed.
+``--jobs N`` (a positive integer, default 1) runs up to min(N, number of
+mutants) mutants at once, each still in its own copy; the report keeps
+the table's order whatever order they finish in.
 
 Exit codes: 0 every mutant killed, 1 a mutant survived, 2 an error: a
 snippet that does not occur exactly once in its file, an unknown NAME,
@@ -27,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -207,18 +211,24 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            (T_PFAFFINANTS + "test_complementary_functional_matches_the_definition",
             T_PFAFFINANTS + "test_complementary_functional_matches_complementary_pfaffian")),
     Mutant("certify-basis-drops-a-complementary-pair", "src/pfaflab/pfaffinants.py",
-           "    comp = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n) if 1 in I]\n",
-           "    comp = [complementary_functional(n, I).evaluate(A) for I in even_subsets(2 * n)\n"
-           "            if 1 in I and len(I) < 2 * n]\n",
+           "    comp = [_row_terms(_row_of(complementary_functional(n, I)))\n"
+           "            for I in even_subsets(2 * n) if 1 in I]\n",
+           "    comp = [_row_terms(_row_of(complementary_functional(n, I)))\n"
+           "            for I in even_subsets(2 * n) if 1 in I and len(I) < 2 * n]\n",
            (T_PFAFFINANTS + "test_certify_basis",)),
     Mutant("identity-compares-supports-only", "src/pfaflab/pfaffinants.py",
            "    if lhs.coefficients != rhs.coefficients:\n",
            "    if lhs.coefficients.keys() != rhs.coefficients.keys():\n",
            ("tests/test_pfaffinants.py::test_identities_agree_with_poly_oracle[True]",)),
     Mutant("generic-array-check-disabled", "src/pfaflab/pfaffinants.py",
-           "    if A.entries != _symbolic_entries(A.size):\n",
+           "    if not A.is_generic():\n",
            "    if False:\n",
            ("tests/test_pfaffinants.py::test_identities_need_the_generic_array",)),
+    Mutant("generic-verdict-cached-as-true", "src/pfaflab/pfaffian.py",
+           "            self._generic = self.entries == SkewArray.symbolic(self.size).entries\n",
+           "            self._generic = True\n"
+           "            return self.entries == SkewArray.symbolic(self.size).entries\n",
+           (T_PFAFFINANTS + "test_generic_verdict_is_kept_per_array",)),
     Mutant("block-immanants-rebuilt-per-call", "src/pfaflab/immanants.py",
            "@lru_cache(maxsize=None)\ndef block_immanants(",
            "def block_immanants(",
@@ -356,9 +366,19 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "            g = gcd(*parts[0].values())\n",
            ("tests/test_linalg.py::test_engine_matches_dense_oracle",)),
     Mutant("echelon-denominators-not-cleared", POLY,
-           "        row = {m: int(c * den) for m, c in p.terms.items()}\n",
-           "        row = {m: int(c) for m, c in p.terms.items()}\n",
+           "        row = {m: int(c * den) for m, c in terms.items()}\n",
+           "        row = {m: int(c) for m, c in terms.items()}\n",
            ("tests/test_linalg.py::test_engine_matches_dense_oracle",)),
+    # -- thm-2.17 on coefficient rows: the triangular peel and its fallback
+    Mutant("peel-accepts-a-column-with-two-entries", POLY,
+           "        if len(held) != 1:\n",
+           "        if not held or len(held) > 2:\n",
+           (T_PFAFFINANTS + "test_stalled_peel_falls_back_to_the_echelon",)),
+    Mutant("row-rank-skips-the-fallback", POLY,
+           "    if _peel(rows) == len(rows):\n        return len(rows)\n"
+           "    return len(_echelon(rows, track=False)[0])\n",
+           "    return _peel(rows)\n",
+           (T_PFAFFINANTS + "test_stalled_peel_falls_back_to_the_echelon",)),
     Mutant("zero-option-read-as-default", "src/pfaflab/verify.py",
            "    value = default if opts.get(key) is None else int(opts[key])\n",
            "    value = int(opts.get(key) or default)\n",
@@ -397,7 +417,17 @@ def run_tests(copy: Path, tests) -> int:
         return -1
 
 
-def check(mutants, scratch: Path) -> int:
+def run_mutant(mutant: Mutant, scratch: Path) -> int:
+    """pytest's exit code on the mutant's tests in its own mutated copy."""
+    copy = scratch / mutant.name
+    make_copy(copy)
+    apply(mutant, copy)
+    code = run_tests(copy, mutant.tests)
+    shutil.rmtree(copy)
+    return code
+
+
+def check(mutants, scratch: Path, jobs: int = 1) -> int:
     for mutant in mutants:      # every snippet must match before anything runs
         found = (ROOT / mutant.path).read_text().count(mutant.old)
         if found != 1:
@@ -410,25 +440,34 @@ def check(mutants, scratch: Path) -> int:
     if code != 0:
         raise MutantError(f"the named tests do not pass unmutated (pytest exit {code})")
     survived = 0
-    for mutant in mutants:
-        copy = scratch / mutant.name
-        make_copy(copy)
-        apply(mutant, copy)
-        code = run_tests(copy, mutant.tests)
-        shutil.rmtree(copy)
-        if code == 0:
-            survived += 1
-            print(f"SURVIVED {mutant.name}", flush=True)
-        elif code == 1:
-            print(f"killed   {mutant.name}", flush=True)
-        else:
-            raise MutantError(f"{mutant.name}: pytest exit {code}, not a pass or a test failure")
+    pool = ThreadPoolExecutor(max_workers=min(jobs, len(mutants)))
+    try:
+        # map yields in table order, each result as soon as it and those before it are done
+        for mutant, code in zip(mutants, pool.map(lambda m: run_mutant(m, scratch), mutants)):
+            if code == 0:
+                survived += 1
+                print(f"SURVIVED {mutant.name}", flush=True)
+            elif code == 1:
+                print(f"killed   {mutant.name}", flush=True)
+            else:
+                raise MutantError(f"{mutant.name}: pytest exit {code}, not a pass or a test failure")
+    finally:
+        pool.shutdown(cancel_futures=True)
     print(f"{len(mutants) - survived} of {len(mutants)} mutants killed")
     return 1 if survived else 0
 
 
+def _positive(text: str) -> int:
+    """A positive integer option value."""
+    if not text.isdecimal() or not int(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--jobs", type=_positive, default=1, metavar="N",
+                        help="mutants run at once (default 1)")
     parser.add_argument("names", nargs="*", metavar="NAME",
                         help=f"mutants to run (default: all): {', '.join(m.name for m in MUTANTS)}")
     args = parser.parse_args(argv)
@@ -440,7 +479,7 @@ def main(argv=None) -> int:
     mutants = [by_name[n] for n in args.names] or list(MUTANTS)
     scratch = Path(tempfile.mkdtemp(prefix="mutants-"))
     try:
-        return check(mutants, scratch)
+        return check(mutants, scratch, args.jobs)
     except MutantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
