@@ -116,12 +116,6 @@ class SymTLDiagram:
             raise ValueError(f"bad vertical edge set {edges}")
         if not _valid_vertical_set(self.n, edges):
             raise ValueError(f"vertical edges {edges} do not give a valid symmetric diagram (n={self.n})")
-        # diagrams key every uncrossing table, so the hash the dataclass
-        # would compute per call is computed once, with the same value
-        object.__setattr__(self, "_hash", hash((self.n, self.vertical_left)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def order(self) -> int:

@@ -7,35 +7,37 @@ monomial, so two functionals evaluate to the same polynomial exactly when
 their coefficients agree.
 
 Each diagram D has a *row*: its weight in the uncrossing table of every
-matching, a list of ints in ``enumerate_matchings(n)`` order, from one
-transpose of ``uncrossing_tables(n)`` per n.  A TL row is the column sum
-of the rows over D's removal closure.  The diagram and TL functionals are
-read off these rows.  The decomposition identities (thm-2.6, thm-2.12)
-are column sums: the rows of the diagrams compatible with I, or the TL
-rows of the I-maximal ones, summed and compared with the row of
+matching, a list of ints in ``enumerate_matchings(n)`` order.  The rows
+are a list indexed by diagram rank, filled by one transpose of
+``uncross.rank_tables(n)`` per n; ``f_tables(n)`` is the one view of
+the tables keyed by diagrams.  A TL row is the column sum of the rows
+over D's removal closure.  The diagram and TL functionals are read off
+these rows, and a cone element's functional is a weighted sum of TL
+rows.  The decomposition identities (thm-2.6, thm-2.12) are column sums:
+the rows of the diagrams compatible with I, or the TL rows of the
+I-maximal ones, summed and compared with the row of
 ``complementary_functional(n, I)``, the functional of pf_I * pf_Ibar.
 That functional relabels one signed list per size, the matchings of
 [2r] with their crossing-parity signs, onto the sorted points of I and
 of Ibar and multiplies the two.  No polynomial is built unless the rows
-differ.  ``certify_basis`` (thm-2.17) ranks the TL rows and the
-complementary rows themselves: evaluation on the generic array maps rows
-to polynomials one to one, so their ranks are the polynomials' ranks.
+differ; then the summed row, read back as a functional, reports the
+first differing monomial.  ``certify_basis`` (thm-2.17) ranks the TL
+rows and the complementary rows themselves: evaluation on the generic
+array maps rows to polynomials one to one, so their ranks are the
+polynomials' ranks.
 
 A functional's ``coefficients`` (matching -> nonzero coefficient) and a
 cone element's ``tl_coeffs`` (even diagram -> nonzero Fraction) are plain
-dicts, ordered only where a witness is picked.  ``_summed_side`` sums
-functionals as dicts for cone elements; when an identity's rows differ,
-the summed row, read back as a functional, reports the first differing
-monomial.
+dicts, ordered only where a witness is picked.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .diagrams import (OddSubsetError, SymTLDiagram, check_points, compatible_diagrams,
                        crossing_number, diagram_order_key, enumerate_matchings, enumerate_sym_tl,
@@ -43,7 +45,7 @@ from .diagrams import (OddSubsetError, SymTLDiagram, check_points, compatible_di
                        removal_closure, standard_partition)
 from .pfaffian import SkewArray, min_partition, monomial_pfaffian
 from .poly import Poly, UsageError, _num, express_in_span, poly_sum, row_rank
-from .uncross import uncrossing_tables
+from .uncross import diagram_ranks, rank_tables
 
 
 class VerificationError(RuntimeError):
@@ -85,47 +87,39 @@ class PfaffinantFunctional:
         return poly_sum((c, memo[pi]) for pi, c in self.coefficients.items())
 
 
-def f_tables(n: int, seed: int = 0) -> dict:
-    """The uncrossing table of every matching of [2n], by the conjugation
-    recursion of ``uncross.uncrossing_tables``, built once per n in a
-    process; every caller shares the returned dicts and must not change them.
-
-    The tables do not depend on the embedding (thm-2.4), so the seed no
-    longer selects them: every seed gets the one set of tables for n."""
-    return uncrossing_tables(n)
-
-
-def diagram_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
-    """The functional of D's uncrossing weights; the seed no longer selects
-    the tables."""
-    return _diagram_functional(D)
+@lru_cache(maxsize=None)
+def f_tables(n: int) -> dict:
+    """The uncrossing table of every matching of [2n], diagram -> weight:
+    ``uncross.rank_tables(n)`` with each rank read back as its diagram,
+    built once per n in a process; every caller shares the returned dicts
+    and must not change them."""
+    diagrams = enumerate_sym_tl(n)
+    return {pi: {diagrams[r]: w for r, w in table.items()}
+            for pi, table in zip(enumerate_matchings(n), rank_tables(n))}
 
 
 @lru_cache(maxsize=None)
-def _diagram_functional(D: SymTLDiagram) -> PfaffinantFunctional:
-    # memoised per diagram behind a wrapper, which takes the seed that no
-    # longer selects the tables
+def diagram_functional(D: SymTLDiagram) -> PfaffinantFunctional:
+    """The functional of D's uncrossing weights, memoised per diagram."""
     return _functional_of_row(D.n, _diagram_row(D))
 
 
 def _diagram_row(D: SymTLDiagram) -> list:
-    return _diagram_rows(D.n)[D]
+    return _diagram_rows(D.n)[diagram_ranks(D.n)[D.vertical_left]]
 
 
 @lru_cache(maxsize=None)
-def _diagram_rows(n: int) -> dict:
-    """Diagram -> row: its weight in the uncrossing table of each matching
-    of [2n], a list of ints in ``enumerate_matchings(n)`` order.  One
-    transpose of ``uncrossing_tables(n)``; the rows are shared, do not
+def _diagram_rows(n: int) -> list:
+    """Diagram rank -> row: its weight in the uncrossing table of each
+    matching of [2n], a list of ints in ``enumerate_matchings(n)`` order.
+    One transpose of ``rank_tables(n)``; the rows are shared, do not
     change them."""
-    matchings = enumerate_matchings(n)
-    tables = uncrossing_tables(n)
-    # first keyed by the tables' own diagram objects, returned in enumeration order
-    rows = defaultdict(lambda: [0] * len(matchings))
-    for k, pi in enumerate(matchings):
-        for D, w in tables[pi].items():
-            rows[D][k] = w
-    return {D: rows[D] for D in enumerate_sym_tl(n)}
+    tables = rank_tables(n)
+    rows = [[0] * len(tables) for _ in range(comb(2 * n, n))]
+    for k, table in enumerate(tables):
+        for r, w in table.items():
+            rows[r][k] = w
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +127,7 @@ def _tl_row(D: SymTLDiagram) -> list:
     """The column sum of the diagram rows over D's removal closure."""
     if not D.is_even:
         raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
-    rows = _diagram_rows(D.n)
-    return _column_sum(rows[Dp] for Dp in removal_closure(D))
+    return _column_sum(map(_diagram_row, removal_closure(D)))
 
 
 def _column_sum(rows) -> list:
@@ -160,38 +153,21 @@ def _functional_of_row(n: int, row: list) -> PfaffinantFunctional:
     return PfaffinantFunctional(n, {pi: c for pi, c in zip(enumerate_matchings(n), row) if c})
 
 
-def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
-    """Uncrossing-weighted sum over matchings for a single diagram; the
-    seed no longer selects the tables."""
+def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
+    """Uncrossing-weighted sum over matchings for a single diagram."""
     return diagram_functional(D).evaluate(A)
 
 
-def tl_functional(D: SymTLDiagram, seed: int = 0) -> PfaffinantFunctional:
-    """The sum of the diagram functionals over D's removal closure; the
-    seed no longer selects the tables."""
-    return _tl_functional(D)
-
-
 @lru_cache(maxsize=None)
-def _tl_functional(D: SymTLDiagram) -> PfaffinantFunctional:
-    # memoised per diagram behind a wrapper, as _diagram_functional is
+def tl_functional(D: SymTLDiagram) -> PfaffinantFunctional:
+    """The sum of the diagram functionals over D's removal closure,
+    memoised per diagram."""
     return _functional_of_row(D.n, _tl_row(D))
 
 
-def tl_pfaffinant(D: SymTLDiagram, A: SkewArray, seed: int = 0) -> Poly:
-    """Sum of diagram pfaffinants over the odd-edge removal closure of D;
-    the seed no longer selects the tables."""
+def tl_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
+    """Sum of diagram pfaffinants over the odd-edge removal closure of D."""
     return tl_functional(D).evaluate(A)
-
-
-def _summed_side(n: int, functionals) -> PfaffinantFunctional:
-    """The sum of ``functionals``, matching by matching: evaluating it
-    builds each monomial pfaffian of a sum of pfaffinants once."""
-    coeffs: dict = {}
-    for f in functionals:
-        for pi, c in f.coefficients.items():
-            coeffs[pi] = coeffs.get(pi, 0) + c
-    return PfaffinantFunctional.from_dict(n, coeffs)
 
 
 def complementary_functional(n: int, I) -> PfaffinantFunctional:
@@ -256,14 +232,16 @@ def _check_decomposition(A: SkewArray, I, diagrams_of, row_of, what: str) -> Non
 
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible
-    diagrams; the seed no longer selects the tables."""
+    diagrams.  The seed selects nothing; it stays because perfbench passes
+    it positionally."""
     _check_decomposition(A, I, compatible_diagrams, _diagram_row, "diagram decomposition")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
 def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal
-    diagrams; the seed no longer selects the tables."""
+    diagrams.  The seed selects nothing; it stays because perfbench passes
+    it positionally."""
     _check_decomposition(A, I, i_maximal_diagrams, _tl_row, "TL decomposition")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
@@ -303,8 +281,8 @@ def certify_basis(n: int, seed: int = 0) -> dict:
     polynomials one to one and linearly.  ``row_rank`` places every TL row
     by the triangular peel (the tests check this at n <= 5); for n >= 2
     the complementary rows stall it, since I = [2n] holds every matching,
-    and are eliminated.  The seed is unused: the tables do not depend on
-    it."""
+    and are eliminated.  The seed selects nothing; it stays because
+    perfbench passes it positionally."""
     tl = [_row_terms(_tl_row(D)) for D in enumerate_sym_tl_even(n)]
     comp = [_row_terms(_row_of(complementary_functional(n, I)))
             for I in even_subsets(2 * n) if 1 in I]
@@ -347,11 +325,9 @@ class ConeElement:
         return out
 
     def functional(self) -> PfaffinantFunctional:
-        """The combination of TL functionals, as one summed functional."""
-        scaled = (PfaffinantFunctional(self.n, {pi: c * t for pi, t in
-                                                tl_functional(D).coefficients.items()})
-                  for D, c in self.tl_coeffs.items())
-        return _summed_side(self.n, scaled)
+        """The combination of TL functionals: the weighted sum of their rows."""
+        summed = _column_sum([c * t for t in _tl_row(D)] for D, c in self.tl_coeffs.items())
+        return PfaffinantFunctional.from_dict(self.n, dict(zip(enumerate_matchings(self.n), summed)))
 
     def restrict(self, keep) -> "ConeElement":
         keep = set(keep)

@@ -47,12 +47,15 @@ matching in ``f_coefficient``, which ``thm-2.4`` compares across seeds;
 the tests trace the 2^k uncrossings of k classes one by one as its oracle.
 
 The tables f of all matchings of [2n] that the pfaffinants sum come
-instead from one memoised recursion, ``uncrossing_tables``: conjugating
-a matching by s_i removes one mirror pair of crossings at the boundary,
-and resolving that pair maps the table of the smaller matching to the
-larger one (see ``uncrossing_table``).  Each step costs one pass over a
-table of at most C(2n, n) diagrams, with the cup-cap V_i(D) memoised per
-(D, i); the 10,395 tables at n = 6 hold 7,474,720 entries.  Its
+instead from one memoised recursion on integer ranks, ``rank_tables``: a
+diagram's rank is its index in ``enumerate_sym_tl(n)`` and a table is a
+dict from rank to weight.  Conjugating a matching by s_i removes one
+mirror pair of crossings at the boundary, and resolving that pair maps
+the table of the smaller matching to the larger one (see
+``uncrossing_table``).  V_i, the cup-cap at (i, i+1), is one tuple per
+(n, i) mapping rank to (rank, loops), built once from the rule on left
+edge sets, so each step is one pass over a table of at most C(2n, n)
+ints; the 10,395 tables at n = 6 hold 7,474,720 entries.  Its
 correctness rests on the tables not depending on the embedding (thm-2.4),
 and the tests compare it with the fold.
 """
@@ -66,7 +69,8 @@ from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
-from .diagrams import SymTLDiagram, TLDiagram, enumerate_matchings, interleave, sym_diagram
+from .diagrams import (SymTLDiagram, TLDiagram, enumerate_matchings, enumerate_sym_tl, interleave,
+                       sym_diagram)
 from .poly import CapacityError
 
 DEFAULT_STATE_BOUND = 2500    # fold states; n = 5 needs at most 252
@@ -480,44 +484,52 @@ def f_coefficient(pi, n: int, seed: int = 0) -> dict:
     return _accumulate(embed_nu_pi(pi, n, seed))
 
 
-# -- every table of [2n] by conjugation ------------------------------------------
+# -- every table of [2n] by conjugation, on ranks ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def diagram_ranks(n: int) -> dict:
+    """Left edge set -> rank, the diagram's index in ``enumerate_sym_tl(n)``."""
+    return {D.vertical_left: r for r, D in enumerate(enumerate_sym_tl(n))}
 
 
 def _base_table(n: int) -> dict:
-    """f of (1,2)(3,4)...(2n-1,2n): its n unpaired crossings are disjoint, so
-    each resolves alone, horizontally (+1) or to the left edge (2k-1, 2k) (-1)."""
+    """f of (1,2)(3,4)...(2n-1,2n) by rank: its n unpaired crossings are
+    disjoint, so each resolves alone, horizontally (+1) or to the left edge
+    (2k-1, 2k) (-1)."""
     pairs = [(2 * k - 1, 2 * k) for k in range(1, n + 1)]
-    return {_diagram(n, frozenset(S)): (-1) ** r
-            for r in range(n + 1) for S in combinations(pairs, r)}
+    rank = diagram_ranks(n)
+    return {rank[frozenset(S)]: (-1) ** r for r in range(n + 1) for S in combinations(pairs, r)}
 
 
-@lru_cache(maxsize=None)
-def _diagram(n: int, edges: frozenset) -> SymTLDiagram:
-    """One shared diagram per left edge set, so that the tables' dict
-    lookups find their keys by identity."""
-    return SymTLDiagram(n, edges)
-
-
-@lru_cache(maxsize=None)
-def _cup_cap(D: SymTLDiagram, i: int) -> tuple:
-    """(V_i(D), loops): D with the symmetric cup-cap at (i, i+1) on both
-    sides, and the mirror orbits of loops it closes.  A loop closes when D
-    has the left edge (i, i+1) (a mirror pair) or when i and i+1 are both
-    horizontal (one loop through its own mirror)."""
+def _cup_cap(edges: frozenset, i: int) -> tuple:
+    """(V_i(D), loops) on left edge sets: D with the symmetric cup-cap at
+    (i, i+1) on both sides, and the mirror orbits of loops it closes.  A
+    loop closes when D has the left edge (i, i+1) (a mirror pair) or when
+    i and i+1 are both horizontal (one loop through its own mirror)."""
     mate = {}
-    for a, b in D.vertical_left:
+    for a, b in edges:
         mate[a], mate[b] = b, a
     a, b = mate.get(i), mate.get(i + 1)
     if a == i + 1:
-        return D, 1
-    edges = {e for e in D.vertical_left if i not in e and i + 1 not in e}
-    edges.add((i, i + 1))
+        return edges, 1
+    kept = {e for e in edges if i not in e and i + 1 not in e}
+    kept.add((i, i + 1))
     if a is None and b is None:
-        return _diagram(D.n, frozenset(edges)), 1
+        return frozenset(kept), 1
     if a is not None and b is not None:
-        edges.add((min(a, b), max(a, b)))
+        kept.add((min(a, b), max(a, b)))
     # with one mate, that point's strand now runs across to its mirror
-    return _diagram(D.n, frozenset(edges)), 0
+    return frozenset(kept), 0
+
+
+@lru_cache(maxsize=None)
+def cup_cap_ranks(n: int) -> dict:
+    """i -> V_i on ranks, for i = 1..2n-1: the tuple whose entry at D's
+    rank is (rank of V_i(D), loops), from ``_cup_cap`` once per (n, i)."""
+    rank = diagram_ranks(n)
+    return {i: tuple((rank[V], loops) for V, loops in (_cup_cap(E, i) for E in rank))
+            for i in range(1, 2 * n)}
 
 
 def _descent(pi: frozenset, n: int):
@@ -529,8 +541,8 @@ def _descent(pi: frozenset, n: int):
 
 
 def uncrossing_table(pi, n: int, memo: dict) -> dict:
-    """f(pi), the total uncrossing weight per diagram, memoised in ``memo``
-    by matching; the tables are shared, do not change them.
+    """f(pi), the total uncrossing weight per diagram rank, memoised in
+    ``memo`` by matching; the tables are shared, do not change them.
 
     At the first i with pi(i) > pi(i+1) and pi(i) != i+1, nu_pi is
     nu_pi' (pi' = s_i pi s_i) with one more mirror pair of crossings at
@@ -551,24 +563,26 @@ def uncrossing_table(pi, n: int, memo: dict) -> dict:
         swap = {i: i + 1, i + 1: i}
         pi = frozenset(tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in pi)
     table = memo[pi]
+    caps = cup_cap_ranks(n)
     for pi, i in reversed(chain):
+        V = caps[i]
         nxt = {}
-        for D, w in table.items():
-            V, loops = _cup_cap(D, i)
-            nxt[V] = nxt.get(V, 0) + (w << loops)
-            nxt[D] = nxt.get(D, 0) - w
+        for r, w in table.items():
+            v, loops = V[r]
+            nxt[v] = nxt.get(v, 0) + (w << loops)
+            nxt[r] = nxt.get(r, 0) - w
         memo[pi] = table = nxt
     return table
 
 
 @lru_cache(maxsize=None)
-def uncrossing_tables(n: int) -> dict:
-    """The table of every matching of [2n], by ``uncrossing_table``, once
-    per process; every caller shares the returned dicts.  Their keys are
-    ``_diagram``'s one object per diagram, found by identity in any dict
-    that was first keyed from these tables."""
+def rank_tables(n: int) -> tuple:
+    """The table of every matching of [2n] by ``uncrossing_table``, once per
+    process: entry k is the table of the k-th matching of
+    ``enumerate_matchings(n)``, diagram rank -> weight.  Every caller
+    shares the returned dicts."""
     memo = {}
-    return {pi: uncrossing_table(pi, n, memo) for pi in enumerate_matchings(n)}
+    return tuple(uncrossing_table(pi, n, memo) for pi in enumerate_matchings(n))
 
 
 def g_coefficient(d: TLDiagram, n: int, seed: int = 0) -> dict:

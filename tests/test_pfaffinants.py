@@ -6,7 +6,8 @@ import pytest
 from pfaflab.diagrams import (OddSubsetError, crossing_number, enumerate_matchings,
                               enumerate_sym_tl, enumerate_sym_tl_even, sym_diagram)
 from pfaflab.pfaffian import SkewArray, complementary_pfaffian, monomial_pfaffian
-from pfaflab.pfaffinants import (ConeElement, VerificationError, _require_equal, boolean_cone_check,
+from pfaflab.pfaffinants import (ConeElement, PfaffinantFunctional, VerificationError,
+                                 _require_equal, boolean_cone_check,
                                  certify_basis, check_pfafprime_in_span, cone_membership,
                                  decomposition_cone_element, diagram_pfaffinant, even_subsets,
                                  maximal_diagrams, min_difference_element, tl_pfaffinant,
@@ -276,22 +277,32 @@ def fresh_functionals():
 
 
 def _corrupt_one_entry(monkeypatch, n):
-    """Make ``pfaffinants`` read the tables of [2n] with the weight of the
-    last even diagram in the last matching's table raised by one; the
+    """Make ``pfaffinants`` read the rank tables of [2n] with the weight of
+    the last even diagram in the last matching's table raised by one; the
     shared tables stay as they are."""
     from pfaflab import pfaffinants
-    from pfaflab.uncross import uncrossing_tables
+    from pfaflab.uncross import rank_tables
 
-    tables = dict(uncrossing_tables(n))
-    pi, D0 = enumerate_matchings(n)[-1], enumerate_sym_tl_even(n)[-1]
-    tables[pi] = {**tables[pi], D0: tables[pi].get(D0, 0) + 1}
-    monkeypatch.setattr(pfaffinants, "uncrossing_tables",
-                        lambda m: tables if m == n else uncrossing_tables(m))
+    tables = list(rank_tables(n))
+    r = enumerate_sym_tl(n).index(enumerate_sym_tl_even(n)[-1])
+    tables[-1] = {**tables[-1], r: tables[-1].get(r, 0) + 1}
+    monkeypatch.setattr(pfaffinants, "rank_tables",
+                        lambda m: tuple(tables) if m == n else rank_tables(m))
+
+
+def _summed_side(n, functionals):
+    """The sum of ``functionals``, matching by matching, as dicts: the oracle
+    of the row sums."""
+    coeffs = {}
+    for f in functionals:
+        for pi, c in f.coefficients.items():
+            coeffs[pi] = coeffs.get(pi, 0) + c
+    return PfaffinantFunctional.from_dict(n, coeffs)
 
 
 def _dict_path(n, I, functionals, what):
     """The identity as the coefficient dicts of the summed side decide it."""
-    from pfaflab.pfaffinants import _require_same, _summed_side, complementary_functional
+    from pfaflab.pfaffinants import _require_same, complementary_functional
 
     return _message(_require_same, complementary_functional(n, I), _summed_side(n, functionals),
                     SkewArray.symbolic(2 * n), f"{what} at I={sorted(I)}")
@@ -326,28 +337,27 @@ def test_identities_agree_with_poly_oracle(monkeypatch, fresh_functionals, corru
 
 def test_row_sums_match_the_summed_side():
     from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
-    from pfaflab.pfaffinants import (_column_sum, _diagram_rows, _row_of, _summed_side, _tl_row,
+    from pfaflab.pfaffinants import (_column_sum, _diagram_rows, _row_of, _tl_row,
                                      complementary_functional, diagram_functional, tl_functional)
 
     # at every I both identities hold, by the rows and by the dicts alike
     for n in (1, 2, 3, 4):
-        rows = _diagram_rows(n)
+        rows, diagrams = _diagram_rows(n), enumerate_sym_tl(n)
         for I in even_subsets(2 * n):
             want = _row_of(complementary_functional(n, I))
             comp, maximal = compatible_diagrams(I, n), i_maximal_diagrams(I, n)
-            assert _column_sum(rows[D] for D in comp) == want
+            assert _column_sum(rows[diagrams.index(D)] for D in comp) == want
             assert _row_of(_summed_side(n, map(diagram_functional, comp))) == want
             assert _column_sum(map(_tl_row, maximal)) == want
             assert _row_of(_summed_side(n, map(tl_functional, maximal))) == want
 
 
 def test_row_functionals_match_the_table_probe():
-    from pfaflab.pfaffinants import PfaffinantFunctional, diagram_functional
-    from pfaflab.uncross import uncrossing_tables
+    from pfaflab.pfaffinants import diagram_functional, f_tables
 
     # oracle: each diagram's weight probed in every table, in matching order
     for n in (1, 2, 3, 4, 5):
-        tables = uncrossing_tables(n)
+        tables = f_tables(n)
         for D in enumerate_sym_tl(n):
             want = PfaffinantFunctional.from_dict(n, {pi: t.get(D, 0) for pi, t in tables.items()})
             assert list(diagram_functional(D).coefficients.items()) == \
@@ -469,16 +479,18 @@ def test_span_probe_n2():
 def test_f_tables_memo():
     from pfaflab.diagrams import enumerate_matchings
     from pfaflab.pfaffinants import f_tables
-    from pfaflab.uncross import f_coefficient, uncrossing_tables
+    from pfaflab.uncross import f_coefficient, rank_tables
 
-    tables = f_tables(2, 0)
+    tables = f_tables(2)
     assert set(tables) == set(enumerate_matchings(2))
     assert all(tables[pi] == f_coefficient(pi, 2, 0) for pi in tables)
-    # one set of tables per n, whatever the seed
-    assert f_tables(2, 0) is tables and f_tables(2, 1) is tables
-    uncrossing_tables.cache_clear()
-    again = f_tables(2, 0)
-    assert again is not tables and again == tables
+    # one view of one set of rank tables per n
+    assert f_tables(2) is tables
+    ranks = rank_tables(2)
+    f_tables.cache_clear()
+    rank_tables.cache_clear()
+    again = f_tables(2)
+    assert again is not tables and again == tables and rank_tables(2) is not ranks
 
 
 def _evaluate_oracle(f, A):
@@ -588,7 +600,7 @@ def test_cone_element_functional_is_the_tl_combination():
 
 def test_summed_side_matches_per_diagram_sum():
     from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
-    from pfaflab.pfaffinants import _summed_side, diagram_functional, tl_functional
+    from pfaflab.pfaffinants import diagram_functional, tl_functional
 
     for n in (1, 2, 3):
         A = SkewArray.symbolic(2 * n)
@@ -620,23 +632,24 @@ def test_tl_functional_matches_closure_sum_over_tables():
 
 def test_functional_memo_keys_are_canonical():
     from pfaflab import verify
-    from pfaflab.pfaffinants import (_diagram_functional, _tl_functional, _tl_row,
-                                     diagram_functional, tl_functional)
+    from pfaflab.pfaffinants import _tl_row, diagram_functional, tl_functional
 
-    _diagram_functional.cache_clear()
-    _tl_functional.cache_clear()
+    diagram_functional.cache_clear()
+    tl_functional.cache_clear()
     diagrams, even = enumerate_sym_tl(2), enumerate_sym_tl_even(2)
     for D in diagrams:
-        assert diagram_functional(D) is diagram_functional(D, 0) is diagram_functional(D, seed=0)
+        # an equal diagram built anew finds the same entry
+        copy = sym_diagram(2, [(j, i) for i, j in D.vertical_left])
+        assert copy is not D and diagram_functional(D) is diagram_functional(copy)
     for D in even:
-        assert tl_functional(D) is tl_functional(D, 0) is tl_functional(D, seed=0)
-    assert _diagram_functional.cache_info().currsize == len(diagrams)
-    assert _tl_functional.cache_info().currsize == len(even)
+        assert tl_functional(D) is tl_functional(sym_diagram(2, D.vertical_left))
+    assert diagram_functional.cache_info().currsize == len(diagrams)
+    assert tl_functional.cache_info().currsize == len(even)
     # thm-2.12 sums the TL rows, thm-5.4 reads the functionals built on
     # them: one entry per diagram in each memo
-    _tl_functional.cache_clear()
+    tl_functional.cache_clear()
     _tl_row.cache_clear()
     verify.run("thm-2.12", {"n": 2})
     verify.run("thm-5.4", {"bound": 2})
     assert _tl_row.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
-    assert _tl_functional.cache_info().currsize == len(even)
+    assert tl_functional.cache_info().currsize == len(even)

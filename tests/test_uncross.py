@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfaflab import uncross
-from pfaflab.diagrams import enumerate_matchings, enumerate_tl, matching, sym_diagram, tl_diagram
+from pfaflab.diagrams import (enumerate_matchings, enumerate_sym_tl, enumerate_tl, matching,
+                              sym_diagram, tl_diagram)
 from pfaflab.networks import _find, _union
 from pfaflab.pfaffinants import f_tables
 from pfaflab.uncross import (CapacityError, ChordMap, embed_nu_d, embed_nu_pi, f_coefficient,
@@ -390,8 +391,10 @@ TABLE_DIGESTS = {
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_table_digests(n, seed):
-    text = _render_tables(f_tables(n, seed))
-    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
+    # the library's tables and the fold's at the seed render alike (thm-2.4)
+    for tables in (f_tables(n), {pi: f_coefficient(pi, n, seed) for pi in enumerate_matchings(n)}):
+        text = _render_tables(tables)
+        assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -399,7 +402,7 @@ def test_reflection_identity(n):
     # f(rev pi)(rev D) = f(pi)(D) with rev(i) = 2n+1-i: observed, not
     # proven, so the library computes every table itself
     rev = lambda i: 2 * n + 1 - i
-    tables = f_tables(n, 0)
+    tables = f_tables(n)
     for pi, table in tables.items():
         rev_pi = frozenset(tuple(sorted((rev(i), rev(j)))) for i, j in pi)
         reflected = {sym_diagram(n, [(rev(j), rev(i)) for i, j in D.vertical_left]): w
@@ -414,7 +417,7 @@ def test_reflection_identity(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_recursion_matches_fold(n, seed):
     # dict equality: the same diagrams, zero weights included
-    assert f_tables(n, seed) == {pi: f_coefficient(pi, n, seed) for pi in enumerate_matchings(n)}
+    assert f_tables(n) == {pi: f_coefficient(pi, n, seed) for pi in enumerate_matchings(n)}
 
 
 # the fully nested matching has the most classes (25) at n = 5
@@ -454,9 +457,10 @@ N6_MATCHINGS = [
 
 @pytest.mark.parametrize("edges", N6_MATCHINGS, ids=lambda e: "".join(f"({i},{j})" for i, j in e))
 def test_recursion_matches_fold_n6(edges):
-    # each through the recursion from a fresh memo
+    # each through the recursion from a fresh memo, its ranks read back as diagrams
     pi = matching(edges)
-    table = uncross.uncrossing_table(pi, 6, {})
+    diagrams = enumerate_sym_tl(6)
+    table = {diagrams[r]: w for r, w in uncross.uncrossing_table(pi, 6, {}).items()}
     assert table == f_coefficient(pi, 6, 0)
     if edges == N6_MATCHINGS[1]:
         assert len(table) == 924
@@ -464,7 +468,8 @@ def test_recursion_matches_fold_n6(edges):
 
 def test_base_table_and_descents():
     # the base matching's n disjoint unpaired crossings resolve alone
-    table = {D.key(): w for D, w in uncross._base_table(2).items()}
+    diagrams = enumerate_sym_tl(2)
+    table = {diagrams[r].key(): w for r, w in uncross._base_table(2).items()}
     assert table == {"V[]": 1, "V[(1,2)]": -1, "V[(3,4)]": -1, "V[(1,2)(3,4)]": 1}
     # every other matching has a descent
     for n in (1, 2, 3, 4):
@@ -474,10 +479,58 @@ def test_base_table_and_descents():
             assert (i is None) == (pi == base), sorted(pi)
 
 
+def _cup_cap_oracle(D, i):
+    """(V_i(D), loops) by gluing: the caps (i, i+1) and (i', (i+1)') join
+    the strands of D's full position matching that end there, and new cups
+    take their place; loops are counted per mirror orbit."""
+    n4 = 4 * D.n
+    cap = {i: i + 1, i + 1: i, n4 + 1 - i: n4 - i, n4 - i: n4 + 1 - i}
+    mate = {}
+    for p, q in D.full_position_matching():
+        mate[p], mate[q] = q, p
+    edges, loops, seen = set(), [], set()
+    for start in [p for p in mate if p not in cap] + list(cap):
+        if start in seen:
+            continue
+        p, ring = start, []
+        while True:   # a strand from a free point, or around a loop
+            q = mate[p]
+            ring += (p, q)
+            if q not in cap or cap[q] == start:
+                break
+            p = cap[q]
+        seen.update(ring)
+        if q in cap:
+            loops.append(frozenset(ring))
+        else:
+            edges.add((min(start, q), max(start, q)))
+    self_mirror = sum(ring == frozenset(n4 + 1 - p for p in ring) for ring in loops)
+    left = [(p, q) for p, q in edges | {(i, i + 1)} if q <= 2 * D.n]
+    return sym_diagram(D.n, left), (len(loops) + self_mirror) // 2
+
+
 def test_cup_cap_loops():
-    V = lambda D, i: (lambda VD, loops: (VD.key(), loops))(*uncross._cup_cap(D, i))
+    diagrams = enumerate_sym_tl(2)
+    caps = uncross.cup_cap_ranks(2)
+    V = lambda D, i: (lambda r, loops: (diagrams[r].key(), loops))(*caps[i][diagrams.index(D)])
     assert V(D2(), 1) == ("V[(1,2)]", 1)             # both horizontal: one self-mirror loop
     assert V(D2((1, 2)), 1) == ("V[(1,2)]", 1)       # the edge itself: a mirror pair of loops
     assert V(D2((1, 2)), 2) == ("V[(2,3)]", 0)       # 1 now runs across
     assert V(D2((1, 2), (3, 4)), 2) == ("V[(1,4)(2,3)]", 0)
     assert V(D2((1, 4), (2, 3)), 1) == ("V[(1,2)(3,4)]", 0)
+    # the rank arrays against gluing on the full position matchings
+    for n in (1, 2, 3, 4):
+        diagrams, caps = enumerate_sym_tl(n), uncross.cup_cap_ranks(n)
+        assert sorted(caps) == list(range(1, 2 * n))
+        for i, V in caps.items():
+            assert len(V) == len(diagrams)
+            for D, (r, loops) in zip(diagrams, V):
+                assert (diagrams[r], loops) == _cup_cap_oracle(D, i), (D.key(), i)
+
+
+def test_cup_cap_is_idempotent_up_to_a_loop():
+    # V_i(V_i(D)) = V_i(D) with one loop: e_i^2 = delta e_i
+    for n in (1, 2, 3, 4, 5):
+        for V in uncross.cup_cap_ranks(n).values():
+            for r, (v, _) in enumerate(V):
+                assert V[v] == (v, 1), (n, r)

@@ -145,24 +145,28 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            (T_UNCROSS + "test_n1_f_table_consistent_with_decomposition",)),
     # -- the conjugation recursion for the tables of [2n]
     Mutant("recursion-horizontal-sign-flipped", UNCROSS,
-           "            nxt[D] = nxt.get(D, 0) - w\n",
-           "            nxt[D] = nxt.get(D, 0) + w\n",
+           "            nxt[r] = nxt.get(r, 0) - w\n",
+           "            nxt[r] = nxt.get(r, 0) + w\n",
            (T_UNCROSS + "test_recursion_matches_fold[3-0]",)),
     Mutant("recursion-without-loop-factor", UNCROSS,
-           "nxt[V] = nxt.get(V, 0) + (w << loops)",
-           "nxt[V] = nxt.get(V, 0) + w",
+           "nxt[v] = nxt.get(v, 0) + (w << loops)",
+           "nxt[v] = nxt.get(v, 0) + w",
            (T_UNCROSS + "test_recursion_matches_fold[3-0]",)),
     Mutant("cup-cap-no-loop-through-two-horizontals", UNCROSS,
-           "        return _diagram(D.n, frozenset(edges)), 1\n",
-           "        return _diagram(D.n, frozenset(edges)), 0\n",
+           "        return frozenset(kept), 1\n",
+           "        return frozenset(kept), 0\n",
            (T_UNCROSS + "test_recursion_matches_fold[3-0]", T_UNCROSS + "test_cup_cap_loops")),
     Mutant("cup-cap-no-loop-on-its-own-edge", UNCROSS,
-           "        return D, 1\n",
-           "        return D, 0\n",
+           "        return edges, 1\n",
+           "        return edges, 0\n",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]", T_UNCROSS + "test_cup_cap_loops")),
+    Mutant("cup-cap-rank-off-by-one", UNCROSS,
+           "tuple((rank[V], loops)",
+           "tuple(((rank[V] + 1) % len(rank), loops)",
            (T_UNCROSS + "test_recursion_matches_fold[3-0]", T_UNCROSS + "test_cup_cap_loops")),
     Mutant("unsigned-base-table", UNCROSS,
-           "    return {_diagram(n, frozenset(S)): (-1) ** r\n",
-           "    return {_diagram(n, frozenset(S)): 1\n",
+           "rank[frozenset(S)]: (-1) ** r",
+           "rank[frozenset(S)]: 1",
            (T_UNCROSS + "test_recursion_matches_fold[3-0]",
             T_UNCROSS + "test_base_table_and_descents")),
     # -- network planarity: the closed touch test on the shared kernel
@@ -233,12 +237,13 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "@lru_cache(maxsize=None)\ndef block_immanants(",
            "def block_immanants(",
            ("tests/test_immanants.py::test_verify_builds_the_block_tables_once_per_n",)),
-    Mutant("summed-side-drops-a-functional", "src/pfaflab/pfaffinants.py",
-           "    for f in functionals:\n        for pi, c in f.coefficients.items():\n",
-           "    for f in list(functionals)[1:]:\n        for pi, c in f.coefficients.items():\n",
-           ("tests/test_pfaffinants.py::test_summed_side_matches_per_diagram_sum",)),
+    Mutant("cone-row-sum-drops-a-tl-row", "src/pfaflab/pfaffinants.py",
+           "_tl_row(D)] for D, c in self.tl_coeffs.items())",
+           "_tl_row(D)] for D, c in list(self.tl_coeffs.items())[1:])",
+           (T_PFAFFINANTS + "test_cone_element_functional_is_the_tl_combination",)),
     Mutant("tl-functional-drops-a-closure-diagram", "src/pfaflab/pfaffinants.py",
-           "for Dp in removal_closure(D))", "for Dp in list(removal_closure(D))[1:])",
+           "map(_diagram_row, removal_closure(D))",
+           "map(_diagram_row, list(removal_closure(D))[1:])",
            ("tests/test_pfaffinants.py::test_tl_functional_matches_closure_sum_over_tables",)),
     # -- decomposition checks as column sums of per-n rows
     Mutant("compatible-index-drops-horizontal-subsets", "src/pfaflab/diagrams.py",
@@ -250,13 +255,13 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "for r in range(1 - D.order % 2, len(horizontal) + 1, 2):",
            ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
     Mutant("row-transpose-shifts-a-matching", "src/pfaflab/pfaffinants.py",
-           "            rows[D][k] = w\n", "            rows[D][k - (k == 1)] = w\n",
+           "            rows[r][k] = w\n", "            rows[r][k - (k == 1)] = w\n",
            (T_PFAFFINANTS + "test_row_functionals_match_the_table_probe",)),
     Mutant("row-check-never-falls-back", "src/pfaflab/pfaffinants.py",
            "    if _row_of(lhs) != summed:\n", "    if False:\n",
            (T_PFAFFINANTS + "test_identities_agree_with_poly_oracle[True]",)),
     Mutant("tl-row-leaves-the-diagram-out-of-its-closure", "src/pfaflab/pfaffinants.py",
-           "for Dp in removal_closure(D))", "for Dp in removal_closure(D) - {D})",
+           "map(_diagram_row, removal_closure(D))", "map(_diagram_row, removal_closure(D) - {D})",
            (T_PFAFFINANTS + "test_row_sums_match_the_summed_side",)),
     Mutant("i-maximal-counts-a-diagram-inside-itself", "src/pfaflab/diagrams.py",
            "removal_closure(D2) - {D2}", "removal_closure(D2)",
