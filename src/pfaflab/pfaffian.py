@@ -16,7 +16,8 @@ class SkewArray:
     construction, so the array keeps its memos for its whole lifetime:
     ``subpfaffians`` (sorted index tuple -> sub-pfaffian, filled by
     ``pfaffian``), ``monomials`` (matching -> monomial pfaffian, filled by
-    ``PfaffinantFunctional.evaluate``) and the verdict of ``is_generic``.
+    ``PfaffinantFunctional.evaluate`` at the matchings where a functional's
+    row is nonzero) and the verdict of ``is_generic``.
     """
 
     def __init__(self, size: int, entries: dict):

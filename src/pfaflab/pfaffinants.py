@@ -1,34 +1,28 @@
 """Diagram and TL pfaffinants, decomposition identities, and the positivity cone.
 
 A pfaffinant is a ``PfaffinantFunctional``: a coefficient per matching pi
-of [2n], evaluated on an array as the sum of c * pf_pi.  On the generic
-array ``SkewArray.symbolic(2n)`` every monomial pfaffian pf_pi is its own
-monomial, so two functionals evaluate to the same polynomial exactly when
-their coefficients agree.
+of [2n], evaluated on an array as the sum of c * pf_pi.  Its *row* holds
+the coefficients in ``enumerate_matchings(n)`` order; ``coefficients``
+is the dict view of the row (matching -> nonzero coefficient).  On the
+generic array ``SkewArray.symbolic(2n)`` every monomial pfaffian pf_pi
+is its own monomial, so two functionals evaluate to the same polynomial
+exactly when their rows agree.
 
-Each diagram D has a *row*: its weight in the uncrossing table of every
-matching, a list of ints in ``enumerate_matchings(n)`` order.  The rows
-are a list indexed by diagram rank, filled by one transpose of
-``uncross.rank_tables(n)`` per n; ``f_tables(n)`` is the one view of
-the tables keyed by diagrams.  A TL row is the column sum of the rows
-over D's removal closure.  The diagram and TL functionals are read off
-these rows, and a cone element's functional is a weighted sum of TL
-rows.  The decomposition identities (thm-2.6, thm-2.12) are column sums:
-the rows of the diagrams compatible with I, or the TL rows of the
-I-maximal ones, summed and compared with the row of
-``complementary_functional(n, I)``, the functional of pf_I * pf_Ibar.
-That functional relabels one signed list per size, the matchings of
-[2r] with their crossing-parity signs, onto the sorted points of I and
-of Ibar and multiplies the two.  No polynomial is built unless the rows
-differ; then the summed row, read back as a functional, reports the
-first differing monomial.  ``certify_basis`` (thm-2.17) ranks the TL
-rows and the complementary rows themselves: evaluation on the generic
-array maps rows to polynomials one to one, so their ranks are the
-polynomials' ranks.
-
-A functional's ``coefficients`` (matching -> nonzero coefficient) and a
-cone element's ``tl_coeffs`` (even diagram -> nonzero Fraction) are plain
-dicts, ordered only where a witness is picked.
+The row of a diagram D is its weight in the uncrossing table of every
+matching.  The rows of [2n] are one list indexed by diagram rank, one
+transpose of ``uncross.rank_tables(n)``, and ``diagram_functional(D)``
+shares D's row; ``f_tables(n)`` is the one view of the tables keyed by
+diagrams.  ``tl_functional(D)`` holds the column sum of the rows over
+D's removal closure, and a cone element's functional is a weighted sum
+of TL rows.  The decomposition identities (thm-2.6, thm-2.12) are column
+sums: the rows of the diagrams compatible with I, or the TL rows of the
+I-maximal ones, against the row of pf_I * pf_Ibar, which relabels one
+signed list per size (the matchings of [2r] with their crossing-parity
+signs) onto the sorted points of I and of Ibar and multiplies the two.
+Only when the rows differ are both sides evaluated, to report the first
+differing monomial.  ``certify_basis`` (thm-2.17) ranks the TL rows and
+the complementary rows themselves: evaluation on the generic array maps
+rows to polynomials one to one, so their ranks are the polynomials'.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .diagrams import (OddSubsetError, SymTLDiagram, check_points, compatible_diagrams,
                        crossing_number, diagram_order_key, enumerate_matchings, enumerate_sym_tl,
@@ -62,16 +55,28 @@ def _require_equal(lhs: Poly, rhs: Poly, what: str) -> None:
 
 @dataclass(frozen=True)
 class PfaffinantFunctional:
-    """A finitely supported coefficient function on matchings of [2n]."""
+    """A coefficient function on the matchings of [2n], held as its row."""
 
     n: int
-    coefficients: dict  # Matching -> nonzero int or Fraction
+    row: tuple  # int or Fraction per matching, in enumerate_matchings(n) order
+
+    @property
+    def coefficients(self) -> dict:
+        """Matching -> nonzero coefficient, in row order."""
+        return {pi: c for pi, c in zip(enumerate_matchings(self.n), self.row) if c}
 
     @staticmethod
     def from_dict(n, coeffs) -> "PfaffinantFunctional":
-        # _num keeps a rational coefficient exact, so a nonzero one stays nonzero
-        return PfaffinantFunctional(n, {frozenset(pi): c if c.__class__ is int else _num(c)
-                                        for pi, c in coeffs.items() if c})
+        """Keys are matchings of [2n] (or what ``frozenset`` takes to one); others are refused."""
+        columns = _matching_columns(n)
+        row = [0] * len(columns)
+        for pi, c in coeffs.items():
+            k = columns.get(frozenset(pi))
+            if k is None:
+                raise ValueError(f"{sorted(pi)} is not a matching of [{2 * n}]")
+            # _num keeps a rational coefficient exact, so a nonzero one stays nonzero
+            row[k] = c if c.__class__ is int else _num(c)
+        return PfaffinantFunctional(n, tuple(row))
 
     def evaluate(self, A: SkewArray) -> Poly:
         """The ``poly_sum`` of c * pf_pi(A) over the support.
@@ -81,10 +86,11 @@ class PfaffinantFunctional:
         if A.size != 2 * self.n:
             raise ValueError(f"array size {A.size} does not match n={self.n}")
         memo = A.monomials
-        for pi in self.coefficients:
+        coeffs = self.coefficients
+        for pi in coeffs:
             if pi not in memo:
                 memo[pi] = monomial_pfaffian(A, pi)
-        return poly_sum((c, memo[pi]) for pi, c in self.coefficients.items())
+        return poly_sum((c, memo[pi]) for pi, c in coeffs.items())
 
 
 @lru_cache(maxsize=None)
@@ -94,63 +100,33 @@ def f_tables(n: int) -> dict:
     built once per n in a process; every caller shares the returned dicts
     and must not change them."""
     diagrams = enumerate_sym_tl(n)
-    return {pi: {diagrams[r]: w for r, w in table.items()}
+    return {pi: {diagrams[r]: w for r, w in enumerate(table) if w is not None}
             for pi, table in zip(enumerate_matchings(n), rank_tables(n))}
-
-
-@lru_cache(maxsize=None)
-def diagram_functional(D: SymTLDiagram) -> PfaffinantFunctional:
-    """The functional of D's uncrossing weights, memoised per diagram."""
-    return _functional_of_row(D.n, _diagram_row(D))
-
-
-def _diagram_row(D: SymTLDiagram) -> list:
-    return _diagram_rows(D.n)[diagram_ranks(D.n)[D.vertical_left]]
 
 
 @lru_cache(maxsize=None)
 def _diagram_rows(n: int) -> list:
     """Diagram rank -> row: its weight in the uncrossing table of each
-    matching of [2n], a list of ints in ``enumerate_matchings(n)`` order.
-    One transpose of ``rank_tables(n)``; the rows are shared, do not
-    change them."""
-    tables = rank_tables(n)
-    rows = [[0] * len(tables) for _ in range(comb(2 * n, n))]
-    for k, table in enumerate(tables):
-        for r, w in table.items():
-            rows[r][k] = w
-    return rows
+    matching of [2n], in ``enumerate_matchings(n)`` order, 0 where the
+    table does not reach it.  One transpose of ``rank_tables(n)``."""
+    return [tuple([w or 0 for w in column]) for column in zip(*rank_tables(n))]
 
 
 @lru_cache(maxsize=None)
-def _tl_row(D: SymTLDiagram) -> list:
-    """The column sum of the diagram rows over D's removal closure."""
-    if not D.is_even:
-        raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
-    return _column_sum(map(_diagram_row, removal_closure(D)))
+def diagram_functional(D: SymTLDiagram) -> PfaffinantFunctional:
+    """The functional of D's uncrossing weights, memoised per diagram; its
+    row is D's entry of ``_diagram_rows``."""
+    return PfaffinantFunctional(D.n, _diagram_rows(D.n)[diagram_ranks(D.n)[D.vertical_left]])
 
 
-def _column_sum(rows) -> list:
-    return list(map(sum, zip(*rows)))
+def _column_sum(rows) -> tuple:
+    return tuple(map(sum, zip(*rows)))
 
 
 @lru_cache(maxsize=None)
 def _matching_columns(n: int) -> dict:
     """Matching of [2n] -> its position in a row."""
     return {pi: k for k, pi in enumerate(enumerate_matchings(n))}
-
-
-def _row_of(f: PfaffinantFunctional) -> list:
-    """The coefficients of f laid out as a row."""
-    columns = _matching_columns(f.n)
-    row = [0] * len(columns)
-    for pi, c in f.coefficients.items():
-        row[columns[pi]] = c
-    return row
-
-
-def _functional_of_row(n: int, row: list) -> PfaffinantFunctional:
-    return PfaffinantFunctional(n, {pi: c for pi, c in zip(enumerate_matchings(n), row) if c})
 
 
 def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
@@ -160,9 +136,12 @@ def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
 
 @lru_cache(maxsize=None)
 def tl_functional(D: SymTLDiagram) -> PfaffinantFunctional:
-    """The sum of the diagram functionals over D's removal closure,
-    memoised per diagram."""
-    return _functional_of_row(D.n, _tl_row(D))
+    """The sum of the diagram functionals over D's removal closure, the
+    column sum of their rows, memoised per diagram."""
+    if not D.is_even:
+        raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
+    return PfaffinantFunctional(D.n, _column_sum(diagram_functional(Dp).row
+                                                 for Dp in removal_closure(D)))
 
 
 def tl_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
@@ -171,7 +150,12 @@ def tl_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
 
 
 def complementary_functional(n: int, I) -> PfaffinantFunctional:
-    """pf_I * pf_Ibar as a functional on the matchings of [2n].
+    """pf_I * pf_Ibar as a functional on the matchings of [2n]."""
+    return PfaffinantFunctional(n, _complementary_row(n, I))
+
+
+def _complementary_row(n: int, I) -> tuple:
+    """The row of pf_I * pf_Ibar.
 
     Its terms are sgn(sigma) * sgn(tau) for the matching sigma(I) u tau(Ibar),
     where sigma runs over the matchings of [|I|] and tau over those of
@@ -185,7 +169,12 @@ def complementary_functional(n: int, I) -> PfaffinantFunctional:
     check_points(I, n)
     inside = _relabelled(sorted(I))
     outside = _relabelled([p for p in range(1, 2 * n + 1) if p not in I])
-    return PfaffinantFunctional(n, {s | t: c * d for s, c in inside for t, d in outside})
+    columns = _matching_columns(n)
+    row = [0] * len(columns)
+    for s, c in inside:
+        for t, d in outside:
+            row[columns[s | t]] = c * d
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -213,28 +202,29 @@ def _require_same(lhs: PfaffinantFunctional, rhs: PfaffinantFunctional, A: SkewA
                   what: str) -> None:
     """Compare two functionals matching by matching on the generic array A;
     a mismatch is reported as ``_require_equal`` reports their evaluations."""
-    if lhs.coefficients != rhs.coefficients:
+    if lhs.row != rhs.row:
         _require_equal(lhs.evaluate(A), rhs.evaluate(A), what)
 
 
-def _check_decomposition(A: SkewArray, I, diagrams_of, row_of, what: str) -> None:
+def _check_decomposition(A: SkewArray, I, diagrams_of, functional, what: str) -> None:
     """pf_I * pf_Ibar against the sum over ``diagrams_of(I, n)``: the column
-    sum of their rows against the complementary functional's row.  Only a
-    mismatch turns the summed row into a functional, which ``_require_same``
-    reports."""
+    sum of the rows of their memoised functionals against the complementary
+    row.  Only a mismatch wraps both rows as functionals, which
+    ``_require_same`` reports."""
     _require_symbolic(A)
     n = A.size // 2
-    lhs = complementary_functional(n, I)
-    summed = _column_sum(map(row_of, diagrams_of(I, n)))
-    if _row_of(lhs) != summed:
-        _require_same(lhs, _functional_of_row(n, summed), A, f"{what} at I={sorted(I)}")
+    want = _complementary_row(n, I)
+    summed = _column_sum(functional(D).row for D in diagrams_of(I, n))
+    if summed != want:
+        _require_same(PfaffinantFunctional(n, want), PfaffinantFunctional(n, summed), A,
+                      f"{what} at I={sorted(I)}")
 
 
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible
     diagrams.  The seed selects nothing; it stays because perfbench passes
     it positionally."""
-    _check_decomposition(A, I, compatible_diagrams, _diagram_row, "diagram decomposition")
+    _check_decomposition(A, I, compatible_diagrams, diagram_functional, "diagram decomposition")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
@@ -242,7 +232,7 @@ def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal
     diagrams.  The seed selects nothing; it stays because perfbench passes
     it positionally."""
-    _check_decomposition(A, I, i_maximal_diagrams, _tl_row, "TL decomposition")
+    _check_decomposition(A, I, i_maximal_diagrams, tl_functional, "TL decomposition")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
 
@@ -274,8 +264,8 @@ def certify_basis(n: int, seed: int = 0) -> dict:
 
     pf_I * pf_Ibar = pf_Ibar * pf_I, so only the 2^(2n-2) even I that hold 1
     are ranked, one of each complementary pair.  Both families are ranked
-    as coefficient rows over the matchings, ``_tl_row`` and the row of
-    ``complementary_functional``, and no polynomial is built.  Those ranks
+    as coefficient rows over the matchings, the rows of ``tl_functional``
+    and of pf_I * pf_Ibar, and no polynomial is built.  Those ranks
     are the ranks of the polynomials: on the generic array distinct
     matchings give distinct monomials, so evaluation maps rows to
     polynomials one to one and linearly.  ``row_rank`` places every TL row
@@ -283,9 +273,8 @@ def certify_basis(n: int, seed: int = 0) -> dict:
     the complementary rows stall it, since I = [2n] holds every matching,
     and are eliminated.  The seed selects nothing; it stays because
     perfbench passes it positionally."""
-    tl = [_row_terms(_tl_row(D)) for D in enumerate_sym_tl_even(n)]
-    comp = [_row_terms(_row_of(complementary_functional(n, I)))
-            for I in even_subsets(2 * n) if 1 in I]
+    tl = [_row_terms(tl_functional(D).row) for D in enumerate_sym_tl_even(n)]
+    comp = [_row_terms(_complementary_row(n, I)) for I in even_subsets(2 * n) if 1 in I]
     return {
         "n": n,
         "tl_count": len(tl),
@@ -294,7 +283,7 @@ def certify_basis(n: int, seed: int = 0) -> dict:
     }
 
 
-def _row_terms(row: list) -> dict:
+def _row_terms(row: tuple) -> dict:
     """A row's nonzero entries, keyed by column."""
     return {k: c for k, c in enumerate(row) if c}
 
@@ -311,9 +300,11 @@ class ConeElement:
 
     @staticmethod
     def from_dict(n: int, coeffs) -> "ConeElement":
-        odd = [D for D in coeffs if not D.is_even]
-        if odd:
-            raise ValueError(f"cone elements use even diagrams only, got {odd[0]}")
+        for D in coeffs:
+            if not D.is_even:
+                raise ValueError(f"cone elements use even diagrams only, got {D}")
+            if D.n != n:
+                raise ValueError(f"cone elements of n={n} take no diagram of n={D.n}, got {D}")
         return ConeElement(n, {D: Fraction(c) for D, c in coeffs.items() if c})
 
     def diagram_coeffs(self) -> dict:
@@ -326,7 +317,8 @@ class ConeElement:
 
     def functional(self) -> PfaffinantFunctional:
         """The combination of TL functionals: the weighted sum of their rows."""
-        summed = _column_sum([c * t for t in _tl_row(D)] for D, c in self.tl_coeffs.items())
+        summed = _column_sum([c * t for t in tl_functional(D).row]
+                             for D, c in self.tl_coeffs.items())
         return PfaffinantFunctional.from_dict(self.n, dict(zip(enumerate_matchings(self.n), summed)))
 
     def restrict(self, keep) -> "ConeElement":

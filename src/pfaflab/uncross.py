@@ -49,13 +49,14 @@ the tests trace the 2^k uncrossings of k classes one by one as its oracle.
 The tables f of all matchings of [2n] that the pfaffinants sum come
 instead from one memoised recursion on integer ranks, ``rank_tables``: a
 diagram's rank is its index in ``enumerate_sym_tl(n)`` and a table is a
-dict from rank to weight.  Conjugating a matching by s_i removes one
+tuple of weights indexed by rank, None where the recursion never reaches
+the diagram.  Conjugating a matching by s_i removes one
 mirror pair of crossings at the boundary, and resolving that pair maps
 the table of the smaller matching to the larger one (see
 ``uncrossing_table``).  V_i, the cup-cap at (i, i+1), is one tuple per
 (n, i) mapping rank to (rank, loops), built once from the rule on left
-edge sets, so each step is one pass over a table of at most C(2n, n)
-ints; the 10,395 tables at n = 6 hold 7,474,720 entries.  Its
+edge sets, so each step is one pass over a table of C(2n, n) entries;
+the 10,395 tables at n = 6 reach 7,474,720 of their 9,604,980.  Its
 correctness rests on the tables not depending on the embedding (thm-2.4),
 and the tests compare it with the fold.
 """
@@ -493,13 +494,14 @@ def diagram_ranks(n: int) -> dict:
     return {D.vertical_left: r for r, D in enumerate(enumerate_sym_tl(n))}
 
 
-def _base_table(n: int) -> dict:
+def _base_table(n: int) -> tuple:
     """f of (1,2)(3,4)...(2n-1,2n) by rank: its n unpaired crossings are
     disjoint, so each resolves alone, horizontally (+1) or to the left edge
-    (2k-1, 2k) (-1)."""
+    (2k-1, 2k) (-1).  The diagrams with other edges are not reached (None)."""
     pairs = [(2 * k - 1, 2 * k) for k in range(1, n + 1)]
     rank = diagram_ranks(n)
-    return {rank[frozenset(S)]: (-1) ** r for r in range(n + 1) for S in combinations(pairs, r)}
+    signs = {rank[frozenset(S)]: (-1) ** r for r in range(n + 1) for S in combinations(pairs, r)}
+    return tuple(map(signs.get, range(len(rank))))
 
 
 def _cup_cap(edges: frozenset, i: int) -> tuple:
@@ -540,18 +542,20 @@ def _descent(pi: frozenset, n: int):
     return next((i for i in range(1, 2 * n) if mate[i] > mate[i + 1] and mate[i] != i + 1), None)
 
 
-def uncrossing_table(pi, n: int, memo: dict) -> dict:
-    """f(pi), the total uncrossing weight per diagram rank, memoised in
-    ``memo`` by matching; the tables are shared, do not change them.
+def uncrossing_table(pi, n: int, memo: dict) -> tuple:
+    """f(pi), the total uncrossing weight at each diagram rank, None where
+    no uncrossing reaches the diagram, memoised in ``memo`` by matching.
 
     At the first i with pi(i) > pi(i+1) and pi(i) != i+1, nu_pi is
     nu_pi' (pi' = s_i pi s_i) with one more mirror pair of crossings at
     the boundary positions (i, i+1) and (i', (i+1)').  Resolving that pair
     first gives f(pi) = sum over D of f(pi')(D) * (2^loops V_i(D) - D):
     both horizontal keep D with the weight -1, both vertical give the
-    cup-cap V_i(D).  Only the base matching (1,2)(3,4)...(2n-1,2n) has
-    no such i.  The fold of ``f_coefficient`` gives the same tables for
-    every embedding (thm-2.4), and the tests compare the two.
+    cup-cap V_i(D); a diagram either term reaches is reached, so weights
+    that cancel stay as 0.  Only the base matching (1,2)(3,4)...(2n-1,2n)
+    has no such i.  The fold of ``f_coefficient`` gives the same tables,
+    zero weights included, for every embedding (thm-2.4), and the tests
+    compare the two.
     """
     chain = []
     while pi not in memo:
@@ -566,12 +570,14 @@ def uncrossing_table(pi, n: int, memo: dict) -> dict:
     caps = cup_cap_ranks(n)
     for pi, i in reversed(chain):
         V = caps[i]
-        nxt = {}
-        for r, w in table.items():
+        nxt = [None] * len(table)
+        for r, w in enumerate(table):
+            if w is None:
+                continue
             v, loops = V[r]
-            nxt[v] = nxt.get(v, 0) + (w << loops)
-            nxt[r] = nxt.get(r, 0) - w
-        memo[pi] = table = nxt
+            nxt[v] = (nxt[v] or 0) + (w << loops)
+            nxt[r] = (nxt[r] or 0) - w
+        memo[pi] = table = tuple(nxt)
     return table
 
 
@@ -579,8 +585,7 @@ def uncrossing_table(pi, n: int, memo: dict) -> dict:
 def rank_tables(n: int) -> tuple:
     """The table of every matching of [2n] by ``uncrossing_table``, once per
     process: entry k is the table of the k-th matching of
-    ``enumerate_matchings(n)``, diagram rank -> weight.  Every caller
-    shares the returned dicts."""
+    ``enumerate_matchings(n)``, a tuple indexed by diagram rank."""
     memo = {}
     return tuple(uncrossing_table(pi, n, memo) for pi in enumerate_matchings(n))
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,15 +96,15 @@ def test_certify_basis():
 
 
 def _tl_rows(n):
-    from pfaflab.pfaffinants import _row_terms, _tl_row
+    from pfaflab.pfaffinants import _row_terms, tl_functional
 
-    return [_row_terms(_tl_row(D)) for D in enumerate_sym_tl_even(n)]
+    return [_row_terms(tl_functional(D).row) for D in enumerate_sym_tl_even(n)]
 
 
 def _complementary_rows(n):
-    from pfaflab.pfaffinants import _row_of, _row_terms, complementary_functional
+    from pfaflab.pfaffinants import _row_terms, complementary_functional
 
-    return [_row_terms(_row_of(complementary_functional(n, I)))
+    return [_row_terms(complementary_functional(n, I).row)
             for I in even_subsets(2 * n) if 1 in I]
 
 
@@ -285,7 +286,9 @@ def _corrupt_one_entry(monkeypatch, n):
 
     tables = list(rank_tables(n))
     r = enumerate_sym_tl(n).index(enumerate_sym_tl_even(n)[-1])
-    tables[-1] = {**tables[-1], r: tables[-1].get(r, 0) + 1}
+    last = list(tables[-1])
+    last[r] = (last[r] or 0) + 1
+    tables[-1] = tuple(last)
     monkeypatch.setattr(pfaffinants, "rank_tables",
                         lambda m: tuple(tables) if m == n else rank_tables(m))
 
@@ -337,19 +340,19 @@ def test_identities_agree_with_poly_oracle(monkeypatch, fresh_functionals, corru
 
 def test_row_sums_match_the_summed_side():
     from pfaflab.diagrams import compatible_diagrams, i_maximal_diagrams
-    from pfaflab.pfaffinants import (_column_sum, _diagram_rows, _row_of, _tl_row,
-                                     complementary_functional, diagram_functional, tl_functional)
+    from pfaflab.pfaffinants import (_column_sum, _diagram_rows, complementary_functional,
+                                     diagram_functional, tl_functional)
 
     # at every I both identities hold, by the rows and by the dicts alike
     for n in (1, 2, 3, 4):
         rows, diagrams = _diagram_rows(n), enumerate_sym_tl(n)
         for I in even_subsets(2 * n):
-            want = _row_of(complementary_functional(n, I))
+            want = complementary_functional(n, I).row
             comp, maximal = compatible_diagrams(I, n), i_maximal_diagrams(I, n)
             assert _column_sum(rows[diagrams.index(D)] for D in comp) == want
-            assert _row_of(_summed_side(n, map(diagram_functional, comp))) == want
-            assert _column_sum(map(_tl_row, maximal)) == want
-            assert _row_of(_summed_side(n, map(tl_functional, maximal))) == want
+            assert _summed_side(n, map(diagram_functional, comp)).row == want
+            assert _column_sum(tl_functional(D).row for D in maximal) == want
+            assert _summed_side(n, map(tl_functional, maximal)).row == want
 
 
 def test_row_functionals_match_the_table_probe():
@@ -417,6 +420,16 @@ def test_cone_membership():
         ConeElement.from_dict(2, {D2(): 1, D2((1, 2)): 1})
     assert ConeElement.from_dict(2, {D2(): 0, D2((1, 4), (2, 3)): 2}).tl_coeffs == \
         {D2((1, 4), (2, 3)): Fraction(2)}
+
+
+def test_cone_element_refuses_diagrams_of_another_n():
+    # an even diagram of n = 3, whose row has 15 columns, not the 3 of [4]
+    D3 = sym_diagram(3, [])
+    assert D3.is_even
+    with pytest.raises(ValueError, match=r"n=2 take no diagram of n=3"):
+        ConeElement.from_dict(2, {D3: 1})
+    with pytest.raises(ValueError, match=r"n=3 take no diagram of n=2"):
+        ConeElement.from_dict(3, {D2(): 1})
 
 
 def test_min_difference_cone_examples():
@@ -565,6 +578,35 @@ def test_from_dict_keeps_rational_coefficients():
         assert set(A.monomials) == {pis[0], pis[1]}
 
 
+def test_from_dict_refuses_keys_that_are_not_matchings():
+    from pfaflab.diagrams import matching
+
+    pis = enumerate_matchings(2)
+    for key in (matching([(1, 2), (3, 4), (5, 6)]),       # a matching of [6], not of [4]
+                frozenset([(2, 1), (3, 4)]),              # a pair given unsorted
+                frozenset([(1, 2)])):                     # a partial matching
+        with pytest.raises(ValueError, match=re.escape(str(sorted(key)))):
+            PfaffinantFunctional.from_dict(2, {pis[0]: 1, key: 1})
+    # every matching of [4] is taken, as a frozenset or as a list of pairs
+    f = PfaffinantFunctional.from_dict(2, {pis[0]: 1, tuple(sorted(pis[2])): -1})
+    assert f.row == (1, 0, -1) and f.coefficients == {pis[0]: 1, pis[2]: -1}
+
+
+def test_functional_rows_are_held_once_per_n():
+    from pfaflab.diagrams import removal_closure
+    from pfaflab.pfaffinants import _column_sum, _diagram_rows, diagram_functional, tl_functional
+
+    for n in (1, 2, 3, 4):
+        rows = _diagram_rows(n)
+        for r, D in enumerate(enumerate_sym_tl(n)):
+            # the very tuple of the per-n rows, not a copy
+            assert diagram_functional(D).row is rows[r], D.key()
+        for D in enumerate_sym_tl_even(n):
+            closure = [rows[enumerate_sym_tl(n).index(Dp)] for Dp in removal_closure(D)]
+            assert tl_functional(D).row == _column_sum(closure), D.key()
+            assert len(tl_functional(D).row) == len(enumerate_matchings(n))
+
+
 def test_shared_pfaffian_memo_matches_fresh_evaluation():
     from pfaflab.pfaffinants import diagram_functional, tl_functional
 
@@ -632,7 +674,7 @@ def test_tl_functional_matches_closure_sum_over_tables():
 
 def test_functional_memo_keys_are_canonical():
     from pfaflab import verify
-    from pfaflab.pfaffinants import _tl_row, diagram_functional, tl_functional
+    from pfaflab.pfaffinants import diagram_functional, tl_functional
 
     diagram_functional.cache_clear()
     tl_functional.cache_clear()
@@ -645,11 +687,11 @@ def test_functional_memo_keys_are_canonical():
         assert tl_functional(D) is tl_functional(sym_diagram(2, D.vertical_left))
     assert diagram_functional.cache_info().currsize == len(diagrams)
     assert tl_functional.cache_info().currsize == len(even)
-    # thm-2.12 sums the TL rows, thm-5.4 reads the functionals built on
-    # them: one entry per diagram in each memo
+    # thm-2.12 sums the TL rows at n = 1 and 2, and thm-5.4 reads the same
+    # functionals at n = 2: one entry per diagram, and each row held once
     tl_functional.cache_clear()
-    _tl_row.cache_clear()
     verify.run("thm-2.12", {"n": 2})
+    rows = {D: tl_functional(D).row for D in even}
     verify.run("thm-5.4", {"bound": 2})
-    assert _tl_row.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
-    assert tl_functional.cache_info().currsize == len(even)
+    assert tl_functional.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
+    assert all(tl_functional(D).row is row for D, row in rows.items())
