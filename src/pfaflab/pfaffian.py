@@ -16,7 +16,7 @@ class SkewArray:
     construction, so the array keeps its memos for its whole lifetime:
     ``subpfaffians`` (sorted index tuple -> sub-pfaffian, filled by
     ``pfaffian``), ``monomials`` (matching -> monomial pfaffian, filled by
-    ``PfaffinantFunctional.evaluate`` at the matchings where a functional's
+    ``PfaffinantFunctional.terms`` at the matchings where a functional's
     row is nonzero) and the verdict of ``is_generic``.
     """
 

@@ -78,8 +78,8 @@ class PfaffinantFunctional:
             row[k] = c if c.__class__ is int else _num(c)
         return PfaffinantFunctional(n, tuple(row))
 
-    def evaluate(self, A: SkewArray) -> Poly:
-        """The ``poly_sum`` of c * pf_pi(A) over the support.
+    def terms(self, A: SkewArray) -> list:
+        """(pi, c, pf_pi(A)) per matching pi of the support, in row order.
 
         Each pf_pi(A) is built once per array: it is kept in the array's
         memo ``A.monomials``, shared by every functional evaluated on A."""
@@ -90,7 +90,11 @@ class PfaffinantFunctional:
         for pi in coeffs:
             if pi not in memo:
                 memo[pi] = monomial_pfaffian(A, pi)
-        return poly_sum((c, memo[pi]) for pi, c in coeffs.items())
+        return [(pi, c, memo[pi]) for pi, c in coeffs.items()]
+
+    def evaluate(self, A: SkewArray) -> Poly:
+        """The ``poly_sum`` of c * pf_pi(A) over the support."""
+        return poly_sum((c, pf) for _, c, pf in self.terms(A))
 
 
 @lru_cache(maxsize=None)

@@ -31,16 +31,19 @@ over Q_t1 Q_t2 - Q_s1 Q_s2, with (t1, t2) the join and meet of the pair
 (con2) or its sorted split (con3), built in m-coefficients; when both
 sides have the same factors the record (zero difference, positive, empty
 expansion) is written without multiplying anything.  con1 evaluates each
-cone element, one summed functional per scan, through the memo of
-monomial pfaffians that each array keeps (the recheck's arrays keep
-their own), and peels the value's ``monomial_expand``; a value that is
-not symmetric in x_1..x_k, or that holds another variable, takes the
-full peel, ``classify_difference``.  ``expand_in_q_basis`` returns
-``(coeffs, remainder)``, with ``coeffs`` a plain dict, strict partition
--> Fraction, ordered only when a record is written.  The ``lru_cache``
-memos (Q-functions, their decreasing parts and the partitions of each
-degree) live for the process; every other memo lives for one call or one
-array.
+cone element, one summed functional per scan, in m-coefficients: a value
+is linear in the array's monomial pfaffians pf_pi(A), each built once per
+array in its memo and expanded once per array by ``monomial_expand``, so
+the value is the sum of c * m(pf_pi(A)) over the element's support.  An
+element whose support holds a pf_pi(A) that is not symmetric in
+x_1..x_k, or that holds another variable, is evaluated as a Poly, which
+``_record`` peels in full if it is not symmetric.  The recheck builds one
+array in k + 1 variables per instance and every element shares it.
+``expand_in_q_basis`` returns ``(coeffs, remainder)``, with ``coeffs`` a
+plain dict, strict partition -> Fraction, ordered only when a record is
+written.  The ``lru_cache`` memos (Q-functions, their decreasing parts
+and the partitions of each degree) live for the process; every other
+memo lives for one call or one array.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import factorial, prod
 
@@ -602,6 +605,24 @@ def _in_cone(value: Poly, n: int, even, gens) -> bool:
     return cone_membership(ConeElement.from_dict(n, dict(zip(even, coeffs)))).positive
 
 
+def _m_value(f, A: SkewArray, j: int, expanded: dict):
+    """The value of the functional f on the array A in j variables: the
+    m-coefficients sum c * m(pf_pi(A)) over f's support, zero ones dropped,
+    or ``f.evaluate(A)``, a Poly, if some pf_pi(A) there is not symmetric in
+    x_1..x_j.  ``expanded`` is A's memo, matching -> ``monomial_expand`` of
+    pf_pi(A), so each monomial pfaffian is expanded once per array."""
+    total: dict = {}
+    for pi, c, pf in f.terms(A):
+        if pi not in expanded:
+            expanded[pi] = monomial_expand(pf, j)
+        m = expanded[pi]
+        if m is None:
+            return f.evaluate(A)
+        for nu, v in m.items():
+            total[nu] = total.get(nu, 0) + c * v
+    return {nu: v if v.__class__ is int else _num(v) for nu, v in total.items() if v}
+
+
 def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0):
     """Cone-element evaluations on generalized (non-skew) Q-Jacobi-Trudi arrays.
 
@@ -615,14 +636,20 @@ def scan_q_positivity(n: int, bound: int, k: int = 5, seed: int = 0):
                  else diagram_functional(obj), in_cone)
                 for label, obj, in_cone in cone_test_elements(n, seed)]
     for pi in weakly_decreasing_parts(bound, 2 * n):
-        A = q_jt_matrix(list(pi), [], k, allow_nonstrict=True)
-        for label, f, in_cone in elements:
-            def rebuild(j):
-                return f.evaluate(q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
+        # variables -> (the array of pi, its expansion memo); the array in
+        # k + 1 variables is built by the first recheck and shared by the rest
+        arrays = {}
 
+        def value(f, j):
+            if j not in arrays:
+                arrays[j] = q_jt_matrix(list(pi), [], j, allow_nonstrict=True), {}
+            A, expanded = arrays[j]
+            return _m_value(f, A, j, expanded)
+
+        for label, f, in_cone in elements:
             # only cone elements are rechecked: the conjecture covers no others
-            yield _record("con1", {"pi": list(pi), "element": label}, f.evaluate(A), k,
-                          rebuild if in_cone else None, in_cone=in_cone)
+            yield _record("con1", {"pi": list(pi), "element": label}, value(f, k), k,
+                          partial(value, f) if in_cone else None, in_cone=in_cone)
 
 
 def _shape_str(shape) -> str:

@@ -484,12 +484,52 @@ def test_commuting_pairs_multiply_nothing(monkeypatch):
     assert (((1,), ()), ((2,), ())) in swapped[0] and ((1,), (2,)) in swapped[1]
 
 
-@pytest.mark.parametrize("n, bound", [(2, 5), (3, 3)])
-def test_q_positivity_scan_matches_oracle(n, bound):
+def _m11(j):
+    """m_(1,1) in j variables: symmetric, but no Q-combination."""
+    return Poly({(x(p), x(q)): 1 for p in range(1, j + 1) for q in range(p + 1, j + 1)})
+
+
+def _perturbed_q_jt(extra, at=None, asked=None):
+    """``q_jt_matrix`` with ``extra(j)`` added to the (1, 2) entry of the
+    arrays in j variables (every j, or only j == at); ``asked`` collects the
+    j of every array built."""
+    from pfaflab.pfaffian import SkewArray
+
+    def build(lam, mu, j, **kw):
+        A = q_jt_matrix(lam, mu, j, **kw)
+        if asked is not None:
+            asked.append(j)
+        if at is not None and j != at:
+            return A
+        return SkewArray(A.size, {**A.entries, (1, 2): A.upper(1, 2) + extra(j)})
+
+    return build
+
+
+def _with_rational_combination(monkeypatch):
+    """Adds a cone element with non-integral TL coefficients to the con1
+    elements: the seeded random combinations draw integers, so their rows
+    hold ints only."""
+    from pfaflab import schurq
+    from pfaflab.diagrams import enumerate_sym_tl_even
+    from pfaflab.pfaffinants import ConeElement
+
+    elements = schurq.cone_test_elements
+
+    def with_rational(n, seed):
+        even = enumerate_sym_tl_even(n)
+        weights = {D: Fraction(1, i + 2) for i, D in enumerate(even)}
+        return elements(n, seed) + [("rational", ConeElement.from_dict(n, weights), True)]
+
+    monkeypatch.setattr(schurq, "cone_test_elements", with_rational)
+
+
+def _con1_oracle(n, bound, k, seed, build=q_jt_matrix):
+    """The con1 records rebuilt on the Poly path: every value is the sum of
+    the weighted TL (or diagram) evaluations on a fresh array from
+    ``build``, peeled in full, and rechecked on a fresh array at k + 1."""
     from pfaflab.pfaffinants import ConeElement, diagram_functional, tl_functional
     from pfaflab.schurq import cone_test_elements, weakly_decreasing_parts
-
-    k, seed = 4, 1
 
     def value(obj, A):
         if not isinstance(obj, ConeElement):
@@ -503,11 +543,105 @@ def test_q_positivity_scan_matches_oracle(n, bound):
     for pi in weakly_decreasing_parts(bound, 2 * n):
         for label, obj, in_cone in cone_test_elements(n, seed):
             def diff_at(j):
-                return value(obj, q_jt_matrix(list(pi), [], j, allow_nonstrict=True))
+                return value(obj, build(list(pi), [], j, allow_nonstrict=True))
 
             rec = _oracle_record("con1", {"pi": list(pi), "element": label}, diff_at, k, in_cone)
             want.append({**rec, "in_cone": in_cone})
-    assert list(scan_q_positivity(n, bound, k=k, seed=seed)) == want
+    return want
+
+
+@pytest.mark.parametrize("n, bound, k, seed, perturbed", [
+    pytest.param(2, 5, 4, 1, False, id="2-5"),
+    pytest.param(3, 3, 4, 1, False, id="3-3"),
+    pytest.param(2, 7, 3, 0, True, id="n2-k3-seed0-rechecked"),
+    pytest.param(2, 8, 3, 3, True, id="n2-k3-seed3-rechecked"),
+    pytest.param(3, 9, 3, 2, True, id="n3-k3-seed2-rechecked"),
+])
+def test_q_positivity_scan_matches_oracle(monkeypatch, n, bound, k, seed, perturbed):
+    """The scan's records equal the Poly path's.  A perturbed run adds
+    m_(1,1) to one entry of each array in k variables only: the symmetric
+    values that hold it leave the Q-span, so the cone elements there are
+    rechecked at k + 1, on the unperturbed arrays."""
+    from pfaflab import schurq
+
+    _with_rational_combination(monkeypatch)
+    asked = []
+    build = _perturbed_q_jt(_m11, at=k, asked=asked) if perturbed else q_jt_matrix
+    want = _con1_oracle(n, bound, k, seed, build)
+    monkeypatch.setattr(schurq, "q_jt_matrix", build)
+    asked.clear()
+    got = list(scan_q_positivity(n, bound, k=k, seed=seed))
+    assert got == want
+    rational = [r for r in got if r["instance"]["element"] == "rational"]
+    assert rational and (bound < 4 or not all(r["zero_difference"] for r in rational))
+    if perturbed:
+        # the in-span test fails at k, and the recheck, one array per rechecked
+        # instance, restores every cone element's verdict; the others keep theirs
+        assert any(r["verdict"] == "not-in-q-span" for r in got)
+        assert 0 < asked.count(k + 1) < asked.count(k)
+        assert all(r["verdict"] == "positive" for r in got if r["in_cone"])
+
+
+@pytest.mark.parametrize("n, bound", [(2, 6), (3, 8)])
+def test_q_positivity_falls_back_per_element(monkeypatch, n, bound):
+    """An array whose (1, 2) entry also holds the variable a[1,2]: the
+    monomial pfaffians through that pair are not symmetric in x_1..x_k, so
+    the elements whose support meets one take the Poly path, the others the
+    m-coefficients, and every record is the Poly path's."""
+    from pfaflab import pfaffinants, schurq
+
+    k, seed = 3, 0
+    build = _perturbed_q_jt(lambda j: Poly.var(a(1, 2)))
+    want = _con1_oracle(n, bound, k, seed, build)
+    evaluated = []
+    evaluate = pfaffinants.PfaffinantFunctional.evaluate
+    monkeypatch.setattr(pfaffinants.PfaffinantFunctional, "evaluate",
+                        lambda f, A: evaluated.append(f) or evaluate(f, A))
+    monkeypatch.setattr(schurq, "q_jt_matrix", build)
+    got = list(scan_q_positivity(n, bound, k=k, seed=seed))
+    assert got == want
+    assert any(r["verdict"] == "not-in-q-span" for r in got)
+    assert 0 < len(evaluated) < len(got)
+
+
+def test_q_positivity_expands_each_monomial_pfaffian_once(monkeypatch):
+    """Each monomial pfaffian of each scanned array goes through
+    ``monomial_expand`` at most once, and a forced recheck builds one array
+    in k + 1 variables per instance, whose expansions are shared the same way."""
+    from pfaflab import schurq
+
+    k = 3
+    arrays = []  # every scanned array, kept alive so that no id is reused
+    expanded = Counter()
+
+    def tagged_q_jt_matrix(lam, mu, j, **kw):
+        A = q_jt_matrix(lam, mu, j, **kw)
+        arrays.append((tuple(lam), j, A))
+        return A
+
+    def counted_monomial_expand(f, j):
+        owners = [(id(A), pi) for _, _, A in arrays for pi, pf in A.monomials.items() if pf is f]
+        assert len(owners) == 1
+        expanded[owners[0]] += 1
+        return monomial_expand(f, j)
+
+    classify = schurq._classify
+    monkeypatch.setattr(schurq, "q_jt_matrix", tagged_q_jt_matrix)
+    monkeypatch.setattr(schurq, "monomial_expand", counted_monomial_expand)
+    # every verdict at k reads as a counterexample, so each cone element is rechecked
+    monkeypatch.setattr(schurq, "_classify",
+                        lambda diff, j: ("counterexample", {}) if j == k else classify(diff, j))
+    for n, bound in ((2, 6), (3, 8)):
+        arrays.clear()
+        expanded.clear()
+        records = list(scan_q_positivity(n, bound, k=k))
+        assert expanded and max(expanded.values()) == 1
+        instances = {tuple(r["instance"]["pi"]) for r in records}
+        for j in (k, k + 1):
+            built = [parts for parts, i, _ in arrays if i == j]
+            assert sorted(built) == sorted(instances), j
+        # and each monomial pfaffian that an array built was expanded
+        assert set(expanded) == {(id(A), pi) for *_, A in arrays for pi in A.monomials}
 
 
 def test_diagram_in_cone_reads_the_cone_membership():

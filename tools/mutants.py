@@ -318,6 +318,28 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "",
            (T_SCHURQ + "test_restricted_peel_matches_the_full_peel",
             T_SCHURQ + "test_record_falls_back_to_the_full_peel")),
+    # -- con1 in m-coordinates: each monomial pfaffian expanded once per array
+    Mutant("con1-expansion-memo-shared-across-instances", SCHURQ,
+           "allow_nonstrict=True), {}\n",
+           "allow_nonstrict=True), _m_value.__dict__.setdefault(j, {})\n",
+           (T_SCHURQ + "test_q_positivity_scan_matches_oracle[2-5]",)),
+    Mutant("con1-recheck-reads-the-expansions-at-k", SCHURQ,
+           "allow_nonstrict=True), {}\n",
+           "allow_nonstrict=True), arrays[k][1] if k in arrays else {}\n",
+           (T_SCHURQ + "test_q_positivity_scan_matches_oracle[n2-k3-seed0-rechecked]",)),
+    Mutant("con1-keeps-zero-m-coefficients", SCHURQ,
+           "for nu, v in total.items() if v}", "for nu, v in total.items()}",
+           (T_SCHURQ + "test_q_positivity_scan_matches_oracle[2-5]",)),
+    Mutant("con1-drops-a-matching", SCHURQ,
+           "    for pi, c, pf in f.terms(A):\n", "    for pi, c, pf in f.terms(A)[1:]:\n",
+           (T_SCHURQ + "test_q_positivity_scan_matches_oracle[2-5]",)),
+    Mutant("con1-skips-a-non-symmetric-pfaffian", SCHURQ,
+           "        if m is None:\n            return f.evaluate(A)\n",
+           "        if m is None:\n            continue\n",
+           (T_SCHURQ + "test_q_positivity_falls_back_per_element[2-6]",)),
+    Mutant("con1-recheck-array-per-element", SCHURQ,
+           "            if j not in arrays:\n", "            if j not in arrays or j != k:\n",
+           (T_SCHURQ + "test_q_positivity_expands_each_monomial_pfaffian_once",)),
     Mutant("verify-pool-not-capped", CLI,
            "max_workers=min(args.jobs, len(items))", "max_workers=args.jobs",
            (T_CLI + "test_verify_pool_is_capped",)),
