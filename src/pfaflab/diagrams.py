@@ -6,6 +6,12 @@ represented by its set of left vertical edges alone; the mirror edges
 (i',j') and the horizontal edges (i,i') are derived.  Boundary positions
 run 1..2n (left, top to bottom) then 2n+1..4n for 2n', ..., 1', so the
 mirror reflection is position p <-> 4n+1-p.
+
+A diagram's rank is its index in ``enumerate_sym_tl(n)``, and a set of
+diagrams of [2n] is one int bitmask over their ranks.  Compatibility
+(one mask per even I), the removal closures (one mask per rank) and the
+I-maximal diagrams are computed on masks; ``compatible_diagrams``,
+``i_maximal_diagrams`` and ``mask_diagrams`` decode them to diagrams.
 """
 
 from __future__ import annotations
@@ -306,48 +312,103 @@ def _even_subset(I, n: int) -> frozenset:
 
 def compatible_diagrams(I, n: int) -> frozenset:
     """The diagrams whose every vertical edge joins a point of I to a point
-    outside it, for an even subset I of [2n].
+    outside it, for an even subset I of [2n]: ``compatible_mask`` decoded.
 
-    The answer is read from ``_compatible_index(n)``, which generates every
-    compatible (I, D) pair once per n.  An odd I raises OddSubsetError and
-    a point outside [1, 2n] raises UsageError."""
+    An odd I raises OddSubsetError and a point outside [1, 2n] raises
+    UsageError."""
+    return mask_diagrams(compatible_mask(I, n), n)
+
+
+def compatible_mask(I, n: int) -> int:
+    """The ranks of the diagrams compatible with the even subset I of [2n],
+    as a bitmask read from ``_compatible_index(n)``."""
     return _compatible_index(n)[_even_subset(I, n)]
 
 
 @lru_cache(maxsize=None)
 def _compatible_index(n: int) -> dict:
-    """Every even I of [2n] -> the frozenset of diagrams compatible with it.
+    """Every even I of [2n] -> the bitmask of the ranks of the diagrams
+    compatible with it.
 
     The pairs are generated per diagram D rather than tested: an I is
     compatible with D exactly when it holds one endpoint of every vertical
     edge and any subset of D's horizontal points, and only the subsets
     that make |I| even are taken.  ``is_compatible`` is the oracle."""
     found: dict = {}
-    for D in enumerate_sym_tl(n):
+    for r, D in enumerate(enumerate_sym_tl(n)):
+        bit = 1 << r
         horizontal = sorted(D.horizontal_points())
         for ends in product(*sorted(D.vertical_left)):
-            for r in range(D.order % 2, len(horizontal) + 1, 2):
-                for extra in combinations(horizontal, r):
-                    found.setdefault(frozenset(ends + extra), []).append(D)
-    return {I: frozenset(diagrams) for I, diagrams in found.items()}
+            for k in range(D.order % 2, len(horizontal) + 1, 2):
+                for extra in combinations(horizontal, k):
+                    I = frozenset(ends + extra)
+                    found[I] = found.get(I, 0) | bit
+    return found
+
+
+@lru_cache(maxsize=None)
+def diagram_ranks(n: int) -> dict:
+    """Left edge set -> rank, the diagram's index in ``enumerate_sym_tl(n)``."""
+    return {D.vertical_left: r for r, D in enumerate(enumerate_sym_tl(n))}
+
+
+def ranks_of(mask: int):
+    """The ranks of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_diagrams(mask: int, n: int) -> frozenset:
+    """The diagrams of [2n] whose ranks are the set bits of ``mask``."""
+    diagrams = _sym_tl_cached(n)
+    return frozenset(diagrams[r] for r in ranks_of(mask))
+
+
+@lru_cache(maxsize=None)
+def closure_masks(n: int) -> tuple:
+    """Rank -> the bitmask of the ranks of the diagram's removal closure.
+
+    S(D) is D and the closures of the D - e over D's removable odd edges
+    e.  Those have one edge fewer, so taking the diagrams by increasing
+    order finds each of their masks done.  ``removal_closure`` is the
+    oracle."""
+    rank = diagram_ranks(n)
+    masks = [0] * len(rank)
+    for D in sorted(enumerate_sym_tl(n), key=lambda D: D.order):
+        r = rank[D.vertical_left]
+        mask = 1 << r
+        for edge in _removable_odd_edges(D):
+            mask |= masks[rank[D.vertical_left - {edge}]]
+        masks[r] = mask
+    return tuple(masks)
+
+
+@lru_cache(maxsize=None)
+def _even_mask(n: int) -> int:
+    return sum(1 << r for r, D in enumerate(enumerate_sym_tl(n)) if D.is_even)
+
+
+def maximal_mask(candidates: int, n: int) -> int:
+    """The even diagrams of the bitmask ``candidates`` that lie inside the
+    removal closure of no other one of them."""
+    closure = closure_masks(n)
+    inside = 0
+    for r in ranks_of(candidates):
+        inside |= closure[r] & ~(1 << r)
+    return candidates & _even_mask(n) & ~inside
+
+
+def i_maximal_mask(I, n: int) -> int:
+    """The ranks of the I-maximal diagrams, as a bitmask."""
+    return maximal_mask(compatible_mask(I, n), n)
 
 
 def i_maximal_diagrams(I, n: int) -> frozenset:
     """Even compatible diagrams not inside the removal closure of another;
     a point outside [1, 2n] raises UsageError."""
-    return _i_maximal_cached(_even_subset(I, n), n)
-
-
-@lru_cache(maxsize=None)
-def _i_maximal_cached(I: frozenset, n: int) -> frozenset:
-    return maximal_among(_compatible_index(n)[I])
-
-
-def maximal_among(diagrams) -> frozenset:
-    """The even ``diagrams`` inside the removal closure of no other one."""
-    # one pass over the closures: a diagram in S(D2) - {D2} lies inside another
-    inside = set().union(*(removal_closure(D2) - {D2} for D2 in diagrams))
-    return frozenset(D for D in diagrams if D.is_even and D not in inside)
+    return mask_diagrams(i_maximal_mask(I, n), n)
 
 
 # -- standard partitions ------------------------------------------------------

@@ -12,13 +12,18 @@ The row of a diagram D is its weight in the uncrossing table of every
 matching.  The rows of [2n] are one list indexed by diagram rank, one
 transpose of ``uncross.rank_tables(n)``, and ``diagram_functional(D)``
 shares D's row; ``f_tables(n)`` is the one view of the tables keyed by
-diagrams.  ``tl_functional(D)`` holds the column sum of the rows over
-D's removal closure, and a cone element's functional is a weighted sum
-of TL rows.  The decomposition identities (thm-2.6, thm-2.12) are column
-sums: the rows of the diagrams compatible with I, or the TL rows of the
-I-maximal ones, against the row of pf_I * pf_Ibar, which relabels one
-signed list per size (the matchings of [2r] with their crossing-parity
-signs) onto the sorted points of I and of Ibar and multiplies the two.
+diagrams.  The TL row of an even diagram is the column sum of the rows
+over its removal closure mask, built per rank the first time it is read
+and shared by ``tl_functional(D)``; a cone element's functional is a
+weighted sum of TL rows.  The decomposition identities (thm-2.6,
+thm-2.12) are column sums over a bitmask of diagram ranks: the rows of
+the diagrams compatible with I, or the TL rows of the I-maximal ones,
+against the row of pf_I * pf_Ibar.  That row is built on integer pair
+codes (each pair of [2n] is one bit, a matching's code the OR of its
+pairs' bits): one signed list per size, the matchings of [2r] with their
+crossing-parity signs, is read onto the sorted points of I and of Ibar,
+and each product of the two sides sets the column of the OR of their
+codes.  No diagram is hashed on this path.
 Only when the rows differ are both sides evaluated, to report the first
 differing monomial.  ``certify_basis`` (thm-2.17) ranks the TL rows and
 the complementary rows themselves: evaluation on the generic array maps
@@ -32,13 +37,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .diagrams import (OddSubsetError, SymTLDiagram, check_points, compatible_diagrams,
-                       crossing_number, diagram_order_key, enumerate_matchings, enumerate_sym_tl,
-                       enumerate_sym_tl_even, i_maximal_diagrams, maximal_among,
-                       removal_closure, standard_partition)
+from .diagrams import (OddSubsetError, SymTLDiagram, check_points, closure_masks,
+                       compatible_mask, crossing_number, diagram_order_key, diagram_ranks,
+                       enumerate_matchings, enumerate_sym_tl, enumerate_sym_tl_even,
+                       i_maximal_diagrams, i_maximal_mask, mask_diagrams, maximal_mask,
+                       ranks_of, removal_closure, standard_partition)
 from .pfaffian import SkewArray, min_partition, monomial_pfaffian
 from .poly import Poly, UsageError, _num, express_in_span, poly_sum, row_rank
-from .uncross import diagram_ranks, rank_tables
+from .uncross import rank_tables
 
 
 class VerificationError(RuntimeError):
@@ -140,12 +146,23 @@ def diagram_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
 
 @lru_cache(maxsize=None)
 def tl_functional(D: SymTLDiagram) -> PfaffinantFunctional:
-    """The sum of the diagram functionals over D's removal closure, the
-    column sum of their rows, memoised per diagram."""
+    """The sum of the diagram functionals over D's removal closure,
+    memoised per diagram; its row is ``_tl_row`` of D's rank."""
     if not D.is_even:
         raise UsageError(f"TL pfaffinant requires an even diagram, got {D}")
-    return PfaffinantFunctional(D.n, _column_sum(diagram_functional(Dp).row
-                                                 for Dp in removal_closure(D)))
+    return PfaffinantFunctional(D.n, _tl_row(D.n, diagram_ranks(D.n)[D.vertical_left]))
+
+
+@lru_cache(maxsize=None)
+def _tl_row(n: int, r: int) -> tuple:
+    """The TL row of the even diagram of rank r: the column sum of the
+    diagram rows over its removal closure, built the first time it is read."""
+    rows = _diagram_rows(n)
+    return _column_sum(rows[s] for s in ranks_of(closure_masks(n)[r]))
+
+
+def _diagram_row(n: int, r: int) -> tuple:
+    return _diagram_rows(n)[r]
 
 
 def tl_pfaffinant(D: SymTLDiagram, A: SkewArray) -> Poly:
@@ -166,19 +183,38 @@ def _complementary_row(n: int, I) -> tuple:
     [|Ibar|], each relabelled onto the sorted points of its side.  The
     relabelling keeps the order, hence the crossing number, so a matching
     whose every pair lies inside I or inside Ibar has the coefficient
-    (-1)^(cr(pi|I) + cr(pi|Ibar)); every other one has 0."""
+    (-1)^(cr(pi|I) + cr(pi|Ibar)); every other one has 0.  The two sides
+    hold disjoint pairs, so the code of their union is the OR of theirs."""
     I = frozenset(I)
     if len(I) % 2:
         raise OddSubsetError(f"complementary pfaffian needs an even subset, got {sorted(I)}")
     check_points(I, n)
-    inside = _relabelled(sorted(I))
-    outside = _relabelled([p for p in range(1, 2 * n + 1) if p not in I])
-    columns = _matching_columns(n)
+    bits = _pair_bits(n)
+    inside = _signed_codes(sorted(I), bits)
+    outside = _signed_codes([p for p in range(1, 2 * n + 1) if p not in I], bits)
+    columns = _code_columns(n)
     row = [0] * len(columns)
-    for s, c in inside:
-        for t, d in outside:
-            row[columns[s | t]] = c * d
+    for a, s in inside:
+        for b, t in outside:
+            row[columns[a | b]] = s * t
     return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> list:
+    """``bits[p][q]``: the bit of the pair (p, q) of [2n], p < q.  A
+    matching's code is the OR of its pairs' bits."""
+    bits = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]
+    for k, (p, q) in enumerate(combinations(range(1, 2 * n + 1), 2)):
+        bits[p][q] = 1 << k
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _code_columns(n: int) -> dict:
+    """A matching's code -> its column, the matching's position in a row."""
+    bits = _pair_bits(n)
+    return {sum(bits[p][q] for p, q in pi): k for k, pi in enumerate(enumerate_matchings(n))}
 
 
 @lru_cache(maxsize=None)
@@ -187,11 +223,11 @@ def _signed_base(r: int) -> tuple:
     return tuple((pi, -1 if crossing_number(pi) % 2 else 1) for pi in enumerate_matchings(r))
 
 
-def _relabelled(points: list) -> list:
-    """(matching, sign) per matching of the sorted ``points``: the signed
-    base list of their size, each position i replaced by the i-th point."""
+def _signed_codes(points: list, bits: list) -> list:
+    """(code, sign) per matching of the sorted ``points``: the signed base
+    list of their size, each position i read as the i-th point."""
     at = (None, *points)
-    return [(frozenset([(at[p], at[q]) for p, q in pi]), c)
+    return [(sum(bits[at[p]][at[q]] for p, q in pi), c)
             for pi, c in _signed_base(len(points) // 2)]
 
 
@@ -210,15 +246,15 @@ def _require_same(lhs: PfaffinantFunctional, rhs: PfaffinantFunctional, A: SkewA
         _require_equal(lhs.evaluate(A), rhs.evaluate(A), what)
 
 
-def _check_decomposition(A: SkewArray, I, diagrams_of, functional, what: str) -> None:
-    """pf_I * pf_Ibar against the sum over ``diagrams_of(I, n)``: the column
-    sum of the rows of their memoised functionals against the complementary
-    row.  Only a mismatch wraps both rows as functionals, which
-    ``_require_same`` reports."""
+def _check_decomposition(A: SkewArray, I: frozenset, mask_of, row_of, what: str) -> None:
+    """pf_I * pf_Ibar against the sum over the diagram ranks of the bitmask
+    ``mask_of(I, n)``: the column sum of their rows ``row_of(n, r)``
+    against the complementary row.  Only a mismatch wraps both rows as
+    functionals, which ``_require_same`` reports."""
     _require_symbolic(A)
     n = A.size // 2
     want = _complementary_row(n, I)
-    summed = _column_sum(functional(D).row for D in diagrams_of(I, n))
+    summed = _column_sum([row_of(n, r) for r in ranks_of(mask_of(I, n))])
     if summed != want:
         _require_same(PfaffinantFunctional(n, want), PfaffinantFunctional(n, summed), A,
                       f"{what} at I={sorted(I)}")
@@ -226,17 +262,19 @@ def _check_decomposition(A: SkewArray, I, diagrams_of, functional, what: str) ->
 
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of diagram pfaffinants over compatible
-    diagrams.  The seed selects nothing; it stays because perfbench passes
-    it positionally."""
-    _check_decomposition(A, I, compatible_diagrams, diagram_functional, "diagram decomposition")
+    diagrams; the report names the set of points checked.  The seed selects
+    nothing; it stays because perfbench passes it positionally."""
+    I = frozenset(I)
+    _check_decomposition(A, I, compatible_mask, _diagram_row, "diagram decomposition")
     return {"identity": "diagram-decomposition", "I": sorted(I), "ok": True}
 
 
 def verify_tl_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
     """pf_I * pf_Ibar equals the sum of TL pfaffinants over I-maximal
-    diagrams.  The seed selects nothing; it stays because perfbench passes
-    it positionally."""
-    _check_decomposition(A, I, i_maximal_diagrams, tl_functional, "TL decomposition")
+    diagrams; the report names the set of points checked.  The seed selects
+    nothing; it stays because perfbench passes it positionally."""
+    I = frozenset(I)
+    _check_decomposition(A, I, i_maximal_mask, _tl_row, "TL decomposition")
     return {"identity": "tl-decomposition", "I": sorted(I), "ok": True}
 
 
@@ -276,7 +314,9 @@ def certify_basis(n: int, seed: int = 0) -> dict:
     by the triangular peel (the tests check this at n <= 5); for n >= 2
     the complementary rows stall it, since I = [2n] holds every matching,
     and are eliminated.  The seed selects nothing; it stays because
-    perfbench passes it positionally."""
+    perfbench passes it positionally.  An n below 1 raises UsageError."""
+    if n < 1:
+        raise UsageError(f"certify_basis needs a positive n, got {n}")
     tl = [_row_terms(tl_functional(D).row) for D in enumerate_sym_tl_even(n)]
     comp = [_row_terms(_complementary_row(n, I)) for I in even_subsets(2 * n) if 1 in I]
     return {
@@ -386,7 +426,7 @@ def maximal_diagrams(n: int) -> frozenset:
     alternating-compatible (the subset itself has odd size when n is odd,
     which only bars it from pfaffian decompositions, not from maximality).
     """
-    return maximal_among(enumerate_sym_tl(n))
+    return mask_diagrams(maximal_mask((1 << len(enumerate_sym_tl(n))) - 1, n), n)
 
 
 def boolean_cone_check(s: int, parity: str, t) -> bool:

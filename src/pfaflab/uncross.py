@@ -70,7 +70,7 @@ from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
-from .diagrams import (SymTLDiagram, TLDiagram, enumerate_matchings, enumerate_sym_tl, interleave,
+from .diagrams import (SymTLDiagram, TLDiagram, diagram_ranks, enumerate_matchings, interleave,
                        sym_diagram)
 from .poly import CapacityError
 
@@ -486,12 +486,6 @@ def f_coefficient(pi, n: int, seed: int = 0) -> dict:
 
 
 # -- every table of [2n] by conjugation, on ranks ---------------------------------
-
-
-@lru_cache(maxsize=None)
-def diagram_ranks(n: int) -> dict:
-    """Left edge set -> rank, the diagram's index in ``enumerate_sym_tl(n)``."""
-    return {D.vertical_left: r for r, D in enumerate(enumerate_sym_tl(n))}
 
 
 def _base_table(n: int) -> tuple:

@@ -109,39 +109,60 @@ def test_i_maximal_examples():
         D2((1, 2), (3, 4)), D2((1, 4), (2, 3))}
 
 
-def test_i_maximal_matches_quadratic_definition():
+def _even_subsets(n):
     from itertools import combinations
 
-    from pfaflab.diagrams import _i_maximal_cached, is_compatible
+    points = range(1, 2 * n + 1)
+    return [frozenset(c) for r in range(0, 2 * n + 1, 2) for c in combinations(points, r)]
+
+
+def test_i_maximal_matches_quadratic_definition():
+    from pfaflab.diagrams import i_maximal_mask, is_compatible, mask_diagrams
     from pfaflab.pfaffinants import maximal_diagrams
 
     # oracle: even compatible diagrams inside no other compatible diagram's
-    # closure, for every even I and the alternating set of maximal_diagrams
-    for n in (1, 2, 3, 4):
-        points = range(1, 2 * n + 1)
-        subsets = [frozenset(c) for r in range(0, 2 * n + 1, 2) for c in combinations(points, r)]
-        for I in subsets + [frozenset(range(1, 2 * n + 1, 2))]:
-            comp = [D for D in enumerate_sym_tl(n) if is_compatible(D, I)]
-            want = {D for D in comp if D.is_even
-                    and not any(D2 != D and D in removal_closure(D2) for D2 in comp)}
+    # closure, for every even I and the alternating set of maximal_diagrams;
+    # the closures are the frozensets of removal_closure, filtered per I
+    for n in (1, 2, 3, 4, 5):
+        diagrams = enumerate_sym_tl(n)
+        proper = {D: removal_closure(D) - {D} for D in diagrams}
+        for I in _even_subsets(n) + [frozenset(range(1, 2 * n + 1, 2))]:
+            comp = [D for D in diagrams if is_compatible(D, I)]
+            inside = set().union(*(proper[D2] for D2 in comp))
+            want = {D for D in comp if D.is_even and D not in inside}
             # the alternating set has odd size when n is odd, and the
             # compatibility index holds only even subsets
-            got = _i_maximal_cached(I, n) if len(I) % 2 == 0 else maximal_diagrams(n)
-            assert got == want, (n, sorted(I))
+            if len(I) % 2:
+                assert maximal_diagrams(n) == want, n
+                continue
+            assert mask_diagrams(i_maximal_mask(I, n), n) == want, (n, sorted(I))
+            assert i_maximal_diagrams(I, n) == want, (n, sorted(I))
 
 
 def test_compatible_index_matches_the_filter():
-    from itertools import combinations
-
     from pfaflab.diagrams import _compatible_index, is_compatible
 
-    # oracle: is_compatible tested for every diagram at every even I
+    # oracle: is_compatible tested for every diagram at every even I, the
+    # ranks of the compatible ones as one bitmask, and decoded as diagrams
     for n in (1, 2, 3, 4, 5):
-        points = range(1, 2 * n + 1)
-        subsets = [frozenset(c) for r in range(0, 2 * n + 1, 2) for c in combinations(points, r)]
-        want = {I: frozenset(D for D in enumerate_sym_tl(n) if is_compatible(D, I))
-                for I in subsets}
+        diagrams = enumerate_sym_tl(n)
+        want = {I: sum(1 << r for r, D in enumerate(diagrams) if is_compatible(D, I))
+                for I in _even_subsets(n)}
         assert _compatible_index(n) == want, n
+        if n <= 3:
+            for I in want:
+                assert compatible_diagrams(I, n) == \
+                    frozenset(D for D in diagrams if is_compatible(D, I)), (n, sorted(I))
+
+
+def test_closure_masks_match_removal_closure():
+    from pfaflab.diagrams import closure_masks, mask_diagrams
+
+    for n in (1, 2, 3, 4, 5):
+        masks = closure_masks(n)
+        assert len(masks) == comb(2 * n, n)
+        for r, D in enumerate(enumerate_sym_tl(n)):
+            assert mask_diagrams(masks[r], n) == removal_closure(D), D.key()
 
 
 def test_every_diagram_is_maximal_for_its_own_subset():

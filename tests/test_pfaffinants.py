@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pfaflab.diagrams import (OddSubsetError, crossing_number, enumerate_matchings,
-                              enumerate_sym_tl, enumerate_sym_tl_even, sym_diagram)
+                              enumerate_sym_tl, enumerate_sym_tl_even, matching_sign, sym_diagram)
 from pfaflab.pfaffian import SkewArray, complementary_pfaffian, monomial_pfaffian
 from pfaflab.pfaffinants import (ConeElement, PfaffinantFunctional, VerificationError,
                                  _require_equal, boolean_cone_check,
@@ -674,10 +674,12 @@ def test_tl_functional_matches_closure_sum_over_tables():
 
 def test_functional_memo_keys_are_canonical():
     from pfaflab import verify
-    from pfaflab.pfaffinants import diagram_functional, tl_functional
+    from pfaflab.diagrams import diagram_ranks
+    from pfaflab.pfaffinants import _tl_row, diagram_functional, tl_functional
 
     diagram_functional.cache_clear()
     tl_functional.cache_clear()
+    _tl_row.cache_clear()
     diagrams, even = enumerate_sym_tl(2), enumerate_sym_tl_even(2)
     for D in diagrams:
         # an equal diagram built anew finds the same entry
@@ -686,12 +688,66 @@ def test_functional_memo_keys_are_canonical():
     for D in even:
         assert tl_functional(D) is tl_functional(sym_diagram(2, D.vertical_left))
     assert diagram_functional.cache_info().currsize == len(diagrams)
-    assert tl_functional.cache_info().currsize == len(even)
-    # thm-2.12 sums the TL rows at n = 1 and 2, and thm-5.4 reads the same
-    # functionals at n = 2: one entry per diagram, and each row held once
+    assert tl_functional.cache_info().currsize == _tl_row.cache_info().currsize == len(even)
+    # thm-2.12 sums the TL rows by rank at n = 1 and 2 and builds no
+    # functional; thm-5.4 reads the functionals at n = 2, which share those
+    # rows: one row per even diagram, each held once
     tl_functional.cache_clear()
+    _tl_row.cache_clear()
     verify.run("thm-2.12", {"n": 2})
-    rows = {D: tl_functional(D).row for D in even}
+    assert _tl_row.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
+    assert tl_functional.cache_info().currsize == 0
+    rows = {D: _tl_row(2, diagram_ranks(2)[D.vertical_left]) for D in even}
     verify.run("thm-5.4", {"bound": 2})
-    assert tl_functional.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
+    assert _tl_row.cache_info().currsize == len(enumerate_sym_tl_even(1)) + len(even)
     assert all(tl_functional(D).row is row for D, row in rows.items())
+
+
+def test_tl_rows_are_built_when_first_read():
+    from pfaflab.pfaffinants import _tl_row, tl_functional
+
+    tl_functional.cache_clear()
+    _tl_row.cache_clear()
+    # one TL functional builds its own row, not the other 34 of n = 4
+    D = enumerate_sym_tl_even(4)[-1]
+    row = tl_functional(D).row
+    assert _tl_row.cache_info().currsize == 1
+    assert tl_pfaffinant(D, SkewArray.symbolic(8)) == tl_functional(D).evaluate(SkewArray.symbolic(8))
+    assert _tl_row.cache_info().currsize == 1 and tl_functional(D).row is row
+
+
+def _relabelled(points):
+    """(matching, sign) per matching of the sorted ``points``: each matching
+    of [len(points)] with its crossing-parity sign, position i replaced by
+    the i-th point; relabelling in order keeps the crossing number."""
+    at = (None, *points)
+    return [(frozenset((at[p], at[q]) for p, q in pi), matching_sign(pi))
+            for pi in enumerate_matchings(len(points) // 2)]
+
+
+def test_complementary_rows_match_the_relabelled_matchings():
+    from pfaflab.pfaffinants import _complementary_row, _matching_columns
+
+    # oracle: the frozenset matchings of I and of Ibar, relabelled and united
+    for n in (1, 2, 3, 4, 5):
+        columns = _matching_columns(n)
+        for I in even_subsets(2 * n):
+            want = [0] * len(columns)
+            Ibar = sorted(frozenset(range(1, 2 * n + 1)) - I)
+            for s, c in _relabelled(sorted(I)):
+                for t, d in _relabelled(Ibar):
+                    want[columns[s | t]] = c * d
+            assert _complementary_row(n, I) == tuple(want), (n, sorted(I))
+
+
+@pytest.mark.parametrize("check", [verify_diagram_decomposition, verify_tl_decomposition])
+def test_identity_reports_the_set_it_checked(check):
+    assert check(A4, [1, 1, 2, 2])["I"] == [1, 2]
+    assert check(A4, (4, 3))["I"] == [3, 4]
+    assert check(A4, frozenset())["I"] == []
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_certify_basis_needs_a_positive_n(n):
+    with pytest.raises(UsageError, match=f"certify_basis needs a positive n, got {n}"):
+        certify_basis(n)

@@ -215,17 +215,17 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
     # flipping the parity in the one signed base list would flip both
     # factors and cancel, so the product's sign is flipped
     Mutant("complementary-recursion-sign-flipped", "src/pfaflab/pfaffinants.py",
-           "row[columns[s | t]] = c * d", "row[columns[s | t]] = -c * d",
+           "row[columns[a | b]] = s * t", "row[columns[a | b]] = -s * t",
            (T_PFAFFINANTS + "test_complementary_functional_matches_the_definition",
             T_PFAFFINANTS + "test_complementary_functional_matches_complementary_pfaffian")),
     Mutant("complementary-pair-straddles-i-and-ibar", "src/pfaflab/pfaffinants.py",
-           """    inside = _relabelled(sorted(I))
-    outside = _relabelled([p for p in range(1, 2 * n + 1) if p not in I])
+           """    inside = _signed_codes(sorted(I), bits)
+    outside = _signed_codes([p for p in range(1, 2 * n + 1) if p not in I], bits)
 """,
            """    inside, outside = sorted(I), [p for p in range(1, 2 * n + 1) if p not in I]
     if inside and outside:
         inside[-1], outside[0] = outside[0], inside[-1]
-    inside, outside = _relabelled(sorted(inside)), _relabelled(sorted(outside))
+    inside, outside = _signed_codes(sorted(inside), bits), _signed_codes(sorted(outside), bits)
 """,
            (T_PFAFFINANTS + "test_complementary_functional_matches_the_definition",
             T_PFAFFINANTS + "test_complementary_functional_matches_complementary_pfaffian")),
@@ -255,17 +255,16 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "for D, c in list(self.tl_coeffs.items())[1:])",
            (T_PFAFFINANTS + "test_cone_element_functional_is_the_tl_combination",)),
     Mutant("tl-functional-drops-a-closure-diagram", "src/pfaflab/pfaffinants.py",
-           "for Dp in removal_closure(D))",
-           "for Dp in list(removal_closure(D))[1:])",
+           "for s in ranks_of(closure_masks(n)[r]))",
+           "for s in list(ranks_of(closure_masks(n)[r]))[1:])",
            ("tests/test_pfaffinants.py::test_tl_functional_matches_closure_sum_over_tables",)),
     # -- decomposition checks as column sums of per-n rows
     Mutant("compatible-index-drops-horizontal-subsets", "src/pfaflab/diagrams.py",
-           "found.setdefault(frozenset(ends + extra), [])",
-           "found.setdefault(frozenset(ends), [])",
+           "I = frozenset(ends + extra)", "I = frozenset(ends)",
            ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
     Mutant("compatible-index-flips-the-parity", "src/pfaflab/diagrams.py",
-           "for r in range(D.order % 2, len(horizontal) + 1, 2):",
-           "for r in range(1 - D.order % 2, len(horizontal) + 1, 2):",
+           "for k in range(D.order % 2, len(horizontal) + 1, 2):",
+           "for k in range(1 - D.order % 2, len(horizontal) + 1, 2):",
            ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
     Mutant("row-transpose-shifts-a-matching", "src/pfaflab/pfaffinants.py",
            "[w or 0 for w in column]", "[w or 0 for w in column[1:] + column[:1]]",
@@ -274,11 +273,36 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "    if summed != want:\n", "    if False:\n",
            (T_PFAFFINANTS + "test_identities_agree_with_poly_oracle[True]",)),
     Mutant("tl-row-leaves-the-diagram-out-of-its-closure", "src/pfaflab/pfaffinants.py",
-           "for Dp in removal_closure(D))", "for Dp in removal_closure(D) - {D})",
+           "for s in ranks_of(closure_masks(n)[r]))",
+           "for s in ranks_of(closure_masks(n)[r] & ~(1 << r)))",
            (T_PFAFFINANTS + "test_row_sums_match_the_summed_side",)),
     Mutant("i-maximal-counts-a-diagram-inside-itself", "src/pfaflab/diagrams.py",
-           "removal_closure(D2) - {D2}", "removal_closure(D2)",
+           "inside |= closure[r] & ~(1 << r)", "inside |= closure[r]",
            ("tests/test_diagrams.py::test_i_maximal_matches_quadratic_definition",)),
+    # -- decomposition checks on integers: rank bitmasks and pair codes
+    Mutant("i-maximal-mask-drops-the-even-filter", "src/pfaflab/diagrams.py",
+           "return candidates & _even_mask(n) & ~inside", "return candidates & ~inside",
+           ("tests/test_diagrams.py::test_i_maximal_matches_quadratic_definition",)),
+    Mutant("closure-mask-takes-one-removal-step", "src/pfaflab/diagrams.py",
+           "mask |= masks[rank[D.vertical_left - {edge}]]",
+           "mask |= 1 << rank[D.vertical_left - {edge}]",
+           ("tests/test_diagrams.py::test_closure_masks_match_removal_closure",)),
+    Mutant("complementary-row-drops-the-sign-of-one-side", "src/pfaflab/pfaffinants.py",
+           "row[columns[a | b]] = s * t", "row[columns[a | b]] = t",
+           (T_PFAFFINANTS + "test_complementary_rows_match_the_relabelled_matchings",)),
+    # a shifted table that both sides read alike only renames the bits, so
+    # the shift is in the column index's reading of it
+    Mutant("pair-bit-table-shifted-by-one", "src/pfaflab/pfaffinants.py",
+           "sum(bits[p][q] for p, q in pi)", "sum(bits[p][q - 1] for p, q in pi)",
+           (T_PFAFFINANTS + "test_complementary_rows_match_the_relabelled_matchings",)),
+    Mutant("identity-reports-the-raw-input", "src/pfaflab/pfaffinants.py",
+           "    I = frozenset(I)\n    _check_decomposition(A, I, i_maximal_mask",
+           "    _check_decomposition(A, I, i_maximal_mask",
+           (T_PFAFFINANTS + "test_identity_reports_the_set_it_checked[verify_tl_decomposition]",)),
+    Mutant("certify-basis-takes-n-zero", "src/pfaflab/pfaffinants.py",
+           "    if n < 1:\n        raise UsageError(f\"certify_basis",
+           "    if n < 0:\n        raise UsageError(f\"certify_basis",
+           (T_PFAFFINANTS + "test_certify_basis_needs_a_positive_n",)),
     Mutant("closure-escapes-never-fail", "src/pfaflab/verify.py",
            '        return "; ".join(escapes) or None\n', "        return None\n",
            ("tests/test_verify.py::test_closure_escapes_are_one_failure_per_diagram",)),
