@@ -9,8 +9,9 @@ mirror reflection is position p <-> 4n+1-p.
 
 A diagram's rank is its index in ``enumerate_sym_tl(n)``, and a set of
 diagrams of [2n] is one int bitmask over their ranks.  Compatibility
-(one mask per even I), the removal closures (one mask per rank) and the
-I-maximal diagrams are computed on masks; ``compatible_diagrams``,
+(one mask per even I, read off one mask per vertical edge), the removal
+closures (one mask per rank) and the I-maximal diagrams are computed on
+masks; ``compatible_diagrams``,
 ``i_maximal_diagrams`` and ``mask_diagrams`` decode them to diagrams.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .poly import CapacityError, UsageError
@@ -330,20 +331,26 @@ def _compatible_index(n: int) -> dict:
     """Every even I of [2n] -> the bitmask of the ranks of the diagrams
     compatible with it.
 
-    The pairs are generated per diagram D rather than tested: an I is
-    compatible with D exactly when it holds one endpoint of every vertical
-    edge and any subset of D's horizontal points, and only the subsets
-    that make |I| even are taken.  ``is_compatible`` is the oracle."""
-    found: dict = {}
-    for r, D in enumerate(enumerate_sym_tl(n)):
-        bit = 1 << r
-        horizontal = sorted(D.horizontal_points())
-        for ends in product(*sorted(D.vertical_left)):
-            for k in range(D.order % 2, len(horizontal) + 1, 2):
-                for extra in combinations(horizontal, k):
-                    I = frozenset(ends + extra)
-                    found[I] = found.get(I, 0) | bit
-    return found
+    Each vertical edge (p, q) holds the mask of the diagrams that have it.
+    A diagram is compatible with I unless one of its edges has both ends
+    on the same side of I, so the mask of I is every rank but the OR of
+    the masks of those edges; horizontal points never bar a diagram.
+    ``is_compatible`` is the oracle."""
+    edges: dict = {}
+    diagrams = enumerate_sym_tl(n)
+    for r, D in enumerate(diagrams):
+        for e in D.vertical_left:
+            edges[e] = edges.get(e, 0) | 1 << r
+    every = (1 << len(diagrams)) - 1
+    index = {}
+    for k in range(0, 2 * n + 1, 2):
+        for I in map(frozenset, combinations(range(1, 2 * n + 1), k)):
+            same = 0
+            for (p, q), mask in edges.items():
+                if (p in I) == (q in I):
+                    same |= mask
+            index[I] = every & ~same
+    return index
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,15 @@ crossing-parity signs, is read onto the sorted points of I and of Ibar,
 and each product of the two sides sets the column of the OR of their
 codes.  No diagram is hashed on this path.
 Only when the rows differ are both sides evaluated, to report the first
-differing monomial.  ``certify_basis`` (thm-2.17) ranks the TL rows and
-the complementary rows themselves: evaluation on the generic array maps
-rows to polynomials one to one, so their ranks are the polynomials'.
+differing monomial.  ``certify_basis`` (thm-2.17) ranks the rows, not
+the polynomials (evaluation on the generic array maps rows to
+polynomials one to one), and runs no elimination: the TL rank is a
+triangular peel of the TL rows' supports, and the complementary rank
+equals it once two premises hold, each checked and raising
+VerificationError when it fails: every complementary row is the sum of
+the TL rows of its I-maximal diagrams (thm-2.12), and the I-maximal
+masks of the standard partitions are unit triangular (prop-2.16, the
+rank-mask check ``transition_matrix`` decodes).
 """
 
 from __future__ import annotations
@@ -35,15 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
 
 from .diagrams import (OddSubsetError, SymTLDiagram, check_points, closure_masks,
                        compatible_mask, crossing_number, diagram_order_key, diagram_ranks,
-                       enumerate_matchings, enumerate_sym_tl, enumerate_sym_tl_even,
+                       enumerate_matchings, enumerate_sym_tl, enumerate_sym_tl_even, i_set,
                        i_maximal_diagrams, i_maximal_mask, mask_diagrams, maximal_mask,
                        ranks_of, removal_closure, standard_partition)
 from .pfaffian import SkewArray, min_partition, monomial_pfaffian
-from .poly import Poly, UsageError, _num, express_in_span, poly_sum, row_rank
+from .poly import Poly, UsageError, _num, _peel, express_in_span, poly_sum, row_rank
 from .uncross import rank_tables
 
 
@@ -247,17 +253,21 @@ def _require_same(lhs: PfaffinantFunctional, rhs: PfaffinantFunctional, A: SkewA
 
 
 def _check_decomposition(A: SkewArray, I: frozenset, mask_of, row_of, what: str) -> None:
+    """``_check_rows`` on the generic array A only."""
+    _require_symbolic(A)
+    _check_rows(A.size // 2, I, mask_of, row_of, what)
+
+
+def _check_rows(n: int, I: frozenset, mask_of, row_of, what: str) -> None:
     """pf_I * pf_Ibar against the sum over the diagram ranks of the bitmask
     ``mask_of(I, n)``: the column sum of their rows ``row_of(n, r)``
     against the complementary row.  Only a mismatch wraps both rows as
-    functionals, which ``_require_same`` reports."""
-    _require_symbolic(A)
-    n = A.size // 2
+    functionals, which ``_require_same`` reports on the generic array."""
     want = _complementary_row(n, I)
     summed = _column_sum([row_of(n, r) for r in ranks_of(mask_of(I, n))])
     if summed != want:
-        _require_same(PfaffinantFunctional(n, want), PfaffinantFunctional(n, summed), A,
-                      f"{what} at I={sorted(I)}")
+        _require_same(PfaffinantFunctional(n, want), PfaffinantFunctional(n, summed),
+                      SkewArray.symbolic(2 * n), f"{what} at I={sorted(I)}")
 
 
 def verify_diagram_decomposition(A: SkewArray, I, seed: int = 0) -> dict:
@@ -283,48 +293,88 @@ def even_subsets(size: int):
         yield from (frozenset(c) for c in combinations(range(1, size + 1), r))
 
 
+def _standard_masks(n: int) -> list:
+    """(rank, I, mask) per even diagram D of [2n], largest rank first: D's
+    standard partition I = I(D) and the bitmask of its I-maximal diagrams.
+
+    prop-2.16: each mask holds D's own rank and no larger one, so these
+    masks, read as a 0/1 matrix over the even ranks, are unit triangular.
+    A row that breaks this raises VerificationError with its position."""
+    rows = []
+    for r, D in reversed(list(enumerate(enumerate_sym_tl(n)))):
+        if not D.is_even:
+            continue
+        I = i_set(D)
+        mask = i_maximal_mask(I, n)
+        if not mask >> r & 1 or mask >> r + 1:
+            raise VerificationError(f"transition matrix is not unit upper triangular at row {len(rows)}")
+        rows.append((r, I, mask))
+    return rows
+
+
 def transition_matrix(n: int) -> tuple:
     """0/1 matrix of I-maximal membership, standard partitions x even diagrams.
 
     Rows and columns are sorted with larger index sets first, which makes
-    the matrix upper triangular with unit diagonal.
+    the matrix upper triangular with unit diagonal: ``_standard_masks``
+    decoded, which raises VerificationError unless it is.
     """
-    diagrams = sorted(enumerate_sym_tl_even(n), key=diagram_order_key, reverse=True)
-    rows = [standard_partition(D) for D in diagrams]
-    mat = []
-    for I, _ in rows:
-        maximal = i_maximal_diagrams(I, n)
-        mat.append([1 if D in maximal else 0 for D in diagrams])
-    for r in range(len(mat)):
-        if mat[r][r] != 1 or any(mat[r][c] for c in range(r)):
-            raise VerificationError(f"transition matrix is not unit upper triangular at row {r}")
-    return rows, diagrams, mat
+    standard = _standard_masks(n)
+    diagrams = [enumerate_sym_tl(n)[r] for r, _, _ in standard]
+    mat = [[mask >> r & 1 for r, _, _ in standard] for _, _, mask in standard]
+    return [standard_partition(D) for D in diagrams], diagrams, mat
 
 
 def certify_basis(n: int, seed: int = 0) -> dict:
     """Ranks of the TL pfaffinants and of the distinct complementary pfaffians.
 
-    pf_I * pf_Ibar = pf_Ibar * pf_I, so only the 2^(2n-2) even I that hold 1
-    are ranked, one of each complementary pair.  Both families are ranked
-    as coefficient rows over the matchings, the rows of ``tl_functional``
-    and of pf_I * pf_Ibar, and no polynomial is built.  Those ranks
-    are the ranks of the polynomials: on the generic array distinct
-    matchings give distinct monomials, so evaluation maps rows to
-    polynomials one to one and linearly.  ``row_rank`` places every TL row
-    by the triangular peel (the tests check this at n <= 5); for n >= 2
-    the complementary rows stall it, since I = [2n] holds every matching,
-    and are eliminated.  The seed selects nothing; it stays because
-    perfbench passes it positionally.  An n below 1 raises UsageError."""
+    pf_I * pf_Ibar = pf_Ibar * pf_I, so the complementary family is the
+    2^(2n-2) even I that hold 1, one of each complementary pair.  Both
+    families are ranked as coefficient rows over the matchings, the rows
+    of ``tl_functional`` and of pf_I * pf_Ibar, and no polynomial is built:
+    on the generic array distinct matchings give distinct monomials, so
+    evaluation maps rows to polynomials one to one and linearly.
+
+    No elimination runs.  The TL rank is the number of TL rows when the
+    triangular peel places all their supports (``_tl_rank``).  The
+    complementary rank equals it by the paper's argument, once two
+    premises are checked, (b) first:
+
+    (a) thm-2.12 on rows, one I of the family at a time: the complementary
+        row is the sum of the TL rows of the I-maximal diagrams, so every
+        complementary row lies in the TL span;
+    (b) prop-2.16 on rank masks (``_standard_masks``): the I-maximal masks
+        of the standard partitions are unit triangular over the even
+        ranks, and every standard partition is in the family.  By (a) the
+        standard rows are that triangular matrix times the TL rows, so
+        they span the TL span.
+
+    A failing premise raises VerificationError: (a) names the I and the
+    first differing monomial, (b) the row of the transition matrix or the
+    standard partition missing from the family.  The seed selects
+    nothing; it stays because perfbench passes it positionally.  An n
+    below 1 raises UsageError."""
     if n < 1:
         raise UsageError(f"certify_basis needs a positive n, got {n}")
-    tl = [_row_terms(tl_functional(D).row) for D in enumerate_sym_tl_even(n)]
-    comp = [_row_terms(_complementary_row(n, I)) for I in even_subsets(2 * n) if 1 in I]
-    return {
-        "n": n,
-        "tl_count": len(tl),
-        "tl_rank": row_rank(tl),
-        "complementary_rank": row_rank(comp),
-    }
+    standard = _standard_masks(n)
+    tl_rank = _tl_rank([_tl_row(n, r) for r, _, _ in standard])
+    family = [I for I in even_subsets(2 * n) if 1 in I]
+    held = set(family)
+    for _, I, _ in standard:
+        if I not in held:
+            raise VerificationError(f"standard partition I={sorted(I)} is not in the complementary family")
+    for I in family:
+        _check_rows(n, I, i_maximal_mask, _tl_row, "TL decomposition")
+    return {"n": n, "tl_count": len(standard), "tl_rank": tl_rank, "complementary_rank": tl_rank}
+
+
+def _tl_rank(rows: list) -> int:
+    """The rank of the coefficient rows ``rows``: their number when the
+    triangular peel places every row's support, else ``row_rank`` of their
+    term dicts, which falls back to the echelon."""
+    if _peel([list(compress(count(), row)) for row in rows]) == len(rows):
+        return len(rows)
+    return row_rank([_row_terms(row) for row in rows])
 
 
 def _row_terms(row: tuple) -> dict:

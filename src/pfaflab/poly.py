@@ -408,7 +408,9 @@ def _echelon(rows, track: bool):
 
 
 def _peel(rows) -> int:
-    """How many of the term dicts ``rows`` a triangular peel places.
+    """How many of the rows a triangular peel places.  A row is any
+    collection of its nonzero columns: a term dict (its keys) or a support,
+    the list of the columns where the row is nonzero.
 
     A column held by exactly one row not yet placed places that row, which
     then leaves every column it holds.  Each placed row is nonzero in its

@@ -155,6 +155,31 @@ def test_compatible_index_matches_the_filter():
                     frozenset(D for D in diagrams if is_compatible(D, I)), (n, sorted(I))
 
 
+def _generated_index(n):
+    """The compatible pairs generated per diagram D: I is compatible with D
+    exactly when it holds one endpoint of every vertical edge and any
+    subset of D's horizontal points; the subsets that make |I| even are
+    taken.  Each I maps to the bitmask of the ranks of its diagrams."""
+    from itertools import combinations, product
+
+    found = {}
+    for r, D in enumerate(enumerate_sym_tl(n)):
+        horizontal = sorted(D.horizontal_points())
+        for ends in product(*sorted(D.vertical_left)):
+            for k in range(D.order % 2, len(horizontal) + 1, 2):
+                for extra in combinations(horizontal, k):
+                    I = frozenset(ends + extra)
+                    found[I] = found.get(I, 0) | 1 << r
+    return found
+
+
+def test_compatible_index_matches_the_generation():
+    from pfaflab.diagrams import _compatible_index
+
+    for n in (1, 2, 3, 4, 5, 6):
+        assert _compatible_index(n) == _generated_index(n), n
+
+
 def test_closure_masks_match_removal_closure():
     from pfaflab.diagrams import closure_masks, mask_diagrams
 

@@ -147,6 +147,108 @@ def test_stalled_peel_falls_back_to_the_echelon():
     assert row_rank([]) == 0
 
 
+def _transition_oracle(n):
+    """prop-2.16's matrix built on frozensets: the I-maximal diagrams of each
+    standard partition, tested per even diagram, rows and columns by
+    decreasing diagram order."""
+    from pfaflab.diagrams import diagram_order_key, i_maximal_diagrams, standard_partition
+
+    diagrams = sorted(enumerate_sym_tl_even(n), key=diagram_order_key, reverse=True)
+    rows = [standard_partition(D) for D in diagrams]
+    mat = []
+    for I, _ in rows:
+        maximal = i_maximal_diagrams(I, n)
+        mat.append([1 if D in maximal else 0 for D in diagrams])
+    return rows, diagrams, mat
+
+
+def test_transition_matrix_matches_the_frozenset_construction():
+    for n in (1, 2, 3, 4, 5):
+        assert transition_matrix(n) == _transition_oracle(n), n
+
+
+def test_certify_basis_matches_the_echelon_oracle():
+    from pfaflab.poly import _echelon
+
+    # oracle: both families eliminated as term dicts
+    for n in (1, 2, 3, 4, 5):
+        tl, comp = _tl_rows(n), _complementary_rows(n)
+        assert certify_basis(n) == {
+            "n": n, "tl_count": len(tl),
+            "tl_rank": len(_echelon(tl, track=False)[0]),
+            "complementary_rank": len(_echelon(comp, track=False)[0])}, n
+
+
+def test_certify_basis_runs_no_elimination(monkeypatch):
+    from pfaflab import poly
+
+    def echelon(rows, track):
+        raise AssertionError("the echelon ran")
+
+    monkeypatch.setattr(poly, "_echelon", echelon)
+    for n in (1, 2, 3, 4, 5):
+        assert certify_basis(n)["complementary_rank"] == len(enumerate_sym_tl_even(n))
+
+
+def test_certify_basis_checks_every_complementary_row(monkeypatch):
+    from pfaflab import pfaffinants, verify
+
+    # premise (a): one flipped sign in pf_I * pf_Ibar at I = [6]
+    full, real = frozenset(range(1, 7)), pfaffinants._complementary_row
+
+    def flipped(n, I):
+        row = real(n, I)
+        return (-row[0], *row[1:]) if frozenset(I) == full else row
+
+    monkeypatch.setattr(pfaffinants, "_complementary_row", flipped)
+    error = r"TL decomposition at I=\[1, 2, 3, 4, 5, 6\]: sides differ at monomial " \
+            r"a\[1,2\]\*a\[3,4\]\*a\[5,6\] by -2"
+    with pytest.raises(VerificationError, match=error):
+        certify_basis(3)
+    failures = verify.run("thm-2.17", {"n": 3})["failures"]
+    assert [f["case"] for f in failures] == ["n=3"]
+    assert re.fullmatch(error, failures[0]["error"])
+
+
+@pytest.mark.parametrize("fault", ["diagonal", "above"])
+def test_certify_basis_checks_the_standard_triangularity(monkeypatch, fault):
+    from pfaflab import pfaffinants
+    from pfaflab.diagrams import i_set
+
+    # premise (b): the standard partition of one even diagram loses its own
+    # rank, or gains the largest even rank, from its I-maximal mask
+    n, real = 3, pfaffinants.i_maximal_mask
+    diagrams = enumerate_sym_tl(n)
+    even = [r for r, D in enumerate(diagrams) if D.is_even]
+    r = even[3]
+    I, bit = i_set(diagrams[r]), 1 << (r if fault == "diagonal" else even[-1])
+    monkeypatch.setattr(pfaffinants, "i_maximal_mask",
+                        lambda J, m: real(J, m) ^ bit if frozenset(J) == I else real(J, m))
+    # the rows run by decreasing rank
+    error = f"transition matrix is not unit upper triangular at row {len(even) - 4}"
+    for check in (certify_basis, transition_matrix):
+        with pytest.raises(VerificationError, match=error):
+            check(n)
+
+
+def test_stalled_tl_peel_takes_the_rank_from_the_echelon(monkeypatch):
+    from pfaflab import poly
+    from pfaflab.pfaffinants import _row_terms, _tl_rank, tl_functional
+
+    real, eliminated = poly._echelon, []
+
+    def echelon(rows, track):
+        eliminated.append(len(rows))
+        return real(rows, track)
+
+    monkeypatch.setattr(poly, "_echelon", echelon)
+    rows = [tl_functional(D).row for D in enumerate_sym_tl_even(3)]
+    assert _tl_rank(rows) == 10 and eliminated == []
+    stalled = rows + [rows[4]]
+    assert _tl_rank(stalled) == len(real([_row_terms(row) for row in stalled], False)[0]) == 10
+    assert eliminated == [11]
+
+
 def test_complementary_functional_matches_complementary_pfaffian():
     from pfaflab.pfaffinants import complementary_functional
 

@@ -230,8 +230,8 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            (T_PFAFFINANTS + "test_complementary_functional_matches_the_definition",
             T_PFAFFINANTS + "test_complementary_functional_matches_complementary_pfaffian")),
     Mutant("certify-basis-drops-a-complementary-pair", "src/pfaflab/pfaffinants.py",
-           "_complementary_row(n, I)) for I in even_subsets(2 * n) if 1 in I]\n",
-           "_complementary_row(n, I)) for I in even_subsets(2 * n) if 1 in I and len(I) < 2 * n]\n",
+           "    family = [I for I in even_subsets(2 * n) if 1 in I]\n",
+           "    family = [I for I in even_subsets(2 * n) if 1 in I and len(I) < 2 * n]\n",
            (T_PFAFFINANTS + "test_certify_basis",)),
     Mutant("identity-compares-supports-only", "src/pfaflab/pfaffinants.py",
            "    if lhs.row != rhs.row:\n",
@@ -259,12 +259,19 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "for s in list(ranks_of(closure_masks(n)[r]))[1:])",
            ("tests/test_pfaffinants.py::test_tl_functional_matches_closure_sum_over_tables",)),
     # -- decomposition checks as column sums of per-n rows
+    # the index starts from the diagrams with no horizontal point, so the
+    # I that hold some of a diagram's horizontal points lose it
     Mutant("compatible-index-drops-horizontal-subsets", "src/pfaflab/diagrams.py",
-           "I = frozenset(ends + extra)", "I = frozenset(ends)",
+           "    every = (1 << len(diagrams)) - 1\n",
+           "    every = sum(1 << r for r, D in enumerate(diagrams) if not D.horizontal_points())\n",
            ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
     Mutant("compatible-index-flips-the-parity", "src/pfaflab/diagrams.py",
-           "for k in range(D.order % 2, len(horizontal) + 1, 2):",
-           "for k in range(1 - D.order % 2, len(horizontal) + 1, 2):",
+           "    for k in range(0, 2 * n + 1, 2):\n",
+           "    for k in range(1, 2 * n + 1, 2):\n",
+           ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
+    Mutant("compatible-index-bars-the-edges-that-straddle-i", "src/pfaflab/diagrams.py",
+           "                if (p in I) == (q in I):\n",
+           "                if (p in I) != (q in I):\n",
            ("tests/test_diagrams.py::test_compatible_index_matches_the_filter",)),
     Mutant("row-transpose-shifts-a-matching", "src/pfaflab/pfaffinants.py",
            "[w or 0 for w in column]", "[w or 0 for w in column[1:] + column[:1]]",
@@ -299,6 +306,13 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            "    I = frozenset(I)\n    _check_decomposition(A, I, i_maximal_mask",
            "    _check_decomposition(A, I, i_maximal_mask",
            (T_PFAFFINANTS + "test_identity_reports_the_set_it_checked[verify_tl_decomposition]",)),
+    # -- thm-2.17 by the rank argument: the span and triangularity premises
+    Mutant("span-check-skips-the-full-set", "src/pfaflab/pfaffinants.py",
+           "    for I in family:\n", "    for I in family[:-1]:\n",
+           (T_PFAFFINANTS + "test_certify_basis_checks_every_complementary_row",)),
+    Mutant("triangularity-check-ignores-the-diagonal", "src/pfaflab/pfaffinants.py",
+           "        if not mask >> r & 1 or mask >> r + 1:\n", "        if mask >> r + 1:\n",
+           (T_PFAFFINANTS + "test_certify_basis_checks_the_standard_triangularity[diagonal]",)),
     Mutant("certify-basis-takes-n-zero", "src/pfaflab/pfaffinants.py",
            "    if n < 1:\n        raise UsageError(f\"certify_basis",
            "    if n < 0:\n        raise UsageError(f\"certify_basis",
