@@ -497,9 +497,15 @@ def _noncrossing_matchings(points):
 
 
 def enumerate_tl(n: int) -> list:
-    """All Catalan(n) non-crossing perfect matchings of [2n]."""
+    """All Catalan(n) non-crossing perfect matchings of [2n], sorted by
+    their sorted edges; a diagram's index here is its TL rank."""
+    return list(_tl_cached(n))
+
+
+@lru_cache(maxsize=None)
+def _tl_cached(n: int) -> tuple:
     out = [tl_diagram(n, m) for m in _noncrossing_matchings(tuple(range(1, 2 * n + 1)))]
-    return sorted(out, key=lambda d: sorted(d.edges))
+    return tuple(sorted(out, key=lambda d: sorted(d.edges)))
 
 
 def enumerate_noncrossing_4n(n: int) -> list:

@@ -1,96 +1,59 @@
 """Temperley-Lieb immanants and their relations to TL pfaffinants.
 
-The coefficient of a permutation is computed by uncrossing its wiring
-diagram crossing by crossing: the horizontal smoothing keeps both wires
-going and contributes a sign, the vertical smoothing closes a cup and
-opens a cap (a closed loop contributes a factor of 2).  Folding the
-reduced word left to right with a dictionary of partial planar matchings
-gives every diagram's coefficient in one sweep.  One reduced word per
-permutation (bubble sort of its inverse) and one loop over permutations
-(``tl_immanants``) serve every caller; the coefficients do not depend on
-the word, which the tests check against a second word.
+f_d(w), the coefficient of the TL diagram d in the TL immanant, is the
+coefficient of d in the image of w under s_i -> t_i - 1 in TL_n(2)
+(Rhoades-Skandera).  So it comes from the uncrossing recursion's kernel:
+a table is a tuple of weights indexed by TL rank (the index in
+``enumerate_tl(n)``), and multiplying by s_i is ``uncross.generator_step``
+with the cup-cap V_i of ``uncross.tl_cup_cap_ranks``, 2^loops V_i(D) - D.
+In the labels of a TL diagram the wiring diagram's crossing at height s
+joins the points (2n-s, 2n+1-s), and the identity is the diagram
+(1,2n)(2,2n-1)...(n,n+1).  ``_walk`` visits S_n depth first by inserting
+the value m at a position k <= m, which multiplies on the right by
+s_{m-1}...s_k: the table at position k is the one at k+1 times s_k, so
+the walk takes n! - 1 steps and holds one table per level.
+``tl_immanants`` and ``tl_immanant_coefficients`` both read its tables.
+The tests keep the fold of a bubble-sort word over partial planar
+matchings as the oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from .diagrams import TLDiagram, enumerate_sym_tl_even, enumerate_tl, removal_closure, tl_diagram
 from .pfaffian import GeneralMatrix, SkewArray, minor, skew_to_matrix
 from .pfaffinants import _require_equal, tl_pfaffinant
 from .poly import Poly, a, express_in_span, poly_prod, poly_sum
-from .uncross import g_tilde_coefficient
+from .uncross import g_tilde_coefficient, generator_step, tl_cup_cap_ranks
 
 
-def inverse_permutation(w) -> tuple:
-    inv = [0] * len(w)
-    for i, wi in enumerate(w, start=1):
-        inv[wi - 1] = i
-    return tuple(inv)
+def _walk(n: int):
+    """(w, table) for every permutation w of 1..n in one-line notation,
+    depth first; the table holds f_d(w) at the rank of each d, None where
+    no uncrossing reaches d."""
+    caps = tl_cup_cap_ranks(n)
+    diagrams = enumerate_tl(n)
+    start = [None] * len(diagrams)
+    start[diagrams.index(tl_diagram(n, [(i, 2 * n + 1 - i) for i in range(1, n + 1)]))] = 1
 
+    def insert(w, table, m):
+        if m > n:
+            yield tuple(w), table
+            return
+        for k in range(m, 0, -1):
+            if k < m:
+                table = generator_step(table, caps[2 * n - k])
+            yield from insert(w[:k - 1] + [m] + w[k - 1:], table, m + 1)
 
-def reduced_word(w) -> list:
-    """Adjacent-transposition word from bubble sort (length = inversion count)."""
-    v = list(w)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(v) - 1):
-            if v[i] > v[i + 1]:
-                v[i], v[i + 1] = v[i + 1], v[i]
-                word.append(i + 1)
-                changed = True
-    return word
-
-
-def _fold_word(word, n: int) -> dict:
-    """Map each TL diagram to its total uncrossing weight for this word.
-
-    States are planar matchings on the n left boundary points (1..n) and
-    the n current wavefront positions (n+1..2n); loops fold into the
-    coefficient with a factor of 2, horizontal smoothings with -1.
-    """
-    init = frozenset((i, n + i) for i in range(1, n + 1))
-    states = {init: 1}
-    for s in word:
-        lo, hi = n + s, n + s + 1
-        nxt = {}
-        for m, c in states.items():
-            # horizontal smoothing: wires pass, sign flips
-            nxt[m] = nxt.get(m, 0) - c
-            # vertical smoothing: close (lo, hi), reopen them as a pair
-            pa = next(p for p in m if lo in p)
-            pb = next(p for p in m if hi in p)
-            if pa == pb:
-                nxt[m] = nxt.get(m, 0) + 2 * c
-            else:
-                (a1,) = set(pa) - {lo}
-                (b1,) = set(pb) - {hi}
-                m2 = (m - {pa, pb}) | {tuple(sorted((a1, b1))), (lo, hi)}
-                nxt[m2] = nxt.get(m2, 0) + c
-        states = {m: c for m, c in nxt.items() if c}
-    out = {}
-    for m, c in states.items():
-        # wavefront position p becomes the right boundary label 2n+1-p
-        edges = [tuple(sorted(3 * n + 1 - q if q > n else q for q in pair)) for pair in m]
-        out[tl_diagram(n, edges)] = c
-    return out
-
-
-def wiring_word(w) -> list:
-    """Crossing columns of a wiring diagram sending left point i to w(i).
-
-    A column at height s swaps the wires currently at positions s, s+1, so
-    the columns sorting the inverse permutation realize w.
-    """
-    return reduced_word(inverse_permutation(w))
+    return insert([], tuple(start), 1)
 
 
 def tl_immanant_coefficients(w) -> dict:
-    """f_d(w) for every TL diagram d, via one wiring-diagram uncrossing sweep."""
-    return _fold_word(wiring_word(w), len(w))
+    """f_d(w) for every TL diagram d with f_d(w) != 0, from the walk's table for w."""
+    w = tuple(w)
+    table = next(table for v, table in _walk(len(w)) if v == w)
+    return {d: c for d, c in zip(enumerate_tl(len(w)), table) if c}
 
 
 def tl_immanants(B: GeneralMatrix) -> dict:
@@ -98,14 +61,16 @@ def tl_immanants(B: GeneralMatrix) -> dict:
     n = B.nrows
     if n != B.ncols:
         raise ValueError("TL immanants need a square matrix")
-    pairs = {d: [] for d in enumerate_tl(n)}
-    for w in permutations(range(1, n + 1)):
+    diagrams = enumerate_tl(n)
+    pairs = [[] for _ in diagrams]
+    for w, table in _walk(n):
         mono = poly_prod(B.entry(i, w[i - 1]) for i in range(1, n + 1))
         if mono.is_zero():
             continue
-        for d, c in tl_immanant_coefficients(w).items():
-            pairs[d].append((c, mono))
-    return {d: poly_sum(ps) for d, ps in pairs.items()}
+        for ps, c in zip(pairs, table):
+            if c:
+                ps.append((c, mono))
+    return {d: poly_sum(ps) for d, ps in zip(diagrams, pairs)}
 
 
 def tl_immanant(d: TLDiagram, B: GeneralMatrix) -> Poly:

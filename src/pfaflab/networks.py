@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .diagrams import OddSubsetError, SymTLDiagram, removal_closure, sym_diagram
+from .diagrams import OddSubsetError, SymTLDiagram, ranks_of, removal_closure, sym_diagram
 from .pfaffian import SkewArray
 from .poly import CapacityError, Poly, UsageError, poly_prod, poly_sum, x
 from .uncross import _crossing_params, _segment_crossing
@@ -209,7 +209,8 @@ class Network:
                 stack.append((i + 1, once | pv, twice | (once & pv), kept | pe,
                               marked | (kept & pe), met, chosen + (row,)))
 
-        rows = sorted(groups.items(), key=lambda row: (_bits(row[0][0]), _bits(row[0][1])))
+        rows = sorted(groups.items(),
+                      key=lambda row: (list(ranks_of(row[0][0])), list(ranks_of(row[0][1]))))
         return [(kept, marked, poly_prod(weights), meets)
                 for (kept, marked), (weights, meets) in rows]
 
@@ -228,15 +229,6 @@ def _as_poly(w) -> Poly:
         return w
     return Poly.const(w)
 
-
-def _bits(mask: int) -> list:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _find(parent, i):
@@ -315,12 +307,12 @@ class MarkedSubnetwork:
     @property
     def kept(self) -> frozenset:
         """The indices of the edges used at least once."""
-        return frozenset(_bits(self.kept_mask))
+        return frozenset(ranks_of(self.kept_mask))
 
     @property
     def marked(self) -> frozenset:
         """The indices of the edges used twice."""
-        return frozenset(_bits(self.marked_mask))
+        return frozenset(ranks_of(self.marked_mask))
 
 
 def _theta_type_mult(N: Network, kept: int, marked: int) -> tuple:

@@ -55,10 +55,12 @@ mirror pair of crossings at the boundary, and resolving that pair maps
 the table of the smaller matching to the larger one (see
 ``uncrossing_table``).  V_i, the cup-cap at (i, i+1), is one tuple per
 (n, i) mapping rank to (rank, loops), built once from the rule on left
-edge sets, so each step is one pass over a table of C(2n, n) entries;
-the 10,395 tables at n = 6 reach 7,474,720 of their 9,604,980.  Its
-correctness rests on the tables not depending on the embedding (thm-2.4),
-and the tests compare it with the fold.
+edge sets, so each step (``generator_step``) is one pass over a table of
+C(2n, n) entries; the 10,395 tables at n = 6 reach 7,474,720 of their
+9,604,980.  Its correctness rests on the tables not depending on the
+embedding (thm-2.4), and the tests compare it with the fold.  The same
+rule on perfect matchings is the ordinary TL cup-cap, and the same step
+on ``tl_cup_cap_ranks`` gives the TL immanants' coefficients.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
-from .diagrams import (SymTLDiagram, TLDiagram, diagram_ranks, enumerate_matchings, interleave,
-                       sym_diagram)
+from .diagrams import (SymTLDiagram, TLDiagram, diagram_ranks, enumerate_matchings, enumerate_tl,
+                       interleave, sym_diagram)
 from .poly import CapacityError
 
 DEFAULT_STATE_BOUND = 2500    # fold states; n = 5 needs at most 252
@@ -499,10 +501,14 @@ def _base_table(n: int) -> tuple:
 
 
 def _cup_cap(edges: frozenset, i: int) -> tuple:
-    """(V_i(D), loops) on left edge sets: D with the symmetric cup-cap at
-    (i, i+1) on both sides, and the mirror orbits of loops it closes.  A
-    loop closes when D has the left edge (i, i+1) (a mirror pair) or when
-    i and i+1 are both horizontal (one loop through its own mirror)."""
+    """(V_i(D), loops): D with the cup-cap at (i, i+1), and the loops it
+    closes.  On the left edge sets of symmetric diagrams the cup-cap acts
+    on both sides and loops count by mirror orbit: a loop closes when D
+    has the left edge (i, i+1) (a mirror pair) or when i and i+1 are both
+    horizontal (one loop through its own mirror).  On a perfect matching,
+    the edges of a ``TLDiagram``, no point is horizontal and this is the
+    ordinary TL cup-cap: one loop if D has the edge (i, i+1), else the
+    mates of i and i+1 joined."""
     mate = {}
     for a, b in edges:
         mate[a], mate[b] = b, a
@@ -519,13 +525,39 @@ def _cup_cap(edges: frozenset, i: int) -> tuple:
     return frozenset(kept), 0
 
 
-@lru_cache(maxsize=None)
-def cup_cap_ranks(n: int) -> dict:
-    """i -> V_i on ranks, for i = 1..2n-1: the tuple whose entry at D's
-    rank is (rank of V_i(D), loops), from ``_cup_cap`` once per (n, i)."""
-    rank = diagram_ranks(n)
+def _cup_cap_tables(rank: dict, n: int) -> dict:
+    """i -> V_i on ranks, for i = 1..2n-1: the tuple whose entry at an
+    edge set's rank is (rank of V_i(D), loops), from ``_cup_cap`` once per
+    i; ``rank`` maps the edge sets to their ranks in rank order."""
     return {i: tuple((rank[V], loops) for V, loops in (_cup_cap(E, i) for E in rank))
             for i in range(1, 2 * n)}
+
+
+@lru_cache(maxsize=None)
+def cup_cap_ranks(n: int) -> dict:
+    """V_i on the ranks of the symmetric diagrams of [2n] (their left edge sets)."""
+    return _cup_cap_tables(diagram_ranks(n), n)
+
+
+@lru_cache(maxsize=None)
+def tl_cup_cap_ranks(n: int) -> dict:
+    """V_i on the TL ranks of [2n], the indices in ``enumerate_tl(n)``."""
+    return _cup_cap_tables({d.edges: r for r, d in enumerate(enumerate_tl(n))}, n)
+
+
+def generator_step(table: tuple, V: tuple) -> tuple:
+    """The table times the generator s_i -> t_i - 1: sum over D of
+    table[D] * (2^loops V_i(D) - D), for V = V_i on ranks.  Entries that
+    are None stay unread; an entry either term reaches is reached, so
+    weights that cancel stay as 0."""
+    nxt = [None] * len(table)
+    for r, w in enumerate(table):
+        if w is None:
+            continue
+        v, loops = V[r]
+        nxt[v] = (nxt[v] or 0) + (w << loops)
+        nxt[r] = (nxt[r] or 0) - w
+    return tuple(nxt)
 
 
 def _descent(pi: frozenset, n: int):
@@ -543,13 +575,12 @@ def uncrossing_table(pi, n: int, memo: dict) -> tuple:
     At the first i with pi(i) > pi(i+1) and pi(i) != i+1, nu_pi is
     nu_pi' (pi' = s_i pi s_i) with one more mirror pair of crossings at
     the boundary positions (i, i+1) and (i', (i+1)').  Resolving that pair
-    first gives f(pi) = sum over D of f(pi')(D) * (2^loops V_i(D) - D):
-    both horizontal keep D with the weight -1, both vertical give the
-    cup-cap V_i(D); a diagram either term reaches is reached, so weights
-    that cancel stay as 0.  Only the base matching (1,2)(3,4)...(2n-1,2n)
-    has no such i.  The fold of ``f_coefficient`` gives the same tables,
-    zero weights included, for every embedding (thm-2.4), and the tests
-    compare the two.
+    first gives f(pi) = sum over D of f(pi')(D) * (2^loops V_i(D) - D)
+    (``generator_step``): both horizontal keep D with the weight -1, both
+    vertical give the cup-cap V_i(D).  Only the base matching
+    (1,2)(3,4)...(2n-1,2n) has no such i.  The fold of ``f_coefficient``
+    gives the same tables, zero weights included, for every embedding
+    (thm-2.4), and the tests compare the two.
     """
     chain = []
     while pi not in memo:
@@ -563,15 +594,7 @@ def uncrossing_table(pi, n: int, memo: dict) -> tuple:
     table = memo[pi]
     caps = cup_cap_ranks(n)
     for pi, i in reversed(chain):
-        V = caps[i]
-        nxt = [None] * len(table)
-        for r, w in enumerate(table):
-            if w is None:
-                continue
-            v, loops = V[r]
-            nxt[v] = (nxt[v] or 0) + (w << loops)
-            nxt[r] = (nxt[r] or 0) - w
-        memo[pi] = table = tuple(nxt)
+        memo[pi] = table = generator_step(table, caps[i])
     return table
 
 

@@ -2,12 +2,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from pfaflab.diagrams import enumerate_sym_tl_even, sym_diagram, tl_diagram
-from pfaflab.immanants import (_fold_word, block_pair, inverse_permutation, non_span_witness,
-                               quadratic_relation_table, reduced_word, tl_immanant,
-                               tl_immanant_coefficients, tl_immanants,
-                               verify_imm_decomposition, verify_pfaffinant_immanant_bridge,
-                               wiring_word)
+from pfaflab.diagrams import enumerate_sym_tl_even, enumerate_tl, sym_diagram, tl_diagram
+from pfaflab.immanants import (_walk, block_pair, non_span_witness, quadratic_relation_table,
+                               tl_immanant, tl_immanant_coefficients, tl_immanants,
+                               verify_imm_decomposition, verify_pfaffinant_immanant_bridge)
 from pfaflab.pfaffian import (SkewArray, complementary_pfaffian, determinant, minor,
                               skew_to_matrix)
 from pfaflab.pfaffinants import even_subsets, tl_pfaffinant
@@ -15,6 +13,88 @@ from pfaflab.poly import express_in_span
 
 P2 = tl_diagram(2, [(1, 4), (2, 3)])
 Q2 = tl_diagram(2, [(1, 2), (3, 4)])
+
+
+# -- the oracle: a fold of one reduced word over partial planar matchings ------
+
+
+def inverse_permutation(w) -> tuple:
+    inv = [0] * len(w)
+    for i, wi in enumerate(w, start=1):
+        inv[wi - 1] = i
+    return tuple(inv)
+
+
+def reduced_word(w) -> list:
+    """Adjacent-transposition word from bubble sort (length = inversion count)."""
+    v = list(w)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(v) - 1):
+            if v[i] > v[i + 1]:
+                v[i], v[i + 1] = v[i + 1], v[i]
+                word.append(i + 1)
+                changed = True
+    return word
+
+
+def _fold_word(word, n: int) -> dict:
+    """Map each TL diagram to its total uncrossing weight for this word.
+
+    States are planar matchings on the n left boundary points (1..n) and
+    the n current wavefront positions (n+1..2n); loops fold into the
+    coefficient with a factor of 2, horizontal smoothings with -1.
+    """
+    init = frozenset((i, n + i) for i in range(1, n + 1))
+    states = {init: 1}
+    for s in word:
+        lo, hi = n + s, n + s + 1
+        nxt = {}
+        for m, c in states.items():
+            # horizontal smoothing: wires pass, sign flips
+            nxt[m] = nxt.get(m, 0) - c
+            # vertical smoothing: close (lo, hi), reopen them as a pair
+            pa = next(p for p in m if lo in p)
+            pb = next(p for p in m if hi in p)
+            if pa == pb:
+                nxt[m] = nxt.get(m, 0) + 2 * c
+            else:
+                (a1,) = set(pa) - {lo}
+                (b1,) = set(pb) - {hi}
+                m2 = (m - {pa, pb}) | {tuple(sorted((a1, b1))), (lo, hi)}
+                nxt[m2] = nxt.get(m2, 0) + c
+        states = {m: c for m, c in nxt.items() if c}
+    out = {}
+    for m, c in states.items():
+        # wavefront position p becomes the right boundary label 2n+1-p
+        edges = [tuple(sorted(3 * n + 1 - q if q > n else q for q in pair)) for pair in m]
+        out[tl_diagram(n, edges)] = c
+    return out
+
+
+def wiring_word(w) -> list:
+    """Crossing columns of a wiring diagram sending left point i to w(i).
+
+    A column at height s swaps the wires currently at positions s, s+1, so
+    the columns sorting the inverse permutation realize w.
+    """
+    return reduced_word(inverse_permutation(w))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_walk_matches_the_fold(n):
+    diagrams = enumerate_tl(n)
+    for w, table in _walk(n):
+        got = {d: c for d, c in zip(diagrams, table) if c}
+        assert got == _fold_word(wiring_word(w), n), w
+
+
+def test_walk_yields_each_permutation_once():
+    for n in range(6):
+        seen = [w for w, _ in _walk(n)]
+        assert sorted(seen) == list(permutations(range(1, n + 1))), n
 
 
 def test_identity_and_single_crossing_coefficients():

@@ -537,3 +537,19 @@ def test_cup_cap_is_idempotent_up_to_a_loop():
         for V in uncross.cup_cap_ranks(n).values():
             for r, (v, _) in enumerate(V):
                 assert V[v] == (v, 1), (n, r)
+
+
+def test_tl_cup_cap_satisfies_the_temperley_lieb_relations():
+    # on perfect matchings e_i^2 = 2 e_i, and e_i e_j e_i = e_i for |i - j| = 1
+    # with no loop after the first e_i
+    for n in (1, 2, 3, 4, 5):
+        caps = uncross.tl_cup_cap_ranks(n)
+        assert sorted(caps) == list(range(1, 2 * n))
+        for i, V in caps.items():
+            assert len(V) == len(enumerate_tl(n))
+            for r, (v, loops) in enumerate(V):
+                assert V[v] == (v, 1), (n, i, r)
+                for j in (i - 1, i + 1):
+                    if j in caps:
+                        u, l1 = caps[j][v]
+                        assert V[u] == (v, 0) and l1 == 0, (n, i, j, r)

@@ -52,11 +52,13 @@ POLY = "src/pfaflab/poly.py"
 SCHURQ = "src/pfaflab/schurq.py"
 NETWORKS = "src/pfaflab/networks.py"
 CLI = "src/pfaflab/cli.py"
+IMMANANTS = "src/pfaflab/immanants.py"
 T_UNCROSS = "tests/test_uncross.py::"
 T_NETWORKS = "tests/test_networks.py::"
 T_CLI = "tests/test_cli.py::"
 T_SCHURQ = "tests/test_schurq.py::"
 T_PFAFFINANTS = "tests/test_pfaffinants.py::"
+T_IMMANANTS = "tests/test_immanants.py::"
 
 MUTANTS = (
     # -- one-pass chord maps: concurrency from ties, one owner for the ends
@@ -144,18 +146,36 @@ def _final_diagram(n: int, strands: frozenset) -> SymTLDiagram:
            'sign = 1 if cmap.class_kind[ci] == "unpaired" else -1',
            (T_UNCROSS + "test_n1_f_table_consistent_with_decomposition",)),
     # -- the conjugation recursion for the tables of [2n]
+    # the generator step is shared with the TL immanants' walk
     Mutant("recursion-horizontal-sign-flipped", UNCROSS,
-           "            nxt[r] = (nxt[r] or 0) - w\n",
-           "            nxt[r] = (nxt[r] or 0) + w\n",
-           (T_UNCROSS + "test_recursion_matches_fold[3-0]",)),
+           "        nxt[r] = (nxt[r] or 0) - w\n",
+           "        nxt[r] = (nxt[r] or 0) + w\n",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]",
+            T_IMMANANTS + "test_walk_matches_the_fold[3]")),
     Mutant("recursion-without-loop-factor", UNCROSS,
            "nxt[v] = (nxt[v] or 0) + (w << loops)",
            "nxt[v] = (nxt[v] or 0) + w",
-           (T_UNCROSS + "test_recursion_matches_fold[3-0]",)),
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]",
+            T_IMMANANTS + "test_walk_matches_the_fold[3]")),
     Mutant("recursion-reaches-every-diagram", UNCROSS,
-           "            if w is None:\n                continue\n",
-           "            w = w or 0\n",
-           (T_UNCROSS + "test_recursion_matches_fold[3-0]",)),
+           "        if w is None:\n            continue\n",
+           "        w = w or 0\n",
+           (T_UNCROSS + "test_recursion_matches_fold[3-0]",
+            T_IMMANANTS + "test_walk_matches_the_fold[3]")),
+    # -- TL immanants on the generator step: the walk over S_n
+    Mutant("tl-cup-cap-keyed-at-the-height", IMMANANTS,
+           "caps[2 * n - k]", "caps[k]",
+           (T_IMMANANTS + "test_walk_matches_the_fold[3]",)),
+    Mutant("walk-skips-insertion-position-1", IMMANANTS,
+           "        for k in range(m, 0, -1):\n", "        for k in range(m, 1, -1):\n",
+           (T_IMMANANTS + "test_walk_yields_each_permutation_once",)),
+    Mutant("walk-steps-before-the-first-position", IMMANANTS,
+           "            if k < m:\n", "            if k <= m:\n",
+           (T_IMMANANTS + "test_walk_matches_the_fold[3]",)),
+    Mutant("walk-starts-at-the-wrong-identity", IMMANANTS,
+           "[(i, 2 * n + 1 - i) for i in range(1, n + 1)]",
+           "[(2 * i - 1, 2 * i) for i in range(1, n + 1)]",
+           (T_IMMANANTS + "test_walk_matches_the_fold[3]",)),
     Mutant("cup-cap-no-loop-through-two-horizontals", UNCROSS,
            "        return frozenset(kept), 1\n",
            "        return frozenset(kept), 0\n",
